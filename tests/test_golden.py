@@ -1,0 +1,56 @@
+"""Byte-for-byte contract on the command line's stdout and --json bundles.
+
+Each case runs `python -m bvcorr.cli` on a job under tests/golden/ and
+compares its stdout and its JSON bundle with the recorded files.  A change
+meant to alter these outputs records them again with
+
+    PYTHONPATH=src python tests/test_golden.py --record
+
+and says why in CHANGES.md.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# case name -> (command, job file, extra arguments)
+CASES = {
+    # level zero and one, plus the audit bundle (build_M0, Omega, varpi, L)
+    "solve_a2_audit": ("solve", "a2.job.json", ["--audit"]),
+    "solve_quartic_iota": ("solve", "quartic_iota.job.json", []),
+    "fmanifold_a2": ("fmanifold", "a2.job.json", []),
+    "basis_two_var": ("basis", "two_var.job.json", []),
+}
+
+
+def _run(name, out_dir):
+    command, job, extra = CASES[name]
+    bundle = Path(out_dir) / f"{name}.json"
+    r = subprocess.run(
+        [sys.executable, "-m", "bvcorr.cli", command,
+         "--input", str(GOLDEN / job), "--json", str(bundle), *extra],
+        capture_output=True,
+        timeout=300,
+    )
+    return r, bundle.read_bytes() if bundle.exists() else None
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, tmp_path):
+    r, bundle = _run(name, tmp_path)
+    assert r.returncode == 0, r.stderr.decode()
+    assert r.stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert bundle == (GOLDEN / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    for case in sorted(CASES):
+        result, data = _run(case, GOLDEN)
+        if result.returncode != 0:
+            sys.exit(f"{case}: exit {result.returncode}\n{result.stderr.decode()}")
+        (GOLDEN / f"{case}.stdout").write_bytes(result.stdout)
+        print(f"recorded {case}: {len(result.stdout)} + {len(data)} bytes")
