@@ -184,7 +184,7 @@ def cmd_basis(job: JobSpec, sink: list) -> tuple[int, dict]:
     return EXIT_OK, bundle
 
 
-def _run_solve(job: JobSpec, audit: bool, fault: bool = False):
+def _run_solve(job: JobSpec, fault: bool = False):
     mil = MilnorData(job.potential)
     r = build_retract(mil)
     q = quantize_retract(r, order=job.h_order)
@@ -231,7 +231,7 @@ def _table_lines(title, table_by_arity, labels, render_value, sink):
 
 
 def cmd_solve(job: JobSpec, sink: list, audit: bool, fault: bool = False):
-    mil, q, z, o, ms, reports, recon_ok = _run_solve(job, audit, fault)
+    mil, q, z, o, ms, reports, recon_ok = _run_solve(job, fault)
     labels = [monomial_label(e, mil.n_vars) for e in mil.basis]
     _emit(f"dimension {mil.dimension}; anomaly-free: {q.kappa_is_zero()}", sink)
 
@@ -342,7 +342,7 @@ def _json_family(family, labels, value=None):
     return out
 
 
-def cmd_fmanifold(job: JobSpec, sink: list, audit: bool):
+def cmd_fmanifold(job: JobSpec, sink: list):
     need = job.t_order + 2
     job_n = max(job.n_max, need)
     mil = MilnorData(job.potential)
@@ -455,8 +455,6 @@ def main(argv=None) -> int:
         p.add_argument("--input", required=needs_input, help="job JSON file")
         p.add_argument("--json", dest="json_path", help="write the full bundle")
         p.add_argument("--audit", action="store_true", help="dump intermediates")
-        p.add_argument("--threads", type=int, default=1, help="accepted; the\
- orchestration is single-threaded")
         if name == "solve":
             p.add_argument(
                 "--inject-fault", action="store_true", help=argparse.SUPPRESS
@@ -475,7 +473,7 @@ def main(argv=None) -> int:
                     job, sink, args.audit, getattr(args, "inject_fault", False)
                 )
             else:
-                code, bundle = cmd_fmanifold(job, sink, args.audit)
+                code, bundle = cmd_fmanifold(job, sink)
     except (InputError, NonIsolatedError, RetractError) as e:
         print(f"input rejected: {e}", file=sys.stderr)
         return EXIT_REJECTED

@@ -62,11 +62,11 @@ class TSeries:
         exp = tuple(exp)
         if not self._ok(exp):
             return
-        if _vzero(value):
+        if value.is_zero():
             return
         cur = self.terms.get(exp)
         new = value if cur is None else cur + value
-        if _vzero(new):
+        if new.is_zero():
             self.terms.pop(exp, None)
         else:
             self.terms[exp] = new
@@ -75,7 +75,7 @@ class TSeries:
         return self.terms.get(tuple(exp), self.zero_value)
 
     def is_zero(self) -> bool:
-        return all(_vzero(v) for v in self.terms.values())
+        return all(v.is_zero() for v in self.terms.values())
 
     def __add__(self, other):
         out = self.copy()
@@ -130,7 +130,7 @@ class TSeries:
         for e in keys:
             if sum(e) > order:
                 continue
-            if not _veq(self.coeff(e), other.coeff(e)):
+            if self.coeff(e) != other.coeff(e):
                 return False
         return True
 
@@ -154,14 +154,6 @@ class TSeries:
             )
             bits.append(f"({v})" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
-
-
-def _vzero(v) -> bool:
-    return v.is_zero()
-
-
-def _veq(a, b) -> bool:
-    return a == b
 
 
 def _t_monomials(dim: int, parities, order: int):

@@ -1,9 +1,16 @@
-"""Set partitions in strictly ordered form and Koszul signs.
+"""Set partitions, Koszul signs, and the one partition-sum kernel.
 
 A partition of [n] = {1, ..., n} is stored as a tuple of blocks; each block
 is an ascending tuple of indices and blocks are ordered by their maximum.
-All partition sums in the library iterate over the output of
-`set_partitions`, whose order is fixed, so every computation downstream is
+
+Every structure in the library is a sum of one shape: over the set
+partitions p of [n], the Koszul sign eps(p), times the J-signs of the blocks
+before a distinguished block, times (-h)^(n-|p|).  This module is the single
+home of that sum.  `signed_partitions` lists each partition with its signs
+and `insertions` its distinguished blocks; the descendant brackets, the
+sL-infinity relations and transfer, the correlators, the moment/cumulant
+identity and the master-equation solvers all iterate over them.  Both follow
+the fixed order of `set_partitions`, so every computation downstream is
 reproducible.
 """
 
@@ -118,18 +125,51 @@ def subsets(seq):
         yield inc, exc
 
 
-def split_sign(subset, complement, degrees) -> int:
-    """Koszul sign of reordering v_1..v_n into (v_subset, v_complement).
-
-    `degrees` maps position index (1-based as in the sequences) to ghost
-    number via degrees[i-1].
-    """
-    perm = list(subset) + list(complement)
-    sign = 1
-    for a in range(len(perm)):
-        if degrees[perm[a] - 1] % 2 == 0:
+@lru_cache(maxsize=None)
+def _signed(n: int, parities: tuple, pair: bool, cap: int) -> tuple:
+    out = []
+    for p in set_partitions(n, cap):
+        if pair and not any(n - 1 in b and n in b for b in p):
             continue
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b] and degrees[perm[b] - 1] % 2 != 0:
+        sign = koszul_sign(p, parities)
+        signs = []
+        for b in p:
+            signs.append(sign)
+            if sum(parities[j - 1] for j in b) % 2:
                 sign = -sign
-    return sign
+        out.append((p, tuple(signs)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _insertions(n: int, parities: tuple, pair: bool, last: bool, cap: int) -> tuple:
+    out = []
+    for p, signs in _signed(n, parities, pair, cap):
+        for i, _ in distinguished_blocks(p, n):
+            if not last or i == len(p) - 1:
+                out.append((p, i, signs[i]))
+    return tuple(out)
+
+
+def signed_partitions(n: int, degrees, pair: bool = False,
+                      cap: int = DEFAULT_ARITY_CAP) -> tuple:
+    """The partitions of [n] in `set_partitions` order, as (p, signs) pairs.
+
+    `degrees[j-1]` is the ghost number of v_j.  signs[i] is the Koszul sign
+    eps(p) times the J-sign (-1)^|v_B| of every block B before block i, so
+    signs[0] = eps(p).  With pair=True only the partitions in which n-1 and
+    n share a block are kept.  The table is cached on the degree parities:
+    all-even data of one arity shares a single table.
+    """
+    return _signed(n, tuple(d % 2 for d in degrees), pair, cap)
+
+
+def insertions(n: int, degrees, pair: bool = False, last: bool = False,
+               cap: int = DEFAULT_ARITY_CAP) -> tuple:
+    """(p, i, sign) for each distinguished block B_i of each partition p.
+
+    B_i is distinguished when |B_i| = n - |p| + 1, so every other block is
+    a singleton; sign is signs[i] of `signed_partitions`.  With last=True
+    only the last block (the one holding n) is tried.
+    """
+    return _insertions(n, tuple(d % 2 for d in degrees), pair, last, cap)

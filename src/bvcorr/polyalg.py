@@ -11,23 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .partitions import (
-    ArityCapError,
-    distinguished_blocks,
-    koszul_sign,
-    set_partitions,
-)
-from .scalars import HPoly, NotDivisibleError
+from .partitions import ArityCapError, insertions, sort_sign
+from .scalars import HPoly, NotDivisibleError, _rat
 
 DEFAULT_POLY_ARITY_CAP = 6
-
-
-def _rat(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, (int, str)):
-        return Fraction(v)
-    raise TypeError(f"not an exact scalar: {v!r}")
 
 
 class Potential:
@@ -389,8 +376,6 @@ class DescendantFamily:
 
     def _ell_monomials(self, n: int, monos) -> PolyElement:
         # canonical order with Koszul sign so permuted calls share the memo
-        from .partitions import sort_sign
-
         canon, csign = sort_sign(monos, [-len(m[1]) for m in monos])
         if csign == 0:
             return PolyElement.zero(self.pot.n_vars)
@@ -408,24 +393,19 @@ class DescendantFamily:
         for e in elems[1:]:
             prod = prod * e
         acc = self._K(prod)
-        for p in set_partitions(n, cap=max(n, 7)):
+        # the kernel sign carries J of the blocks before i: each is a single
+        # monomial, so e.J() = (-1)^gh(e) e
+        for p, i, sign in insertions(n, degs, cap=max(n, 7)):
             if len(p) == 1:
                 continue
-            eps = koszul_sign(p, degs)
-            for i, block in distinguished_blocks(p, n):
-                inner = self.ell(len(block), [elems[j - 1] for j in block])
-                term = None
-                for bi, b in enumerate(p):
-                    if bi == i:
-                        factor = inner
-                    else:
-                        e = elems[b[0] - 1]
-                        factor = e.J() if bi < i else e
-                    term = factor if term is None else term * factor
-                w = HPoly.h(n - len(p))
-                if (n - len(p)) % 2:
-                    w = -w
-                acc = acc - term.scale(w * Fraction(eps))
+            term = None
+            for bi, b in enumerate(p):
+                if bi == i:
+                    factor = self.ell(len(b), [elems[j - 1] for j in b])
+                else:
+                    factor = elems[b[0] - 1]
+                term = factor if term is None else term * factor
+            acc = acc - term.scale(HPoly.neg_h(n - len(p)) * Fraction(sign))
         try:
             val = acc.neg_h_divide(n - 1)
         except NotDivisibleError as e:

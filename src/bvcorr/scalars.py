@@ -107,6 +107,11 @@ class HPoly:
         return cls({power: Fraction(1)})
 
     @classmethod
+    def neg_h(cls, power: int) -> "HPoly":
+        """(-h)^power, the weight of the partition sums."""
+        return cls({power: Fraction(-1 if power % 2 else 1)})
+
+    @classmethod
     def promote(cls, v) -> "HPoly":
         if isinstance(v, HPoly):
             return v

@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .hspace import HVector, SymMap, tuples_with_repetition
-from .partitions import (
-    distinguished_blocks,
-    koszul_sign,
-    set_partitions,
-    sort_sign,
-)
+from .partitions import insertions, signed_partitions, sort_sign
 from .polyalg import PolyElement
 from .scalars import HPoly, NotDivisibleError
 
@@ -27,14 +22,6 @@ from .scalars import HPoly, NotDivisibleError
 class GradedBasisElement:
     label: str
     ghost: int
-
-
-def _block_J_sign(block, ghosts_of) -> int:
-    s = 1
-    for j in block:
-        if ghosts_of(j) % 2:
-            s = -s
-    return s
 
 
 class SLInfStructure:
@@ -91,25 +78,15 @@ class SLInfStructure:
         n = len(idxs)
         degs = [self.ghosts[i] for i in idxs]
         acc = HVector.zero()
-        for p in set_partitions(n):
-            eps = koszul_sign(p, degs)
-            for i, block in distinguished_blocks(p, n):
-                inner = self.op(tuple(idxs[j - 1] for j in block))
-                if inner.is_zero():
-                    continue
-                jsign = 1
-                outer_args = []
-                for bi, b in enumerate(p):
-                    if bi == i:
-                        outer_args.append(inner)
-                    else:
-                        if bi < i:
-                            jsign *= _block_J_sign(
-                                b, lambda j: degs[j - 1]
-                            )
-                        outer_args.append(idxs[b[0] - 1])
-                val = self.op_on_vectors(outer_args)
-                acc = acc + val.scale(Fraction(eps * jsign))
+        for p, i, sign in insertions(n, degs):
+            inner = self.op(tuple(idxs[j - 1] for j in p[i]))
+            if inner.is_zero():
+                continue
+            outer_args = [
+                inner if bi == i else idxs[b[0] - 1] for bi, b in enumerate(p)
+            ]
+            val = self.op_on_vectors(outer_args)
+            acc = acc + val.scale(Fraction(sign))
         return acc
 
 
@@ -210,31 +187,14 @@ def _delta_on_word(S: SLInfStructure, idxs) -> _WordSum:
     n = len(idxs)
     degs = [S.ghosts[i] for i in idxs]
     out = _WordSum(S.ghosts)
-    for p in set_partitions(n):
-        eps = koszul_sign(p, degs)
-        for i, block in distinguished_blocks(p, n):
-            inner = S.op(tuple(idxs[j - 1] for j in block))
-            if inner.is_zero():
-                continue
-            w = HPoly.h(n - len(p))
-            if (n - len(p)) % 2:
-                w = -w
-            jsign = 1
-            rest = []
-            for bi, b in enumerate(p):
-                if bi == i:
-                    continue
-                if bi < i:
-                    jsign *= _block_J_sign(b, lambda j: degs[j - 1])
-                rest.append((bi, idxs[b[0] - 1]))
-            for k, coef in inner.c.items():
-                word = []
-                for bi, b in enumerate(p):
-                    if bi == i:
-                        word.append(k)
-                    else:
-                        word.append(idxs[b[0] - 1])
-                out.add(tuple(word), coef * w * Fraction(eps * jsign))
+    for p, i, sign in insertions(n, degs):
+        inner = S.op(tuple(idxs[j - 1] for j in p[i]))
+        if inner.is_zero():
+            continue
+        w = HPoly.neg_h(n - len(p))
+        for k, coef in inner.c.items():
+            word = tuple(k if bi == i else idxs[b[0] - 1] for bi, b in enumerate(p))
+            out.add(word, coef * w * Fraction(sign))
     return out
 
 
@@ -282,7 +242,7 @@ class EvalMorphism:
         return comp(tuple(args))
 
     @classmethod
-    def identity(cls, max_arity: int = 8) -> "EvalMorphism":
+    def identity(cls) -> "EvalMorphism":
         comps = {1: lambda args: args[0]}
         return cls(comps)
 
@@ -380,22 +340,18 @@ def descendant_morphism(
             prod = prod * e
         acc = F(prod)
         if n > 1:
-            for p in set_partitions(n):
+            for p, signs in signed_partitions(n, degs):
                 if len(p) == 1:
                     continue
-                eps = koszul_sign(p, degs)
-                w = HPoly.h(n - len(p))
-                if (n - len(p)) % 2:
-                    w = -w
                 term = None
                 for b in p:
                     v = psi(len(b), [elems[j - 1] for j in b])
                     term = v if term is None else target.product(term, v)
-                acc = acc - _scale_target(term, w * Fraction(eps))
+                acc = acc - _scale_target(
+                    term, HPoly.neg_h(n - len(p)) * Fraction(signs[0])
+                )
             try:
-                acc = _neg_h_divide_target(acc, n - 1)
-            except DescendantDivisibilityError:
-                raise
+                acc = acc.neg_h_divide(n - 1)
             except NotDivisibleError as e:
                 raise DescendantDivisibilityError(n, acc, e) from e
         memo[key] = acc
@@ -453,10 +409,6 @@ def _scale_target(v, coef: HPoly):
     return v.scale(coef)
 
 
-def _neg_h_divide_target(v, k: int):
-    return v.neg_h_divide(k)
-
-
 def compose_morphisms(outer, inner, ghosts_of_source):
     """Partition-sum composition (outer after inner) of sL-infinity morphisms.
 
@@ -468,13 +420,12 @@ def compose_morphisms(outer, inner, ghosts_of_source):
         def ev_n(args):
             degs = [_ghost_of(a, ghosts_of_source) for a in args]
             acc = None
-            for p in set_partitions(n):
-                eps = koszul_sign(p, degs)
+            for p, signs in signed_partitions(n, degs):
                 vals = [inner.ev(tuple(args[j - 1] for j in b)) for b in p]
                 v = outer.ev(tuple(vals))
                 if v is None:
                     continue
-                v = _scale_target(v, HPoly.const(eps))
+                v = _scale_target(v, HPoly.const(signs[0]))
                 acc = v if acc is None else acc + v
             return acc
 
@@ -511,16 +462,12 @@ def correlators(phi_ev, ghosts, n_max: int, n_vars: int, K_check=None):
         for key in tuples_with_repetition(dim, n):
             degs = [ghosts[i] for i in key]
             acc = PolyElement.zero(n_vars)
-            for p in set_partitions(n):
-                eps = koszul_sign(p, degs)
-                w = HPoly.h(n - len(p))
-                if (n - len(p)) % 2:
-                    w = -w
+            for p, signs in signed_partitions(n, degs):
                 term = None
                 for b in p:
                     v = phi_ev(tuple(key[j - 1] for j in b))
                     term = v if term is None else term * v
-                acc = acc + term.scale(w * Fraction(eps))
+                acc = acc + term.scale(HPoly.neg_h(n - len(p)) * Fraction(signs[0]))
             if K_check is not None and not K_check(acc).is_zero():
                 raise CorrelatorClosureError(
                     f"correlator at arity {n}, {key} is not closed"
@@ -544,15 +491,11 @@ def moment_cumulant_report(expect, chi_on_H, ghosts, correlator_tables, n_max: i
             mu = expect(correlator_tables[n].get(key))
             degs = [ghosts[i] for i in key]
             acc = HPoly.zero()
-            for p in set_partitions(n):
-                eps = koszul_sign(p, degs)
-                w = HPoly.h(n - len(p))
-                if (n - len(p)) % 2:
-                    w = -w
+            for p, signs in signed_partitions(n, degs):
                 term = HPoly.const(1)
                 for b in p:
                     term = term * chi_on_H(tuple(key[j - 1] for j in b))
-                acc = acc + term * w * Fraction(eps)
+                acc = acc + term * HPoly.neg_h(n - len(p)) * Fraction(signs[0])
             if mu != acc:
                 rep.add(n, key, mu - acc)
     return rep
@@ -643,35 +586,26 @@ def minimal_model(ell_eval, retract_f, retract_h, retract_s, ghosts, n_max: int)
         for key in tuples_with_repetition(dim, n):
             degs = [ghosts[i] for i in key]
             acc = zero_src
-            for p in set_partitions(n):
-                eps = koszul_sign(p, degs)
+            for p, signs in signed_partitions(n, degs):
                 if len(p) != 1:
                     vals = [phi_block(tuple(key[j - 1] for j in b)) for b in p]
                     acc = acc + _scale_target(
-                        ell_eval(tuple(vals)), HPoly.const(eps)
+                        ell_eval(tuple(vals)), HPoly.const(signs[0])
                     )
-                if len(p) not in (1, n):
-                    for i, block in distinguished_blocks(p, n):
-                        inner = lhat_block(tuple(key[j - 1] for j in block))
-                        if inner.is_zero():
-                            continue
-                        jsign = 1
-                        for bi, b in enumerate(p):
-                            if bi < i:
-                                jsign *= _block_J_sign(b, lambda j: degs[j - 1])
-                        for k, coef in inner.c.items():
-                            args = []
-                            for bi, b in enumerate(p):
-                                args.append(k if bi == i else key[b[0] - 1])
-                            skey, ssign = sort_sign(
-                                tuple(args), [ghosts[a] for a in args]
-                            )
-                            if ssign == 0:
-                                continue
-                            val = phi_block(skey)
-                            acc = acc - _scale_target(
-                                val, coef * Fraction(eps * jsign * ssign)
-                            )
+            for p, i, sign in insertions(n, degs):
+                if len(p) in (1, n):
+                    continue
+                inner = lhat_block(tuple(key[j - 1] for j in p[i]))
+                for k, coef in inner.c.items():
+                    args = tuple(
+                        k if bi == i else key[b[0] - 1] for bi, b in enumerate(p)
+                    )
+                    skey, ssign = sort_sign(args, [ghosts[a] for a in args])
+                    if ssign == 0:
+                        continue
+                    acc = acc - _scale_target(
+                        phi_block(skey), coef * Fraction(sign * ssign)
+                    )
             Ln.set(key, acc)
         ln_table = SymMap(n, ghosts, HVector.zero())
         phin_table = SymMap(n, ghosts, zero_src)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import permutations as _permutations
 
 from .hspace import HVector, PairSymMap, SymMap, tuples_with_repetition
-from .partitions import distinguished_blocks, koszul_sign, set_partitions
+from .partitions import insertions, koszul_sign, signed_partitions, subsets
 from .polyalg import DescendantFamily, PolyElement, classical_K
 from .retract import QuantizedRetract, nabla, twisted_K_HC, twisted_kappa_HH
 from .scalars import HPoly
@@ -24,19 +24,6 @@ from .slinf import Report
 
 class MasterEquationError(RuntimeError):
     """A defining identity of a master equation failed after solving."""
-
-
-def _neg_h_power(k: int) -> HPoly:
-    w = HPoly.h(k)
-    return -w if k % 2 else w
-
-
-def _block_J_sign(block, degs) -> int:
-    s = 1
-    for j in block:
-        if degs[j - 1] % 2:
-            s = -s
-    return s
 
 
 class LevelZeroSolution:
@@ -75,17 +62,15 @@ class LevelZeroSolution:
 
 def _product_sum(sol, n, key, exclude_trivial, nv) -> PolyElement:
     """sum over partitions of (-h)^(n-|p|) eps(p) prod phi0(blocks)."""
-    degs = [sol.ghosts[i] for i in key]
     acc = PolyElement.zero(nv)
-    for p in set_partitions(n):
+    for p, signs in signed_partitions(n, [sol.ghosts[k] for k in key]):
         if exclude_trivial and len(p) == 1:
             continue
-        eps = koszul_sign(p, degs)
         term = None
         for b in p:
             v = sol.phi0_block(tuple(key[j - 1] for j in b))
             term = v if term is None else term * v
-        acc = acc + term.scale(_neg_h_power(n - len(p)) * Fraction(eps))
+        acc = acc + term.scale(HPoly.neg_h(n - len(p)) * Fraction(signs[0]))
     return acc
 
 
@@ -96,26 +81,19 @@ def _twisted_family_sum(sol, n, key, family_block, zero, sizes=None) -> object:
     inner lhat value is expanded over the basis at the distinguished slot.
     `sizes` filters the number of blocks |p|.
     """
-    degs = [sol.ghosts[i] for i in key]
     acc = zero
-    for p in set_partitions(n):
+    for p, i, sign in insertions(n, [sol.ghosts[k] for k in key]):
         if sizes is not None and len(p) not in sizes:
             continue
-        eps = koszul_sign(p, degs)
-        for i, block in distinguished_blocks(p, n):
-            inner = sol.lhat_block(tuple(key[j - 1] for j in block))
-            if inner.is_zero():
-                continue
-            jsign = 1
-            for bi, b in enumerate(p):
-                if bi < i:
-                    jsign *= _block_J_sign(b, degs)
-            w = _neg_h_power(n - len(p)) * Fraction(eps * jsign)
-            for k, coef in inner.c.items():
-                args = tuple(
-                    k if bi == i else key[b[0] - 1] for bi, b in enumerate(p)
-                )
-                acc = acc + family_block(args).scale(coef * w)
+        inner = sol.lhat_block(tuple(key[j - 1] for j in p[i]))
+        if inner.is_zero():
+            continue
+        w = HPoly.neg_h(n - len(p)) * Fraction(sign)
+        for k, coef in inner.c.items():
+            args = tuple(
+                k if bi == i else key[b[0] - 1] for bi, b in enumerate(p)
+            )
+            acc = acc + family_block(args).scale(coef * w)
     return acc
 
 
@@ -178,12 +156,12 @@ def solve_level_zero(
                 pi_acc.set(
                     key,
                     pi_acc.get(key)
-                    + q.retract.h(w0).scale(_neg_h_power(step)),
+                    + q.retract.h(w0).scale(HPoly.neg_h(step)),
                 )
                 eta_acc.set(
                     key,
                     eta_acc.get(key)
-                    + q.retract.s(w0).scale(_neg_h_power(step)),
+                    + q.retract.s(w0).scale(HPoly.neg_h(step)),
                 )
             om_iter = nabla(q, om_iter, ghost=0)
         phi_n = om_iter.map_values(lambda v: -v)
@@ -294,57 +272,45 @@ class LevelOneSolution:
         return self.phim1[n].get(tuple(idxs[:-2]), tuple(idxs[-2:]))
 
 
-def _pair_partitions(n: int):
-    """Partitions of [n] in which n-1 and n share a block."""
-    for p in set_partitions(n):
-        blk = next(b for b in p if n in b)
-        if n - 1 in blk:
-            yield p
+def _mhat_sum(mhat_block, family_block, key, ghosts, zero,
+              weight=HPoly.neg_h, trivial=False):
+    """sum over pair partitions whose last block is distinguished of
+    weight(n-|p|-1) eps(p) F(v_B1, .., v_B_{|p|-1}, mhat(v_Blast)).
 
-
-def _mhat_sum(o: LevelOneSolution, family_block, n, front, pair, zero):
-    """sum over last-distinguished pair partitions of
-    (-h)^(n-|p|-1) eps(p) F(v_B1, .., v_B_{|p|-1}, mhat(v_Blast))."""
-    key = front + pair
-    degs = [o.ghosts[i] for i in key]
+    The one-block partition enters only when `trivial` is set.  The kernel
+    sign also carries the J-signs of the blocks before the last; all solver
+    data has ghost 0, so they are all +1.
+    """
+    n = len(key)
     acc = zero
-    for p in _pair_partitions(n):
-        if len(p) == 1:
+    degs = [ghosts[k] for k in key]
+    for p, i, sign in insertions(n, degs, pair=True, last=True):
+        if len(p) == 1 and not trivial:
             continue
-        last = p[-1]
-        if len(last) != n - len(p) + 1:
-            continue
-        eps = koszul_sign(p, degs)
-        inner = o.mhat_block(tuple(key[j - 1] for j in last))
+        inner = mhat_block(tuple(key[j - 1] for j in p[i]))
         if inner.is_zero():
             continue
-        w = _neg_h_power(n - len(p) - 1) * Fraction(eps)
+        w = weight(n - len(p) - 1) * Fraction(sign)
         for k, coef in inner.c.items():
             args = tuple(key[b[0] - 1] for b in p[:-1]) + (k,)
             acc = acc + family_block(args).scale(coef * w)
     return acc
 
 
-def _phi_phim1_sum(o: LevelOneSolution, n, front, pair, nv) -> PolyElement:
+def _phi_phim1_sum(o: LevelOneSolution, n, key, nv) -> PolyElement:
     """sum over pair partitions (|p| != 1) of
     (-h)^(n-|p|-1) eps(p) phi0(Jv_B1) ... phi0(Jv_B_{|p|-1}) phim1(v_Blast)."""
     z = o.z
-    key = front + pair
-    degs = [o.ghosts[i] for i in key]
     acc = PolyElement.zero(nv)
-    for p in _pair_partitions(n):
+    for p, signs in signed_partitions(n, [o.ghosts[k] for k in key], pair=True):
         if len(p) == 1:
             continue
-        eps = koszul_sign(p, degs)
         term = None
-        jsign = 1
         for b in p[:-1]:
-            jsign *= _block_J_sign(b, degs)
             v = z.phi0_block(tuple(key[j - 1] for j in b))
             term = v if term is None else term * v
-        tail = o.phim1_block(tuple(key[j - 1] for j in p[-1]))
-        term = tail if term is None else term * tail
-        acc = acc + term.scale(_neg_h_power(n - len(p) - 1) * Fraction(eps * jsign))
+        term = term * o.phim1_block(tuple(key[j - 1] for j in p[-1]))
+        acc = acc + term.scale(HPoly.neg_h(n - len(p) - 1) * Fraction(signs[-1]))
     return acc
 
 
@@ -390,12 +356,12 @@ def solve_level_one(
                 key = front + pair
                 om = z.eta1[n].get(key)
                 om = om - _mhat_sum(
-                    o, z.eta1_block, n, front, pair, PolyElement.zero(nv)
+                    o.mhat_block, z.eta1_block, key, ghosts, PolyElement.zero(nv)
                 )
-                om = om - _phi_phim1_sum(o, n, front, pair, nv)
+                om = om - _phi_phim1_sum(o, n, key, nv)
                 omega.set(front, pair, om)
                 vp = z.pi0[n].get(key) - _mhat_sum(
-                    o, z.pi0_block, n, front, pair, HVector.zero()
+                    o.mhat_block, z.pi0_block, key, ghosts, HVector.zero()
                 )
                 varpi.set(front, pair, vp)
         o.omega1[n] = omega
@@ -415,13 +381,13 @@ def solve_level_one(
                     fkey,
                     pkey,
                     pi_acc.get(fkey, pkey)
-                    + q.retract.h(w0).scale(_neg_h_power(step)),
+                    + q.retract.h(w0).scale(HPoly.neg_h(step)),
                 )
                 eta_acc.set(
                     fkey,
                     pkey,
                     eta_acc.get(fkey, pkey)
-                    + q.retract.s(w0).scale(_neg_h_power(step)),
+                    + q.retract.s(w0).scale(HPoly.neg_h(step)),
                 )
             om_iter = nabla(q, om_iter, ghost=-1)
         o.pi1[n] = pi_acc
@@ -453,7 +419,7 @@ def _check_level_one_identities(o: LevelOneSolution, n: int) -> None:
         lhs = o.omega1[n].get(fkey, pkey)
         lhs = lhs - q.fhat(o.pi1[n].get(fkey, pkey))
         lhs = lhs - k_eta.get(fkey, pkey)
-        rhs = o.phim1[n].get(fkey, pkey).scale(_neg_h_power(n - 2))
+        rhs = o.phim1[n].get(fkey, pkey).scale(HPoly.neg_h(n - 2))
         if lhs != rhs:
             raise MasterEquationError(
                 f"level-one identity (correlator) fails at arity {n}, "
@@ -462,7 +428,7 @@ def _check_level_one_identities(o: LevelOneSolution, n: int) -> None:
         lhs2 = o.varpi0[n].get(fkey, pkey) + twisted_kappa_HH(
             q, o.pi1[n], ghost=-1
         ).get(fkey, pkey)
-        rhs2 = o.mhat[n].get(fkey, pkey).scale(_neg_h_power(n - 2))
+        rhs2 = o.mhat[n].get(fkey, pkey).scale(HPoly.neg_h(n - 2))
         if lhs2 != rhs2:
             raise MasterEquationError(
                 f"level-one identity (products) fails at arity {n}, "
@@ -533,23 +499,11 @@ def reconstruct_pi(mhat_sym, ghosts, n_max: int):
     for n in range(2, n_max + 1):
         table = SymMap(n, ghosts, HVector.zero())
         for key in tuples_with_repetition(dim, n):
-            degs = [ghosts[i] for i in key]
-            acc = HVector.zero()
-            for p in _pair_partitions(n):
-                last = p[-1]
-                if len(last) != n - len(p) + 1:
-                    continue
-                eps = koszul_sign(p, degs)
-                inner = mhat_sym[len(last)].get(
-                    tuple(key[j - 1] for j in last)
-                )
-                if inner.is_zero():
-                    continue
-                w = _neg_h_power(n - len(p) - 1) * Fraction(eps)
-                for k, coef in inner.c.items():
-                    args = tuple(key[b[0] - 1] for b in p[:-1]) + (k,)
-                    acc = acc + pi[len(p)].get(args).scale(coef * w)
-            table.set(key, acc)
+            table.set(key, _mhat_sum(
+                lambda idxs: mhat_sym[len(idxs)].get(idxs),
+                lambda args: pi[len(args)].get(args),
+                key, ghosts, HVector.zero(), trivial=True,
+            ))
         pi[n] = table
     return pi
 
@@ -560,54 +514,25 @@ def build_M0(o: LevelOneSolution, n: int, front, pair, fam: DescendantFamily) ->
     nv = o.q.n_vars
     key = front + pair
     degs = [o.ghosts[i] for i in key]
-    acc = z.phi0[n].get(key).scale(_neg_h_power(1))
-    for p in set_partitions(n):
-        if len(p) != 2:
+    acc = z.phi0[n].get(key).scale(HPoly.neg_h(1))
+    # two blocks that split the pair: n is in the last block, n-1 is not
+    for p, signs in signed_partitions(n, degs):
+        if len(p) != 2 or n - 1 in p[1]:
             continue
-        blk = next(b for b in p if n in b)
-        if n - 1 in blk:
-            continue
-        eps = koszul_sign(p, degs)
         v1 = z.phi0_block(tuple(key[j - 1] for j in p[0]))
         v2 = z.phi0_block(tuple(key[j - 1] for j in p[1]))
-        acc = acc + (v1 * v2).scale(Fraction(eps))
-    acc = acc - _mhat_weightless_sum(o, z.phi0_block, n, front, pair,
-                                     PolyElement.zero(nv))
+        acc = acc + (v1 * v2).scale(Fraction(signs[0]))
+    acc = acc - _mhat_sum(o.mhat_block, z.phi0_block, key, o.ghosts,
+                          PolyElement.zero(nv), weight=lambda k: 1)
     # the bracket correction must enter with a minus sign for
     # M0 = fhat mhat + Khat phim1 to hold
-    for p in _pair_partitions(n):
+    for p, signs in signed_partitions(n, degs, pair=True):
         if len(p) == 1:
             continue
-        eps = koszul_sign(p, degs)
-        jsign = 1
-        args = []
-        for b in p[:-1]:
-            jsign *= _block_J_sign(b, degs)
-            args.append(z.phi0_block(tuple(key[j - 1] for j in b)))
+        args = [z.phi0_block(tuple(key[j - 1] for j in b)) for b in p[:-1]]
         args.append(o.phim1_block(tuple(key[j - 1] for j in p[-1])))
         val = fam.ell(len(p), args)
-        acc = acc - val.scale(Fraction(eps * jsign))
-    return acc
-
-
-def _mhat_weightless_sum(o: LevelOneSolution, family_block, n, front, pair, zero):
-    """Like _mhat_sum but with unit weights (the M0 middle term)."""
-    key = front + pair
-    degs = [o.ghosts[i] for i in key]
-    acc = zero
-    for p in _pair_partitions(n):
-        if len(p) == 1:
-            continue
-        last = p[-1]
-        if len(last) != n - len(p) + 1:
-            continue
-        eps = koszul_sign(p, degs)
-        inner = o.mhat_block(tuple(key[j - 1] for j in last))
-        if inner.is_zero():
-            continue
-        for k, coef in inner.c.items():
-            args = tuple(key[b[0] - 1] for b in p[:-1]) + (k,)
-            acc = acc + family_block(args).scale(coef * Fraction(eps))
+        acc = acc - val.scale(Fraction(signs[-1]))
     return acc
 
 
@@ -666,8 +591,6 @@ def generalized_associativity_report(
     Checks the generalized associativity identity with up to the given
     number of spectator arguments over all basis tuples.
     """
-    from .partitions import split_sign, subsets
-
     rep = Report()
     dim = len(ghosts)
     for n in range(n_spectators_max + 1):
@@ -680,7 +603,7 @@ def generalized_associativity_report(
                         lhs = HVector.zero()
                         rhs = HVector.zero()
                         for inc, exc in subsets(tuple(range(1, n + 1))):
-                            eps = split_sign(inc, exc, degs)
+                            eps = koszul_sign((inc, exc), degs)
                             vs = tuple(spect[i - 1] for i in inc)
                             vc = tuple(spect[i - 1] for i in exc)
                             inner = mhat_sym[len(vc) + 2].get(vc + (w1, w2))

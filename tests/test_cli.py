@@ -123,10 +123,13 @@ def test_fmanifold_iota_validation(tmp_path):
     assert r.returncode == 2
 
 
-def test_threads_flag_accepted(tmp_path):
+def test_threads_flag_rejected(tmp_path):
+    # --threads was a no-op and is gone: argparse rejects it, no traceback
     path = write_job(tmp_path, A2_JOB)
     r = run_cli("basis", "--input", path, "--threads", "4")
-    assert r.returncode == 0
+    assert r.returncode == 2
+    assert b"unrecognized arguments: --threads" in r.stderr
+    assert b"Traceback" not in r.stderr
 
 
 def test_outputs_filter(tmp_path):

@@ -4,8 +4,11 @@ from hypothesis import given, settings, strategies as st
 from bvcorr.partitions import (
     ArityCapError,
     bell_number,
+    distinguished_blocks,
+    insertions,
     koszul_sign,
     set_partitions,
+    signed_partitions,
     sort_sign,
 )
 
@@ -99,3 +102,57 @@ def test_sort_sign_odd_square_vanishes():
     assert sign == 0
     idxs, sign = sort_sign((3, 1), [1, 1])
     assert idxs == (1, 3) and sign == -1
+
+
+# -- the partition-sum kernel -------------
+
+
+def _brute_signs(p, degrees):
+    # eps(p) times (-1)^|v_B| for every block B before block i
+    out, sign = [], koszul_sign(p, degrees)
+    for b in p:
+        out.append(sign)
+        sign *= (-1) ** sum(degrees[j - 1] for j in b)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_signed_partitions_against_brute_force(n, data):
+    degrees = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    table = signed_partitions(n, degrees)
+    assert [p for p, _ in table] == list(set_partitions(n))
+    for p, signs in table:
+        assert list(signs) == _brute_signs(p, degrees)
+    paired = signed_partitions(n, degrees, pair=True)
+    want = [
+        p for p in set_partitions(n)
+        if n > 1 and any(n - 1 in b and n in b for b in p)
+    ]
+    assert [p for p, _ in paired] == want
+    assert dict(paired) == {p: s for p, s in table if p in want}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_insertions_against_brute_force(n, data):
+    degrees = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    pair = data.draw(st.booleans())
+    table = signed_partitions(n, degrees, pair=pair)
+    want = [(p, i, signs[i]) for p, signs in table
+            for i, _ in distinguished_blocks(p, n)]
+    assert list(insertions(n, degrees, pair=pair)) == want
+    want_last = [t for t in want if t[1] == len(t[0]) - 1]
+    assert list(insertions(n, degrees, pair=pair, last=True)) == want_last
+
+
+def test_kernel_sign_table_depends_on_parity_only():
+    assert signed_partitions(4, [1, 0, -1, 2]) is signed_partitions(4, [3, 2, 1, 0])
+
+
+def test_kernel_arity_cap():
+    with pytest.raises(ArityCapError):
+        signed_partitions(8, [0] * 8)
+    with pytest.raises(ArityCapError):
+        insertions(5, [0] * 5, cap=4)
+    assert len(signed_partitions(8, [0] * 8, cap=8)) == bell_number(8)

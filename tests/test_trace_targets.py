@@ -1,0 +1,33 @@
+"""The benchmark tracer (perfbench/tracer.py) wraps bvcorr functions by name.
+
+A rename in the library would break `perfbench/run.py --trace 1`.  This runs
+`Tracer().install()` against src/ in a fresh process and checks that every
+target resolves and is replaced by its wrapper.  perfbench/ is only read.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import sys
+sys.path[:0] = [{perfbench!r}, {src!r}]
+import bvcorr.cli  # noqa: F401  (loads every layer, as a benchmark job does)
+import tracer
+
+targets = [t for group in (tracer.SPANS, tracer.COUNTS) for ts in group.values() for t in ts]
+targets.append("partitions:set_partitions")
+before = {{t: tracer._resolve(t)[2] for t in targets}}
+tracer.Tracer().install()
+stale = [t for t in targets if tracer._resolve(t)[2] is before[t]]
+print(len(targets), "targets; not wrapped:", stale)
+sys.exit(1 if stale else 0)
+"""
+
+
+def test_every_trace_target_resolves_and_is_wrapped():
+    code = SCRIPT.format(perfbench=str(ROOT / "perfbench"), src=str(ROOT / "src"))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120)
+    assert r.returncode == 0, (r.stdout + r.stderr).decode()
