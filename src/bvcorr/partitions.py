@@ -142,13 +142,12 @@ def _signed(n: int, parities: tuple, pair: bool, cap: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _insertions(n: int, parities: tuple, pair: bool, last: bool, cap: int) -> tuple:
-    out = []
-    for p, signs in _signed(n, parities, pair, cap):
-        for i, _ in distinguished_blocks(p, n):
-            if not last or i == len(p) - 1:
-                out.append((p, i, signs[i]))
-    return tuple(out)
+def _insertions(n: int, parities: tuple, pair: bool, cap: int) -> tuple:
+    return tuple(
+        (p, i, signs[i])
+        for p, signs in _signed(n, parities, pair, cap)
+        for i, _ in distinguished_blocks(p, n)
+    )
 
 
 def signed_partitions(n: int, degrees, pair: bool = False,
@@ -164,12 +163,11 @@ def signed_partitions(n: int, degrees, pair: bool = False,
     return _signed(n, tuple(d % 2 for d in degrees), pair, cap)
 
 
-def insertions(n: int, degrees, pair: bool = False, last: bool = False,
+def insertions(n: int, degrees, pair: bool = False,
                cap: int = DEFAULT_ARITY_CAP) -> tuple:
     """(p, i, sign) for each distinguished block B_i of each partition p.
 
     B_i is distinguished when |B_i| = n - |p| + 1, so every other block is
-    a singleton; sign is signs[i] of `signed_partitions`.  With last=True
-    only the last block (the one holding n) is tried.
+    a singleton; sign is signs[i] of `signed_partitions`.
     """
-    return _insertions(n, tuple(d % 2 for d in degrees), pair, last, cap)
+    return _insertions(n, tuple(d % 2 for d in degrees), pair, cap)

@@ -241,11 +241,6 @@ class EvalMorphism:
             return None
         return comp(tuple(args))
 
-    @classmethod
-    def identity(cls) -> "EvalMorphism":
-        comps = {1: lambda args: args[0]}
-        return cls(comps)
-
 
 @dataclass
 class DescendantResult:

@@ -277,20 +277,19 @@ def _mhat_sum(mhat_block, family_block, key, ghosts, zero,
     """sum over pair partitions whose last block is distinguished of
     weight(n-|p|-1) eps(p) F(v_B1, .., v_B_{|p|-1}, mhat(v_Blast)).
 
-    The one-block partition enters only when `trivial` is set.  The kernel
-    sign also carries the J-signs of the blocks before the last; all solver
-    data has ghost 0, so they are all +1.
+    The one-block partition enters only when `trivial` is set.  mhat has
+    degree 0, so the sign is eps(p) alone, with no J-signs of the blocks
+    before the last.
     """
     n = len(key)
     acc = zero
-    degs = [ghosts[k] for k in key]
-    for p, i, sign in insertions(n, degs, pair=True, last=True):
-        if len(p) == 1 and not trivial:
+    for p, signs in signed_partitions(n, [ghosts[k] for k in key], pair=True):
+        if len(p[-1]) != n - len(p) + 1 or (len(p) == 1 and not trivial):
             continue
-        inner = mhat_block(tuple(key[j - 1] for j in p[i]))
+        inner = mhat_block(tuple(key[j - 1] for j in p[-1]))
         if inner.is_zero():
             continue
-        w = weight(n - len(p) - 1) * Fraction(sign)
+        w = weight(n - len(p) - 1) * Fraction(signs[0])
         for k, coef in inner.c.items():
             args = tuple(key[b[0] - 1] for b in p[:-1]) + (k,)
             acc = acc + family_block(args).scale(coef * w)

@@ -142,8 +142,6 @@ def test_insertions_against_brute_force(n, data):
     want = [(p, i, signs[i]) for p, signs in table
             for i, _ in distinguished_blocks(p, n)]
     assert list(insertions(n, degrees, pair=pair)) == want
-    want_last = [t for t in want if t[1] == len(t[0]) - 1]
-    assert list(insertions(n, degrees, pair=pair, last=True)) == want_last
 
 
 def test_kernel_sign_table_depends_on_parity_only():

@@ -79,15 +79,18 @@ class _SyntheticSolution:
         self.pi0 = pi0
 
 
-def _exterior_mhat(n_max):
+def _exterior_mhat(n_max, theta_first=False):
     # the exterior algebra on one odd generator: basis 1 (ghost 0),
-    # theta (ghost -1); products 1.v = v, theta.theta = 0
-    ghosts = [0, -1]
+    # theta (ghost -1); products 1.v = v, theta.theta = 0.  theta_first
+    # puts theta at index 0 and the unit at index 1.
+    one, theta = (1, 0) if theta_first else (0, 1)
+    ghosts = [0, 0]
+    ghosts[theta] = -1
     mhat = {}
     t2 = SymMap(2, ghosts, HVector.zero())
-    t2.set((0, 0), HVector.basis(0))
-    t2.set((0, 1), HVector.basis(1))
-    t2.set((1, 1), HVector.zero())
+    t2.set((one, one), HVector.basis(one))
+    t2.set((min(one, theta), max(one, theta)), HVector.basis(theta))
+    t2.set((theta, theta), HVector.zero())
     mhat[2] = t2
     for n in range(3, n_max + 1):
         mhat[n] = SymMap(n, ghosts, HVector.zero())
@@ -107,6 +110,21 @@ def test_graded_reconstruction_and_reports():
         assert pi[n].get((0,) * (n - 1) + (1,)) == HVector.basis(1)
     # two thetas kill every product in sight
     assert pi[2].get((1, 1)).is_zero()
+    assert pi[4].get((0, 0, 1, 1)).is_zero()
+
+
+def test_graded_reconstruction_theta_first():
+    # with the odd element first it need not sit in the last block: the
+    # partition {1},{2,3} of (theta, 1, 1) puts it in front of mhat, and
+    # mhat has degree 0, so no J-sign may enter
+    ghosts, mhat = _exterior_mhat(5, theta_first=True)
+    assert ghosts == [-1, 0]
+    assert generalized_associativity_report(mhat, ghosts, 3).ok
+    pi = reconstruct_pi(mhat, ghosts, 5)
+    assert pi[3].get((0, 1, 1)) == HVector.basis(0)
+    for n in range(1, 6):
+        assert pi[n].get((1,) * n) == HVector.basis(1)
+        assert pi[n].get((0,) + (1,) * (n - 1)) == HVector.basis(0)
     assert pi[4].get((0, 0, 1, 1)).is_zero()
 
 
