@@ -1,9 +1,9 @@
 """Classical cohomology, the off-to-on-shell retract, and its quantization.
 
 For an isolated singularity the classical cohomology of (C, K) is the
-Milnor ring.  We split the complex with (f, h, s), quantize order by order
-in h, and confirm there is no anomaly: the quantized retract exists with
-f unchanged.
+Milnor ring.  We split the complex with (f, h, s), quantize it in h by the
+homological perturbation lemma, and confirm there is no anomaly: the
+quantized retract exists with f unchanged.
 """
 
 from bvcorr import (

@@ -20,7 +20,7 @@ from .retract import (
     nabla,
     quantize_retract,
 )
-from .scalars import HLaurent, HPoly, NotDivisibleError, h_order, h_truncation, set_h_order
+from .scalars import HLaurent, HPoly, NotDivisibleError
 from .slinf import (
     Expectation,
     GradedBasisElement,
@@ -79,8 +79,6 @@ __all__ = [
     "correlators",
     "delta_op",
     "descendant_morphism",
-    "h_order",
-    "h_truncation",
     "milnor_basis",
     "minimal_model",
     "mhat_symmetric",
@@ -90,7 +88,6 @@ __all__ = [
     "quantize_retract",
     "quantum_K",
     "reconstruct_pi",
-    "set_h_order",
     "solve_level_one",
     "solve_level_zero",
     "verify_M_identity",

@@ -75,9 +75,6 @@ class HVector:
         z = HPoly.zero()
         return all(self.c.get(k, z) == other.c.get(k, z) for k in keys)
 
-    def __hash__(self):
-        return hash(frozenset((k, hash(v)) for k, v in self.c.items()))
-
     def classical_part(self, j: int) -> "HVector":
         return HVector(
             {i: HPoly.const(v.coeff(j)) for i, v in self.c.items() if v.coeff(j) != 0}

@@ -228,9 +228,6 @@ class PolyElement:
             self.terms.get(k, zero) == other.terms.get(k, zero) for k in keys
         )
 
-    def __hash__(self):
-        return hash(frozenset((k, hash(v)) for k, v in self.terms.items()))
-
     # -- graded operators -------------
     def J(self) -> "PolyElement":
         """The parity twist J v = (-1)^{gh(v)} v."""

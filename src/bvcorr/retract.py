@@ -2,9 +2,16 @@
 
 The classical retract (f, h, s) splits C into the Milnor ring H plus an
 acyclic piece, with the side conditions s s = s f = h s = 0.  Quantization
-produces corrections order by order in h together with the anomaly kappa;
-for potentials whose chosen representatives are killed by Delta the anomaly
-vanishes identically.  The operator `nabla` implements division of
+is the homological perturbation lemma for the perturbation -h Delta of K
+(Crainic, arXiv:math/0403266, with homotopy -s).  The side conditions
+s s = h s = s f = 0 collapse its four series into one chain per monomial m of
+C, x_0 = m, x_{k+1} = Delta(s(x_k)):
+
+    hhat(m) = sum_k h^k h(x_k)        fhat(e_i) = f_i + h shat(Delta f_i)
+    shat(m) = sum_k h^k s(x_k)        kappa(e_i) = -h hhat(Delta f_i)
+
+For potentials whose chosen representatives are killed by Delta the anomaly
+kappa vanishes identically.  The operator `nabla` implements division of
 symmetric-map families by (-h) up to homotopy correction terms.
 """
 
@@ -15,7 +22,7 @@ from fractions import Fraction
 from .groebner import MilnorData, p_is_zero
 from .hspace import HVector, PairSymMap, SymMap
 from .polyalg import PolyElement, classical_K, delta_op, quantum_K
-from .scalars import HPoly, h_order
+from .scalars import DEFAULT_H_ORDER, HPoly
 
 
 class RetractError(RuntimeError):
@@ -133,200 +140,87 @@ def build_retract(milnor: MilnorData, span_degree: int = DEFAULT_SPAN_DEGREE) ->
     return Retract(milnor, verify=True, span_degree=span_degree)
 
 
-def _arg_trunc(terms) -> int:
-    from .scalars import INF_TRUNC
+def _by_linearity(entry, coords: dict, zero, order: int):
+    """Extend a map given on basis keys by linearity: sum_k coords[k] entry(k).
 
-    return min((v.trunc for v in terms), default=INF_TRUNC)
-
-
-def _apply_series_poly(orders, arg: PolyElement, built_to: int) -> PolyElement:
-    """Assemble sum_n h^n sum_{i+j=n} m_i(arg_j) for a C-valued series map.
-
-    The result is a truncated series: it is known through the order the map
-    was built to (further capped by the precision of the argument).
+    `coords` maps keys (H indices or C monomials) to HPoly coefficients.  The
+    result is a truncated series, known through `order` and further capped by
+    the precision of the coefficients.
     """
-    cap = min(built_to, _arg_trunc(arg.terms.values()))
-    out = None
-    top = min(len(orders) - 1, cap)
-    for n in range(top + 1):
-        mapped = orders[n]
-        if mapped is None:
-            continue
-        for j in range(cap - n + 1):
-            part = arg.classical_part(j)
-            if part.is_zero():
-                continue
-            val = mapped(part)
-            if val is None or val.is_zero():
-                continue
-            term = val.scale(HPoly.h(n + j)) if n + j else val
-            out = term if out is None else out + term
-    out = PolyElement.zero(arg.n_vars) if out is None else out
-    return out.cap_trunc(cap)
-
-
-def _apply_series_hvec(orders, arg: PolyElement, built_to: int) -> HVector:
-    cap = min(built_to, _arg_trunc(arg.terms.values()))
-    out = HVector.zero()
-    top = min(len(orders) - 1, cap)
-    for n in range(top + 1):
-        mapped = orders[n]
-        if mapped is None:
-            continue
-        for j in range(cap - n + 1):
-            part = arg.classical_part(j)
-            if part.is_zero():
-                continue
-            val = mapped(part)
-            if val.is_zero():
-                continue
-            out = out + val.scale(HPoly.h(n + j))
+    cap = min([order, *(c.trunc for c in coords.values())])
+    out = zero
+    for key, coef in coords.items():
+        out = out + entry(key).scale(coef)
     return out.cap_trunc(cap)
 
 
 class QuantizedRetract:
     """The quantized trio (fhat, hhat, shat) plus the anomaly series kappa."""
 
-    def __init__(self, retract: Retract, order: int | None = None, verify: bool = True):
+    def __init__(self, retract: Retract, order: int = DEFAULT_H_ORDER, verify: bool = True):
         self.retract = retract
         self.pot = retract.pot
         self.n_vars = retract.n_vars
         self.dim = retract.dim
         self.ghosts = retract.ghosts
-        self.order = h_order() if order is None else order
-        self._build()
+        self.order = order
+        self._chains: dict = {}
+        h = HPoly.h()
+        self._fhat = [
+            (b + self.shat(delta_op(b)).scale(h)).cap_trunc(order)
+            for b in retract.basis_elements
+        ]
+        self._kappa = [
+            (-self.hhat(delta_op(b)).scale(h)).cap_trunc(order)
+            for b in retract.basis_elements
+        ]
+        self._kappa_zero = all(k.is_zero() for k in self._kappa)
+        self._f_uncorrected = self.f_correction_order() > order
         if verify:
             self._verify()
 
-    # K^(0) = classical K, K^(1) = -Delta, higher orders vanish for BV.
-    def _K_order(self, n: int):
-        if n == 0:
-            return lambda c: classical_K(self.pot, c)
-        if n == 1:
-            return lambda c: -delta_op(c)
-        return None
+    def _chain(self, key):
+        """(hhat(m), shat(m)) on the C-monomial m with key `key`, through order.
 
-    def _build(self) -> None:
-        r = self.retract
-        N = self.order
-        # f^(n) as values on the H basis; kappa^(n) as HVector per basis index
-        self.f_orders = [list(r.basis_elements)]
-        self.kappa_orders = [[HVector.zero() for _ in range(self.dim)]]
-        for n in range(1, N + 1):
-            g_vals = []
-            for b in range(self.dim):
-                acc = PolyElement.zero(self.n_vars)
-                for j in range(n):
-                    K_op = self._K_order(n - j)
-                    if K_op is not None:
-                        acc = acc + K_op(self.f_orders[j][b])
-                for j in range(1, n):
-                    kap = self.kappa_orders[j][b]
-                    for i, coef in kap.c.items():
-                        acc = acc + self.f_orders[n - j][i].scale(coef)
-                g_vals.append(acc)
-            self.kappa_orders.append([r.h(g) for g in g_vals])
-            self.f_orders.append([-r.s(g) for g in g_vals])
-
-        # h^(n) = -u^(n) . s and s^(n) as lazy compositions
-        h_orders: list = [r.h]
-        s_orders: list = [r.s]
-
-        def make_u(n):
-            def u(c):
-                acc = HVector.zero()
-                for j in range(n):
-                    K_op = self._K_order(n - j)
-                    if K_op is not None:
-                        acc = acc + h_orders[j](K_op(c))
-                for j in range(1, n):
-                    hv = h_orders[n - j](c)
-                    kap_mat = self.kappa_orders[j]
-                    for i, coef in hv.c.items():
-                        acc = acc + kap_mat[i].scale(coef)
-                return acc
-
-            return u
-
-        def make_h(n):
-            u = make_u(n)
-            return lambda c: -u(r.s(c))
-
-        def make_s(n):
-            def s_n(c):
-                acc = PolyElement.zero(self.n_vars)
-                for j in range(n):
-                    K_op = self._K_order(n - j)
-                    if K_op is not None:
-                        acc = acc - r.s(K_op(s_orders[j](c)))
-                return acc
-
-            return s_n
-
-        for n in range(1, N + 1):
-            h_orders.append(make_h(n))
-            s_orders.append(make_s(n))
-        self.h_orders = h_orders
-        self.s_orders = s_orders
-        self._kappa_zero = all(
-            k.is_zero() for mat in self.kappa_orders for k in mat
-        )
-        self._kappa_basis = None
-        self._f_uncorrected = all(
-            v.is_zero() for row in self.f_orders[1:] for v in row
-        )
+        One pass of x_0 = m, x_{k+1} = Delta(s(x_k)), memoized per monomial.
+        """
+        hit = self._chains.get(key)
+        if hit is None:
+            r = self.retract
+            x = PolyElement(self.n_vars, {key: 1})
+            hv, sv = HVector.zero(), PolyElement.zero(self.n_vars)
+            for k in range(self.order + 1):
+                hk = HPoly.h(k)
+                sx = r.s(x)
+                hv = hv + r.h(x).scale(hk)
+                sv = sv + sx.scale(hk)
+                if k == self.order or sx.is_zero():
+                    break
+                x = delta_op(sx)
+            hit = self._chains[key] = (hv, sv)
+        return hit
 
     # -- assembled quantum maps -------------
     def fhat(self, v: HVector) -> PolyElement:
-        if self._f_uncorrected:
+        if self._f_uncorrected:  # exact values: no h-window is imposed on f
             return self.retract.f(v)
-        cap = min(self.order, _arg_trunc(v.c.values()))
-        out = PolyElement.zero(self.n_vars)
-        for n in range(cap + 1):
-            for j in range(cap - n + 1):
-                part = v.classical_part(j)
-                if part.is_zero():
-                    continue
-                val = PolyElement.zero(self.n_vars)
-                for i, coef in part.c.items():
-                    val = val + self.f_orders[n][i].scale(coef)
-                if not val.is_zero():
-                    out = out + val.scale(HPoly.h(n + j))
-        return out.cap_trunc(cap)
+        return _by_linearity(
+            self._fhat.__getitem__, v.c, PolyElement.zero(self.n_vars), self.order
+        )
 
     def hhat(self, c: PolyElement) -> HVector:
-        return _apply_series_hvec(self.h_orders, c, self.order)
+        return _by_linearity(lambda m: self._chain(m)[0], c.terms, HVector.zero(), self.order)
 
     def shat(self, c: PolyElement) -> PolyElement:
-        return _apply_series_poly(self.s_orders, c, self.order)
+        return _by_linearity(
+            lambda m: self._chain(m)[1], c.terms, PolyElement.zero(self.n_vars), self.order
+        )
 
     def Khat(self, c: PolyElement) -> PolyElement:
         return quantum_K(self.pot, c)
 
-    def kappa_basis(self, i: int) -> HVector:
-        """The assembled anomaly series on one basis element (cached)."""
-        if self._kappa_basis is None:
-            table = []
-            for b in range(self.dim):
-                acc = HVector.zero()
-                for n in range(self.order + 1):
-                    acc = acc + self.kappa_orders[n][b].scale(HPoly.h(n))
-                table.append(acc.cap_trunc(self.order))
-            self._kappa_basis = table
-        return self._kappa_basis[i]
-
     def kappa(self, v: HVector) -> HVector:
-        if self._kappa_zero:
-            return HVector.zero()
-        cap = min(self.order, _arg_trunc(v.c.values()))
-        out = HVector.zero()
-        for j in range(cap + 1):
-            part = v.classical_part(j)
-            if part.is_zero():
-                continue
-            for i, coef in part.c.items():
-                out = out + self.kappa_basis(i).scale(coef * HPoly.h(j))
-        return out.cap_trunc(cap)
+        return _by_linearity(self._kappa.__getitem__, v.c, HVector.zero(), self.order)
 
     def kappa_is_zero(self) -> bool:
         return self._kappa_zero
@@ -334,7 +228,7 @@ class QuantizedRetract:
     def f_correction_order(self) -> int:
         """Lowest h-order with a nonzero correction to f (order+1 when none)."""
         for n in range(1, self.order + 1):
-            if any(not v.is_zero() for v in self.f_orders[n]):
+            if any(not f.classical_part(n).is_zero() for f in self._fhat):
                 return n
         return self.order + 1
 
@@ -386,7 +280,7 @@ class QuantizedRetract:
                 raise RetractError("side condition shat f = 0 fails")
 
 
-def quantize_retract(retract: Retract, order: int | None = None) -> QuantizedRetract:
+def quantize_retract(retract: Retract, order: int = DEFAULT_H_ORDER) -> QuantizedRetract:
     return QuantizedRetract(retract, order=order)
 
 
@@ -454,30 +348,23 @@ def compare_retracts(q: QuantizedRetract, qp: QuantizedRetract, verify: bool = T
     r = q.retract
     N = min(q.order, qp.order)
     dim = q.dim
+
+    def f(qr, n, b):
+        return qr._fhat[b].classical_part(n)
+
     # classical gauge: lam0 = s(f' - f), xi0 = identity
-    lam_orders = [
-        [r.s(qp.f_orders[0][b] - q.f_orders[0][b]) for b in range(dim)]
-    ]
+    lam_orders = [[r.s(f(qp, 0, b) - f(q, 0, b)) for b in range(dim)]]
     xi_orders = [[HVector.basis(b) for b in range(dim)]]
-
-    def K_op(n):
-        return q._K_order(n)
-
     for n in range(1, N + 1):
         w_vals = []
         for b in range(dim):
-            w = qp.f_orders[n][b] - q.f_orders[n][b]
+            # Khat = K - h Delta: the h^1 part of K lam contributes +Delta lam
+            w = f(qp, n, b) - f(q, n, b) + delta_op(lam_orders[n - 1][b])
             for l in range(1, n):
-                xv = xi_orders[l][b]
-                for i, coef in xv.c.items():
-                    w = w - q.f_orders[n - l][i].scale(coef)
-            for l in range(n):
-                op = K_op(n - l)
-                if op is not None:
-                    w = w - op(lam_orders[l][b])
+                for i, coef in xi_orders[l][b].c.items():
+                    w = w - f(q, n - l, i).scale(coef)
             for l in range(1, n + 1):
-                kv = qp.kappa_orders[l][b]
-                for i, coef in kv.c.items():
+                for i, coef in qp._kappa[b].classical_part(l).c.items():
                     w = w - lam_orders[n - l][i].scale(coef)
             w_vals.append(w)
         xi_orders.append([r.h(w) for w in w_vals])
@@ -488,51 +375,38 @@ def compare_retracts(q: QuantizedRetract, qp: QuantizedRetract, verify: bool = T
     return xi_orders, lam_orders
 
 
-def _series_table_apply(orders, v: HVector, combine_zero, scale_basis) -> object:
-    cap = len(orders) - 1
-    out = combine_zero
-    for n in range(len(orders)):
-        for j in range(cap - n + 1):
-            part = v.classical_part(j)
-            if part.is_zero():
-                continue
-            for i, coef in part.c.items():
-                out = out + scale_basis(orders[n][i], coef * HPoly.h(n + j))
-    return out.cap_trunc(cap)
-
-
 def _verify_gauge(q, qp, xi_orders, lam_orders, N) -> None:
-    dim = q.dim
+    basis = range(q.dim)
+    pzero = PolyElement.zero(q.n_vars)
+
+    def series(orders, zero):
+        return [
+            sum((row[b].scale(HPoly.h(n)) for n, row in enumerate(orders)), zero)
+            for b in basis
+        ]
+
+    xi_table = series(xi_orders, HVector.zero())
+    lam_table = series(lam_orders, pzero)
 
     def xi(v: HVector) -> HVector:
-        return _series_table_apply(
-            xi_orders, v, HVector.zero(), lambda b, c: b.scale(c)
-        )
+        return _by_linearity(xi_table.__getitem__, v.c, HVector.zero(), N)
 
     def lam(v: HVector) -> PolyElement:
-        return _series_table_apply(
-            lam_orders, v, PolyElement.zero(q.n_vars), lambda b, c: b.scale(c)
-        )
+        return _by_linearity(lam_table.__getitem__, v.c, pzero, N)
 
-    # invert xi order by order: xi_inv0 = id, xi_inv(n) = -sum xi(j) xi_inv(n-j)
-    xi_inv = [[HVector.basis(b) for b in range(dim)]]
-    for n in range(1, N + 1):
-        row = []
-        for b in range(dim):
-            acc = HVector.zero()
-            for j in range(1, n + 1):
-                prev = xi_inv[n - j][b]
-                for i, coef in prev.c.items():
-                    acc = acc - xi_orders[j][i].scale(coef)
-            row.append(acc)
-        xi_inv.append(row)
+    # xi^-1 = sum_k (1 - xi)^k; the k-th term has h-valuation at least k
+    inv_table = []
+    for b in basis:
+        term = acc = HVector.basis(b)
+        for _ in range(N):
+            term = term - xi(term)
+            acc = acc + term
+        inv_table.append(acc)
 
     def xi_inverse(v: HVector) -> HVector:
-        return _series_table_apply(
-            xi_inv, v, HVector.zero(), lambda b, c: b.scale(c)
-        )
+        return _by_linearity(inv_table.__getitem__, v.c, HVector.zero(), N)
 
-    for b in range(dim):
+    for b in basis:
         v = HVector.basis(b)
         if xi_inverse(xi(v)) != v:
             raise RetractError("xi inverse is wrong")

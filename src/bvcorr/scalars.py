@@ -11,37 +11,10 @@ window, and exact division by h^k lowers a finite order by k.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
 
 DEFAULT_H_ORDER = 6
 INF_TRUNC = 10**9
-
-_h_order = DEFAULT_H_ORDER
-
-
-def h_order() -> int:
-    """Global order for h-adic series assembly and series comparisons."""
-    return _h_order
-
-
-def set_h_order(n: int) -> None:
-    global _h_order
-    if n < 0:
-        raise ValueError("truncation order must be nonnegative")
-    _h_order = n
-
-
-@contextmanager
-def h_truncation(n: int):
-    """Temporarily change the global series order."""
-    global _h_order
-    old = _h_order
-    set_h_order(n)
-    try:
-        yield
-    finally:
-        _h_order = old
 
 
 def _rat(c) -> Fraction:
@@ -218,9 +191,6 @@ class HPoly:
         b = {k: v for k, v in other.c.items() if k <= t}
         return a == b
 
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
     def h_divide(self, k: int) -> "HPoly":
         """Exact division by h^k; a finite precision window shrinks by k."""
         if k == 0:
@@ -372,9 +342,6 @@ class HLaurent:
         a = {k: v for k, v in self.c.items() if k <= t}
         b = {k: v for k, v in other.c.items() if k <= t}
         return a == b
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
 
     def __repr__(self):
         return f"HLaurent({_fmt_coeffs(self.c)})"

@@ -412,8 +412,8 @@ def solve_level_one(
 
 def _check_level_one_identities(o: LevelOneSolution, n: int) -> None:
     q = o.q
-    nv = q.n_vars
     k_eta = twisted_K_HC(q, o.eta2[n], ghost=-2)
+    kap_pi = twisted_kappa_HH(q, o.pi1[n], ghost=-1)
     for fkey, pkey in o.omega1[n].keys():
         lhs = o.omega1[n].get(fkey, pkey)
         lhs = lhs - q.fhat(o.pi1[n].get(fkey, pkey))
@@ -424,9 +424,7 @@ def _check_level_one_identities(o: LevelOneSolution, n: int) -> None:
                 f"level-one identity (correlator) fails at arity {n}, "
                 f"{fkey}|{pkey}"
             )
-        lhs2 = o.varpi0[n].get(fkey, pkey) + twisted_kappa_HH(
-            q, o.pi1[n], ghost=-1
-        ).get(fkey, pkey)
+        lhs2 = o.varpi0[n].get(fkey, pkey) + kap_pi.get(fkey, pkey)
         rhs2 = o.mhat[n].get(fkey, pkey).scale(HPoly.neg_h(n - 2))
         if lhs2 != rhs2:
             raise MasterEquationError(

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
+import bvcorr.retract
 from bvcorr.groebner import MilnorData
 from bvcorr.hspace import HVector, SymMap
-from bvcorr.polyalg import PolyElement, Potential, classical_K, quantum_K
+from bvcorr.polyalg import PolyElement, Potential, classical_K, delta_op, quantum_K
 from bvcorr.retract import (
     PerturbedRetract,
     RetractError,
@@ -100,6 +102,110 @@ def test_compare_retracts_trivial(a2):
     assert all(xi[0][b] == HVector.basis(b) for b in range(q.dim))
     assert all(v.is_zero() for row in xi[1:] for v in row)
     assert all(v.is_zero() for row in lam for v in row)
+
+
+def _reference_orders(r, order):
+    """The order-by-order quantization recursion, as an oracle.
+
+    f^(n) = -s(g_n), kappa^(n) = h(g_n) with g_n = K^(1) f^(n-1) +
+    sum_j f^(n-j) kappa^(j), h^(n) = -u^(n) s and s^(n) = -s K^(1) s^(n-1),
+    where K^(1) = -Delta is the only correction to K.  Returns the tables
+    f[n][b], kappa[n][b] and the order-n maps h_n(n, key), s_n(n, key) on
+    C-monomial keys.
+    """
+    dim = r.dim
+    f = [list(r.basis_elements)]
+    kappa = [[HVector.zero()] * dim]
+    for n in range(1, order + 1):
+        g = []
+        for b in range(dim):
+            acc = -delta_op(f[n - 1][b])
+            for j in range(1, n):
+                for i, c in kappa[j][b].c.items():
+                    acc = acc + f[n - j][i].scale(c)
+            g.append(acc)
+        kappa.append([r.h(x) for x in g])
+        f.append([-r.s(x) for x in g])
+
+    def lin(fn, c, zero):
+        for key, coef in c.terms.items():
+            zero = zero + fn(key).scale(coef)
+        return zero
+
+    @cache
+    def h_n(n, key):
+        m = PolyElement(r.n_vars, {key: 1})
+        if n == 0:
+            return r.h(m)
+        sm = r.s(m)
+        # u^(n)(c) = h^(n-1)(K^(1) c) + sum_j kappa^(j) h^(n-j)(c)
+        u = lin(lambda k: h_n(n - 1, k), -delta_op(sm), HVector.zero())
+        for j in range(1, n):
+            hv = lin(lambda k, j=j: h_n(n - j, k), sm, HVector.zero())
+            for i, c in hv.c.items():
+                u = u + kappa[j][i].scale(c)
+        return -u
+
+    @cache
+    def s_n(n, key):
+        m = PolyElement(r.n_vars, {key: 1})
+        if n == 0:
+            return r.s(m)
+        prev = lin(lambda k: s_n(n - 1, k), m, PolyElement.zero(r.n_vars))
+        return -r.s(-delta_op(prev))
+
+    return f, kappa, h_n, s_n
+
+
+def _quartic_with_lower_terms():
+    return Potential.single_variable(
+        {4: Fraction(1, 4), 3: Fraction(1, 3), 2: Fraction(-1, 2)}
+    )
+
+
+def _perturbed_a2():
+    r = build_retract(MilnorData(Potential.a_k(2)))
+    return PerturbedRetract(r, [PolyElement.zero(1), (X * ETA).scale(Fraction(1, 2))])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda k=k: build_retract(MilnorData(Potential.a_k(k))) for k in (2, 3, 4, 5)]
+    + [lambda: build_retract(MilnorData(_quartic_with_lower_terms())), _perturbed_a2],
+    ids=["A2", "A3", "A4", "A5", "quartic", "perturbed-A2"],
+)
+def test_chain_matches_order_by_order_recursion(make):
+    order = 8
+    r = make()
+    q = quantize_retract(r, order=order)
+    f, kappa, h_n, s_n = _reference_orders(r, order)
+    for b in range(r.dim):
+        e = HVector.basis(b)
+        for n in range(order + 1):
+            assert q.fhat(e).classical_part(n) == f[n][b]
+            assert q.kappa(e).classical_part(n) == kappa[n][b]
+    for m in spanning_monomials(1, order):
+        (key,) = m.terms
+        for n in range(order + 1):
+            assert q.hhat(m).classical_part(n) == h_n(n, key)
+            assert q.shat(m).classical_part(n) == s_n(n, key)
+
+
+def test_hhat_cost_is_linear_in_order(monkeypatch):
+    q = quantize_retract(build_retract(MilnorData(Potential.a_k(2))), order=12)
+    calls = []
+
+    def counting_delta(c):
+        calls.append(c)
+        return delta_op(c)
+
+    monkeypatch.setattr(bvcorr.retract, "delta_op", counting_delta)
+    m = PolyElement.x(0, 1, 40)  # fresh: x^40 -> x^37 -> ... never dies by order 12
+    first = q.hhat(m)
+    assert 0 < len(calls) <= 12
+    seen = len(calls)
+    assert q.hhat(m) == first
+    assert len(calls) == seen
 
 
 def test_multivariable_potential_gated():

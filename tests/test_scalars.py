@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvcorr.scalars import HLaurent, HPoly, NotDivisibleError, h_truncation
+from bvcorr.scalars import HLaurent, HPoly, NotDivisibleError
 
 
 def hp(d):
@@ -79,13 +79,3 @@ def test_equality_compares_common_window():
     coarse = HPoly({0: 1}, trunc=3)
     assert exact == coarse  # they agree through order 3
     assert exact != HPoly({0: 2}, trunc=3)
-
-
-def test_truncation_context():
-    with h_truncation(2):
-        from bvcorr.scalars import h_order
-
-        assert h_order() == 2
-    from bvcorr.scalars import h_order
-
-    assert h_order() == 6
