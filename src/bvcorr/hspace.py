@@ -39,29 +39,45 @@ class HVector:
     def coeff(self, i: int) -> HPoly:
         return self.c.get(i, HPoly.zero())
 
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.c.values())
-
-    def __add__(self, other):
-        out = HVector(self.c)
-        for i, v in other.c.items():
-            w = out.c.get(i)
-            w = v if w is None else w + v
-            if w.is_zero():
-                out.c.pop(i, None)
-            else:
-                out.c[i] = w
+    @classmethod
+    def _of(cls, coords: dict) -> "HVector":
+        """Wrap a dict of nonzero coordinates without re-checking them."""
+        out = cls.__new__(cls)
+        out.c = coords
         return out
 
+    def is_zero(self) -> bool:
+        return not self.c
+
+    def _merge(self, other, sign: int) -> "HVector":
+        c = dict(self.c)
+        for i, v in other.c.items():
+            w = c.get(i)
+            if w is None:
+                c[i] = v if sign > 0 else -v
+            else:
+                w = w._combine(v, sign)
+                if w.c:
+                    c[i] = w
+                else:
+                    del c[i]
+        return HVector._of(c)
+
+    def __add__(self, other):
+        return self._merge(other, 1)
+
     def __sub__(self, other):
-        return self + (-other)
+        return self._merge(other, -1)
 
     def __neg__(self):
-        return HVector({i: -v for i, v in self.c.items()})
+        return HVector._of({i: -v for i, v in self.c.items()})
 
     def scale(self, coef) -> "HVector":
         coef = HPoly.promote(coef)
-        return HVector({i: v * coef for i, v in self.c.items()})
+        if coef.is_zero():
+            return HVector()
+        # nonzero series have nonzero products (the lowest terms multiply)
+        return HVector._of({i: v * coef for i, v in self.c.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, HPoly)):

@@ -88,6 +88,8 @@ def sort_sign(indices, degrees) -> tuple:
     `indices`.  Returns (sorted_indices, sign); sign is 0 when two equal
     odd elements collide (their symmetric product vanishes).
     """
+    if not any(d % 2 for d in degrees):
+        return tuple(sorted(indices)), 1  # even data: no sign, no collision
     items = list(zip(indices, degrees))
     sign = 1
     # insertion sort; counts transpositions of odd pairs

@@ -10,6 +10,7 @@ Khat to be a derivation, divided by powers of (-h).
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .partitions import ArityCapError, insertions, sort_sign
 from .scalars import HPoly, NotDivisibleError, _rat
@@ -33,6 +34,7 @@ class Potential:
             if c != 0:
                 s[exp] = c
         self.s_cl = s
+        self._jacobian = None
 
     @classmethod
     def single_variable(cls, coeffs) -> "Potential":
@@ -44,19 +46,25 @@ class Potential:
         """The A_k singularity x^(k+1)/(k+1) in one variable."""
         return cls.single_variable({k + 1: Fraction(1, k + 1)})
 
-    def jacobian(self) -> list:
-        """dS/dx_i as exponent-dict polynomials, one per variable."""
-        gens = []
-        for i in range(self.n_vars):
-            g = {}
-            for exp, c in self.s_cl.items():
-                if exp[i] == 0:
-                    continue
-                de = list(exp)
-                de[i] -= 1
-                g[tuple(de)] = g.get(tuple(de), Fraction(0)) + c * exp[i]
-            gens.append({e: c for e, c in g.items() if c != 0})
-        return gens
+    def jacobian(self) -> tuple:
+        """dS/dx_i as exponent-dict polynomials, one per variable.
+
+        Computed once per potential and shared by every caller, so the
+        polynomials are read-only views.
+        """
+        if self._jacobian is None:
+            gens = []
+            for i in range(self.n_vars):
+                g = {}
+                for exp, c in self.s_cl.items():
+                    if exp[i] == 0:
+                        continue
+                    de = list(exp)
+                    de[i] -= 1
+                    g[tuple(de)] = g.get(tuple(de), Fraction(0)) + c * exp[i]
+                gens.append(MappingProxyType({e: c for e, c in g.items() if c != 0}))
+            self._jacobian = tuple(gens)
+        return self._jacobian
 
     def __repr__(self):
         return f"Potential(n_vars={self.n_vars}, terms={self.s_cl})"
@@ -108,6 +116,14 @@ class PolyElement:
             self.terms[key] = new
 
     # -- constructors -------------
+    @classmethod
+    def _of(cls, n_vars: int, terms: dict) -> "PolyElement":
+        """Wrap a dict already in canonical form: sorted eta words, no zeros."""
+        out = cls.__new__(cls)
+        out.n_vars = n_vars
+        out.terms = terms
+        return out
+
     @classmethod
     def zero(cls, n_vars: int) -> "PolyElement":
         return cls(n_vars)
@@ -178,29 +194,44 @@ class PolyElement:
         return {exp: coef for (exp, etas), coef in self.terms.items() if not etas}
 
     # -- linear algebra -------------
+    def _merge(self, other, sign: int) -> "PolyElement":
+        # both sides hold canonical keys and nonzero coefficients: merge
+        terms = dict(self.terms)
+        for key, coef in other.terms.items():
+            cur = terms.get(key)
+            if cur is None:
+                terms[key] = coef if sign > 0 else -coef
+            else:
+                new = cur._combine(coef, sign)
+                if new.c:
+                    terms[key] = new
+                else:
+                    del terms[key]
+        return PolyElement._of(self.n_vars, terms)
+
     def __add__(self, other):
         if not isinstance(other, PolyElement):
             return NotImplemented
-        out = PolyElement(self.n_vars, self.terms)
-        for (exp, etas), coef in other.terms.items():
-            out._add_term(exp, etas, coef)
-        return out
+        return self._merge(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, PolyElement):
+            return NotImplemented
+        return self._merge(other, -1)
 
     def __neg__(self):
-        out = PolyElement(self.n_vars)
-        for (exp, etas), coef in self.terms.items():
-            out.terms[(exp, etas)] = -coef
-        return out
+        return PolyElement._of(
+            self.n_vars, {key: -coef for key, coef in self.terms.items()}
+        )
 
     def scale(self, coef) -> "PolyElement":
         coef = HPoly.promote(coef)
-        out = PolyElement(self.n_vars)
-        for (exp, etas), c in self.terms.items():
-            out._add_term(exp, etas, c * coef)
-        return out
+        if coef.is_zero():
+            return PolyElement(self.n_vars)
+        # nonzero series have nonzero products (the lowest terms multiply)
+        return PolyElement._of(
+            self.n_vars, {key: c * coef for key, c in self.terms.items()}
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, HPoly)):
@@ -313,7 +344,7 @@ def classical_K(pot: Potential, a: PolyElement) -> PolyElement:
             rest, sgn = _eta_derivative_sign(etas, i)
             for gexp, gc in gens[i].items():
                 nexp = tuple(x + y for x, y in zip(exp, gexp))
-                out._add_term(nexp, rest, coef * Fraction(sgn) * gc)
+                out._add_term(nexp, rest, coef * (sgn * gc))
     return out
 
 
@@ -402,7 +433,7 @@ class DescendantFamily:
                 else:
                     factor = elems[b[0] - 1]
                 term = factor if term is None else term * factor
-            acc = acc - term.scale(HPoly.neg_h(n - len(p)) * Fraction(sign))
+            acc = acc - term.scale(HPoly.neg_h(n - len(p), sign))
         try:
             val = acc.neg_h_divide(n - 1)
         except NotDivisibleError as e:

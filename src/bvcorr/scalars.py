@@ -16,6 +16,8 @@ from fractions import Fraction
 DEFAULT_H_ORDER = 6
 INF_TRUNC = 10**9
 
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+
 
 def _rat(c) -> Fraction:
     if isinstance(c, Fraction):
@@ -68,6 +70,14 @@ class HPoly:
 
     # -- constructors -------------
     @classmethod
+    def _of(cls, c: dict, trunc: int) -> "HPoly":
+        """Wrap nonzero coefficients at exponents 0..trunc without checks."""
+        out = cls.__new__(cls)
+        out.trunc = trunc
+        out.c = c
+        return out
+
+    @classmethod
     def const(cls, v) -> "HPoly":
         return cls({0: _rat(v)})
 
@@ -80,9 +90,14 @@ class HPoly:
         return cls({power: Fraction(1)})
 
     @classmethod
-    def neg_h(cls, power: int) -> "HPoly":
-        """(-h)^power, the weight of the partition sums."""
-        return cls({power: Fraction(-1 if power % 2 else 1)})
+    def neg_h(cls, power: int, sign: int = 1) -> "HPoly":
+        """sign * (-h)^power, the weight of the partition sums."""
+        if power < 0:
+            raise ValueError("HPoly exponents must be nonnegative")
+        return cls._of(
+            {power: _ONE if (sign > 0) == (power % 2 == 0) else _MINUS_ONE},
+            INF_TRUNC,
+        )
 
     @classmethod
     def promote(cls, v) -> "HPoly":
@@ -110,10 +125,6 @@ class HPoly:
     def low(self) -> int:
         return min(self.c) if self.c else 0
 
-    def _val(self) -> int:
-        """h-adic valuation; a zero value has maximal valuation."""
-        return min(self.c) if self.c else INF_TRUNC
-
     def cap(self, t: int) -> "HPoly":
         """Restrict the known window to order t."""
         if t >= self.trunc:
@@ -133,9 +144,7 @@ class HPoly:
                 c.pop(k, None)
             else:
                 c[k] = w
-        out = HPoly.zero(trunc=t)
-        out.c = c
-        return out
+        return HPoly._of(c, t)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -149,32 +158,49 @@ class HPoly:
         return HPoly.promote(other) - self
 
     def __neg__(self):
-        out = HPoly.zero(trunc=self.trunc)
-        out.c = {k: -v for k, v in self.c.items()}
-        return out
+        return HPoly._of({k: -v for k, v in self.c.items()}, self.trunc)
 
     def __mul__(self, other):
-        if isinstance(other, HLaurent):
+        if isinstance(other, HPoly):
+            b, tb = other.c, other.trunc
+        elif isinstance(other, HLaurent):
             return HLaurent.promote(self) * other
-        if not isinstance(other, HPoly):
-            other = HPoly.const(other)
+        else:
+            v = _rat(other)
+            b, tb = ({0: v} if v else {}), INF_TRUNC
+        a = self.c
+        # each window grows by the other factor's h-adic valuation (min key;
+        # a zero factor has maximal valuation)
         t = min(
-            self.trunc + other._val(), other.trunc + self._val(), INF_TRUNC
+            self.trunc + (min(b) if b else INF_TRUNC),
+            tb + (min(a) if a else INF_TRUNC),
+            INF_TRUNC,
         )
-        c = {}
-        for i, a in self.c.items():
-            for j, b in other.c.items():
-                k = i + j
-                if k > t:
-                    continue
-                w = c.get(k, Fraction(0)) + a * b
-                if w == 0:
-                    c.pop(k, None)
-                else:
-                    c[k] = w
-        out = HPoly.zero(trunc=t)
-        out.c = c
-        return out
+        if len(a) == 1 and len(b) != 1:
+            a, b = b, a
+        if len(b) == 1:
+            # a one-term factor shifts and rescales; nonzero lowest terms
+            # multiply, so nothing cancels and no zero is stored
+            ((j, s),) = b.items()
+            if s == 1:
+                c = {i + j: v for i, v in a.items() if i + j <= t}
+            elif s == -1:
+                c = {i + j: -v for i, v in a.items() if i + j <= t}
+            else:
+                c = {i + j: v * s for i, v in a.items() if i + j <= t}
+        else:
+            c = {}
+            for i, u in a.items():
+                for j, v in b.items():
+                    k = i + j
+                    if k > t:
+                        continue
+                    w = c.get(k, _ZERO) + u * v
+                    if w == 0:
+                        c.pop(k, None)
+                    else:
+                        c[k] = w
+        return HPoly._of(c, t)
 
     __rmul__ = __mul__
 
@@ -203,9 +229,7 @@ class HPoly:
             raise NotDivisibleError(
                 0, f"insufficient precision to divide by h^{k}"
             )
-        out = HPoly.zero(trunc=t)
-        out.c = {e - k: v for e, v in self.c.items() if e - k <= t}
-        return out
+        return HPoly._of({e - k: v for e, v in self.c.items() if e - k <= t}, t)
 
     def neg_h_divide(self, k: int) -> "HPoly":
         """Exact division by (-h)^k."""

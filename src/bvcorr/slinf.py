@@ -86,7 +86,7 @@ class SLInfStructure:
                 inner if bi == i else idxs[b[0] - 1] for bi, b in enumerate(p)
             ]
             val = self.op_on_vectors(outer_args)
-            acc = acc + val.scale(Fraction(sign))
+            acc = acc + val if sign > 0 else acc - val
         return acc
 
 
@@ -191,27 +191,38 @@ def _delta_on_word(S: SLInfStructure, idxs) -> _WordSum:
         inner = S.op(tuple(idxs[j - 1] for j in p[i]))
         if inner.is_zero():
             continue
-        w = HPoly.neg_h(n - len(p))
+        w = HPoly.neg_h(n - len(p), sign)
         for k, coef in inner.c.items():
             word = tuple(k if bi == i else idxs[b[0] - 1] for bi, b in enumerate(p))
-            out.add(word, coef * w * Fraction(sign))
+            out.add(word, coef * w)
     return out
 
 
 def coderivation_square(S: SLInfStructure, n_max: int) -> Report:
-    """Check that the bar coderivation squares to zero on words up to n_max."""
+    """Check that the bar coderivation squares to zero on words up to n_max.
+
+    The coderivation is evaluated once per canonical word within one call.
+    """
     rep = Report()
     dim = len(S.basis)
+    memo = {}
+
+    def delta(word):
+        hit = memo.get(word)
+        if hit is None:
+            hit = memo[word] = _delta_on_word(S, word)
+        return hit
+
     for n in range(1, n_max + 1):
         for idxs in tuples_with_repetition(dim, n):
             key, sign = _word_canon(idxs, S.ghosts)
             if sign == 0:
                 continue
             rep.checks += 1
-            first = _delta_on_word(S, key)
+            first = delta(key)
             total = _WordSum(S.ghosts)
             for word, coef in first.c.items():
-                second = _delta_on_word(S, word)
+                second = delta(word)
                 for w2, c2 in second.c.items():
                     total.add(w2, coef * c2)
             if not total.is_zero():
@@ -343,7 +354,7 @@ def descendant_morphism(
                     v = psi(len(b), [elems[j - 1] for j in b])
                     term = v if term is None else target.product(term, v)
                 acc = acc - _scale_target(
-                    term, HPoly.neg_h(n - len(p)) * Fraction(signs[0])
+                    term, HPoly.neg_h(n - len(p), signs[0])
                 )
             try:
                 acc = acc.neg_h_divide(n - 1)
@@ -462,7 +473,7 @@ def correlators(phi_ev, ghosts, n_max: int, n_vars: int, K_check=None):
                 for b in p:
                     v = phi_ev(tuple(key[j - 1] for j in b))
                     term = v if term is None else term * v
-                acc = acc + term.scale(HPoly.neg_h(n - len(p)) * Fraction(signs[0]))
+                acc = acc + term.scale(HPoly.neg_h(n - len(p), signs[0]))
             if K_check is not None and not K_check(acc).is_zero():
                 raise CorrelatorClosureError(
                     f"correlator at arity {n}, {key} is not closed"
@@ -490,7 +501,7 @@ def moment_cumulant_report(expect, chi_on_H, ghosts, correlator_tables, n_max: i
                 term = HPoly.const(1)
                 for b in p:
                     term = term * chi_on_H(tuple(key[j - 1] for j in b))
-                acc = acc + term * HPoly.neg_h(n - len(p)) * Fraction(signs[0])
+                acc = acc + term * HPoly.neg_h(n - len(p), signs[0])
             if mu != acc:
                 rep.add(n, key, mu - acc)
     return rep

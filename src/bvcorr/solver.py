@@ -70,7 +70,7 @@ def _product_sum(sol, n, key, exclude_trivial, nv) -> PolyElement:
         for b in p:
             v = sol.phi0_block(tuple(key[j - 1] for j in b))
             term = v if term is None else term * v
-        acc = acc + term.scale(HPoly.neg_h(n - len(p)) * Fraction(signs[0]))
+        acc = acc + term.scale(HPoly.neg_h(n - len(p), signs[0]))
     return acc
 
 
@@ -88,7 +88,7 @@ def _twisted_family_sum(sol, n, key, family_block, zero, sizes=None) -> object:
         inner = sol.lhat_block(tuple(key[j - 1] for j in p[i]))
         if inner.is_zero():
             continue
-        w = HPoly.neg_h(n - len(p)) * Fraction(sign)
+        w = HPoly.neg_h(n - len(p), sign)
         for k, coef in inner.c.items():
             args = tuple(
                 k if bi == i else key[b[0] - 1] for bi, b in enumerate(p)
@@ -275,7 +275,7 @@ class LevelOneSolution:
 def _mhat_sum(mhat_block, family_block, key, ghosts, zero,
               weight=HPoly.neg_h, trivial=False):
     """sum over pair partitions whose last block is distinguished of
-    weight(n-|p|-1) eps(p) F(v_B1, .., v_B_{|p|-1}, mhat(v_Blast)).
+    weight(n-|p|-1, eps(p)) F(v_B1, .., v_B_{|p|-1}, mhat(v_Blast)).
 
     The one-block partition enters only when `trivial` is set.  mhat has
     degree 0, so the sign is eps(p) alone, with no J-signs of the blocks
@@ -289,7 +289,7 @@ def _mhat_sum(mhat_block, family_block, key, ghosts, zero,
         inner = mhat_block(tuple(key[j - 1] for j in p[-1]))
         if inner.is_zero():
             continue
-        w = weight(n - len(p) - 1) * Fraction(signs[0])
+        w = weight(n - len(p) - 1, signs[0])
         for k, coef in inner.c.items():
             args = tuple(key[b[0] - 1] for b in p[:-1]) + (k,)
             acc = acc + family_block(args).scale(coef * w)
@@ -309,7 +309,7 @@ def _phi_phim1_sum(o: LevelOneSolution, n, key, nv) -> PolyElement:
             v = z.phi0_block(tuple(key[j - 1] for j in b))
             term = v if term is None else term * v
         term = term * o.phim1_block(tuple(key[j - 1] for j in p[-1]))
-        acc = acc + term.scale(HPoly.neg_h(n - len(p) - 1) * Fraction(signs[-1]))
+        acc = acc + term.scale(HPoly.neg_h(n - len(p) - 1, signs[-1]))
     return acc
 
 
@@ -518,9 +518,10 @@ def build_M0(o: LevelOneSolution, n: int, front, pair, fam: DescendantFamily) ->
             continue
         v1 = z.phi0_block(tuple(key[j - 1] for j in p[0]))
         v2 = z.phi0_block(tuple(key[j - 1] for j in p[1]))
-        acc = acc + (v1 * v2).scale(Fraction(signs[0]))
+        acc = acc + v1 * v2 if signs[0] > 0 else acc - v1 * v2
     acc = acc - _mhat_sum(o.mhat_block, z.phi0_block, key, o.ghosts,
-                          PolyElement.zero(nv), weight=lambda k: 1)
+                          PolyElement.zero(nv),
+                          weight=lambda k, sign: HPoly.neg_h(0, sign))
     # the bracket correction must enter with a minus sign for
     # M0 = fhat mhat + Khat phim1 to hold
     for p, signs in signed_partitions(n, degs, pair=True):
@@ -529,7 +530,7 @@ def build_M0(o: LevelOneSolution, n: int, front, pair, fam: DescendantFamily) ->
         args = [z.phi0_block(tuple(key[j - 1] for j in b)) for b in p[:-1]]
         args.append(o.phim1_block(tuple(key[j - 1] for j in p[-1])))
         val = fam.ell(len(p), args)
-        acc = acc - val.scale(Fraction(signs[-1]))
+        acc = acc - val if signs[-1] > 0 else acc + val
     return acc
 
 

@@ -154,3 +154,28 @@ def test_kernel_arity_cap():
     with pytest.raises(ArityCapError):
         insertions(5, [0] * 5, cap=4)
     assert len(signed_partitions(8, [0] * 8, cap=8)) == bell_number(8)
+
+
+def _insertion_sort_sign(indices, degrees):
+    # the general path written out: insertion sort counting odd transpositions
+    items = list(zip(indices, degrees))
+    sign = 1
+    for i in range(1, len(items)):
+        j = i
+        while j > 0 and items[j - 1][0] > items[j][0]:
+            if items[j - 1][1] % 2 and items[j][1] % 2:
+                sign = -sign
+            items[j - 1], items[j] = items[j], items[j - 1]
+            j -= 1
+    if any(a[0] == b[0] and b[1] % 2 for a, b in zip(items, items[1:])):
+        sign = 0
+    return tuple(x for x, _ in items), sign
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=7), st.booleans(), st.data())
+def test_sort_sign_against_insertion_sort(n, even, data):
+    indices = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    pool = st.sampled_from([-4, -2, 0, 2]) if even else st.integers(-3, 3)
+    degrees = data.draw(st.lists(pool, min_size=n, max_size=n))
+    assert sort_sign(tuple(indices), degrees) == _insertion_sort_sign(indices, degrees)

@@ -79,3 +79,69 @@ def test_equality_compares_common_window():
     coarse = HPoly({0: 1}, trunc=3)
     assert exact == coarse  # they agree through order 3
     assert exact != HPoly({0: 2}, trunc=3)
+
+
+# -- the one-term product against the general double loop -------------
+
+INF = 10**9
+
+
+def _reference_product(a, b):
+    """(trunc, coefficients) of a * b by the general double loop."""
+    va = min(a.c) if a.c else INF
+    vb = min(b.c) if b.c else INF
+    t = min(a.trunc + vb, b.trunc + va, INF)
+    c = {}
+    for i, x in a.c.items():
+        for j, y in b.c.items():
+            if i + j <= t:
+                c[i + j] = c.get(i + j, Fraction(0)) + x * y
+    return t, {k: v for k, v in c.items() if v != 0}
+
+
+truncs = st.one_of(st.none(), st.integers(min_value=0, max_value=7))
+one_term = st.builds(
+    lambda k, v, t: HPoly({k: v}, trunc=t),
+    st.integers(min_value=0, max_value=5),
+    st.one_of(
+        st.sampled_from([Fraction(1), Fraction(-1)]),
+        st.fractions(max_denominator=6).filter(lambda v: v != 0),
+    ),
+    truncs,
+)
+series = st.builds(
+    lambda d, t: HPoly(d, trunc=t),
+    st.dictionaries(
+        st.integers(min_value=0, max_value=6),
+        st.fractions(max_denominator=6),
+        max_size=4,
+    ),
+    truncs,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_term, series)
+def test_one_term_product_matches_double_loop(m, p):
+    for a, b in ((m, p), (p, m), (m, m)):
+        got = a * b
+        assert (got.trunc, got.c) == _reference_product(a, b)
+        assert all(v != 0 for v in got.c.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(series, st.one_of(st.integers(-3, 3), st.fractions(max_denominator=6)))
+def test_scalar_product_matches_const_product(p, s):
+    want = _reference_product(p, HPoly({0: Fraction(s)}))
+    assert ((p * s).trunc, (p * s).c) == want
+    assert ((s * p).trunc, (s * p).c) == want
+
+
+def test_neg_h_carries_the_sign():
+    for k in range(5):
+        for s in (1, -1):
+            w = HPoly.neg_h(k, s)
+            assert w.trunc == INF
+            assert w.c == {k: Fraction(s * (-1) ** k)}
+    with pytest.raises(ValueError):
+        HPoly.neg_h(-1)

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import bvcorr.slinf
+from bvcorr.acceptance import _corruptions
 from bvcorr.groebner import MilnorData
 from bvcorr.hspace import HVector, tuples_with_repetition
 from bvcorr.polyalg import DescendantFamily, PolyElement, Potential, quantum_K
@@ -86,6 +88,53 @@ def test_a2_descendant_sub_basis_passes():
     S = _a2_sub()
     assert verify_sl_infinity(S, 4).ok
     assert coderivation_square(S, 4).ok
+
+
+def _sl2_odd(he=2):
+    # sl_2 on an odd-shifted basis h, e, f (ghost -1), ell_2 only:
+    # [h, e] = he * e, [h, f] = -2f, [e, f] = h; a Lie algebra iff he = 2
+    basis = [GradedBasisElement(s, -1) for s in "hef"]
+    S = SLInfStructure(basis)
+    S.set_op(2, (0, 1), HVector({1: he}))
+    S.set_op(2, (0, 2), HVector({2: -2}))
+    S.set_op(2, (1, 2), HVector({0: 1}))
+    return S
+
+
+def test_odd_lie_algebra_relations_need_the_J_signs():
+    # on the word (h, e, f) the Jacobi sum has the odd singleton h before
+    # the distinguished block {e, f}; without its J-sign the arity-3
+    # residual is 4h, so both oracles tell the two sign conventions apart
+    S = _sl2_odd()
+    assert verify_sl_infinity(S, 4).ok
+    assert coderivation_square(S, 4).ok
+    bad = _sl2_odd(he=3)
+    r1, r2 = verify_sl_infinity(bad, 4), coderivation_square(bad, 4)
+    assert r1.first_failure_arity() == 3 == r2.first_failure_arity()
+
+
+def test_coderivation_square_evaluates_each_word_once(monkeypatch):
+    calls = []
+    real = bvcorr.slinf._delta_on_word
+
+    def counting(S, word):
+        calls.append(word)
+        return real(S, word)
+
+    monkeypatch.setattr(bvcorr.slinf, "_delta_on_word", counting)
+    S = _a2_sub()
+    assert coderivation_square(S, 4).ok
+    assert calls and len(calls) == len(set(calls))
+    for word in calls:  # one entry per canonical word
+        assert tuple(sorted(word)) == word
+    # a corrupted structure fails at the arity verify_sl_infinity reports
+    for bad in list(_corruptions(S, 3)) + [_sl2_odd(he=3)]:
+        calls.clear()
+        r2 = coderivation_square(bad, 4)
+        assert len(calls) == len(set(calls))
+        r1 = verify_sl_infinity(bad, 4)
+        assert not r2.ok
+        assert r1.first_failure_arity(kind="relation") == r2.first_failure_arity()
 
 
 def test_descendant_of_identity():
