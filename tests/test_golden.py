@@ -17,18 +17,20 @@ import pytest
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# case name -> (command, job file, extra arguments)
+# case name -> (command, job file, extra arguments, expected exit code)
 CASES = {
     # level zero and one, plus the audit bundle (build_M0, Omega, varpi, L)
-    "solve_a2_audit": ("solve", "a2.job.json", ["--audit"]),
-    "solve_quartic_iota": ("solve", "quartic_iota.job.json", []),
-    "fmanifold_a2": ("fmanifold", "a2.job.json", []),
-    "basis_two_var": ("basis", "two_var.job.json", []),
+    "solve_a2_audit": ("solve", "a2.job.json", ["--audit"], 0),
+    "solve_quartic_iota": ("solve", "quartic_iota.job.json", [], 0),
+    "fmanifold_a2": ("fmanifold", "a2.job.json", [], 0),
+    "basis_two_var": ("basis", "two_var.job.json", [], 0),
+    # a corrupted mhat value: pins the (front, pair) shape of level-one witnesses
+    "solve_a2_fault": ("solve", "a2.job.json", ["--inject-fault"], 3),
 }
 
 
 def _run(name, out_dir):
-    command, job, extra = CASES[name]
+    command, job, extra, _ = CASES[name]
     bundle = Path(out_dir) / f"{name}.json"
     r = subprocess.run(
         [sys.executable, "-m", "bvcorr.cli", command,
@@ -42,7 +44,7 @@ def _run(name, out_dir):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, tmp_path):
     r, bundle = _run(name, tmp_path)
-    assert r.returncode == 0, r.stderr.decode()
+    assert r.returncode == CASES[name][3], r.stderr.decode()
     assert r.stdout == (GOLDEN / f"{name}.stdout").read_bytes()
     assert bundle == (GOLDEN / f"{name}.json").read_bytes()
 
@@ -50,7 +52,7 @@ def test_golden(name, tmp_path):
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     for case in sorted(CASES):
         result, data = _run(case, GOLDEN)
-        if result.returncode != 0:
+        if result.returncode != CASES[case][3]:
             sys.exit(f"{case}: exit {result.returncode}\n{result.stderr.decode()}")
         (GOLDEN / f"{case}.stdout").write_bytes(result.stdout)
         print(f"recorded {case}: {len(result.stdout)} + {len(data)} bytes")
