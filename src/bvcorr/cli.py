@@ -220,14 +220,8 @@ def _table_lines(title, table_by_arity, labels, render_value, sink):
     for n in sorted(table_by_arity):
         t = table_by_arity[n]
         for key in t.keys():
-            if isinstance(key, tuple) and key and isinstance(key[0], tuple):
-                front, pair = key
-                label = ",".join(labels[i] for i in front + pair)
-                val = t.get(front, pair)
-            else:
-                label = ",".join(labels[i] for i in key)
-                val = t.get(key)
-            _emit(f"  [{label}] -> {render_value(val)}", sink)
+            label = ",".join(labels[i] for i in key)
+            _emit(f"  [{label}] -> {render_value(t.get(key))}", sink)
 
 
 def cmd_solve(job: JobSpec, sink: list, audit: bool, fault: bool = False):
@@ -291,9 +285,9 @@ def cmd_solve(job: JobSpec, sink: list, audit: bool, fault: bool = False):
         m_family = {}
         for n in range(2, job.n_max + 1):
             rows = {}
-            for fkey, pkey in o.mhat[n].keys():
-                label = ",".join(labels[i] for i in fkey + pkey)
-                rows[label] = poly_json(build_M0(o, n, fkey, pkey, fam))
+            for key in o.mhat[n].keys():
+                label = ",".join(labels[i] for i in key)
+                rows[label] = poly_json(build_M0(o, n, key, fam))
             m_family[str(n)] = rows
         from .retract import twisted_K_HC
 
@@ -325,13 +319,8 @@ def _json_family(family, labels, value=None):
         t = family[n]
         rows = {}
         for key in t.keys():
-            if isinstance(key, tuple) and key and isinstance(key[0], tuple):
-                front, pair = key
-                label = ",".join(labels[i] for i in front + pair)
-                val = t.get(front, pair)
-            else:
-                label = ",".join(labels[i] for i in key)
-                val = t.get(key)
+            label = ",".join(labels[i] for i in key)
+            val = t.get(key)
             if value is not None:
                 rows[label] = value(val)
             elif isinstance(val, HVector):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .groebner import MilnorData, p_is_zero
-from .hspace import HVector, PairSymMap, SymMap
+from .hspace import HVector
 from .polyalg import PolyElement, classical_K, delta_op, quantum_K
 from .scalars import DEFAULT_H_ORDER, HPoly
 
@@ -429,65 +429,35 @@ def twisted_K_HC(q: QuantizedRetract, omega, ghost: int):
     (K_HC W)(v_1..v_n) = Khat(W(v)) - (-1)^ghost sum_j W(Jv_1..Jv_{j-1},
     kappa v_j, v_{j+1}..v_n).
     """
-    out = _like(omega, PolyElement.zero(q.n_vars))
+    out = type(omega)(omega.arity, omega.ghosts, PolyElement.zero(q.n_vars))
     sign = -1 if ghost % 2 else 1
     twist = not q.kappa_is_zero()
-    for key in _iter_keys(omega):
-        val = q.Khat(_get(omega, key))
+    for key in omega.keys():
+        val = q.Khat(omega.get(key))
         if twist:
             tw = _kappa_twist(q, omega, key, PolyElement.zero(q.n_vars))
             val = val - tw.scale(HPoly.const(sign))
-        _set(out, key, val)
+        out.set(key, val)
     return out
 
 
 def twisted_kappa_HH(q: QuantizedRetract, omega, ghost: int):
     """kappa_HH on an H-valued symmetric family."""
-    out = _like(omega, HVector.zero())
+    out = type(omega)(omega.arity, omega.ghosts, HVector.zero())
     if q.kappa_is_zero():
-        for key in _iter_keys(omega):
-            _set(out, key, HVector.zero())
+        for key in omega.keys():
+            out.set(key, HVector.zero())
         return out
     sign = -1 if ghost % 2 else 1
-    for key in _iter_keys(omega):
-        val = q.kappa(_get(omega, key))
+    for key in omega.keys():
+        val = q.kappa(omega.get(key))
         tw = _kappa_twist(q, omega, key, HVector.zero())
-        _set(out, key, val - tw.scale(HPoly.const(sign)))
+        out.set(key, val - tw.scale(HPoly.const(sign)))
     return out
 
 
-def _flat_key(key):
-    if isinstance(key[0], tuple):
-        return key[0] + key[1]
-    return key
-
-
-def _iter_keys(omega):
-    return omega.keys()
-
-
-def _get(omega, key):
-    if isinstance(omega, PairSymMap):
-        return omega.get(key[0], key[1])
-    return omega.get(key)
-
-
-def _set(omega, key, value):
-    if isinstance(omega, PairSymMap):
-        omega.set(key[0], key[1], value)
-    else:
-        omega.set(key, value)
-
-
-def _like(omega, zero):
-    if isinstance(omega, PairSymMap):
-        return PairSymMap(omega.arity, omega.ghosts, zero)
-    return SymMap(omega.arity, omega.ghosts, zero)
-
-
-def _kappa_twist(q: QuantizedRetract, omega, key, zero):
+def _kappa_twist(q: QuantizedRetract, omega, idxs, zero):
     """sum_j W(Jv_1..Jv_{j-1}, kappa v_j, ...) expanded over the basis."""
-    idxs = _flat_key(key)
     acc = zero
     for j in range(len(idxs)):
         kv = q.kappa(HVector.basis(idxs[j]))
@@ -498,11 +468,7 @@ def _kappa_twist(q: QuantizedRetract, omega, key, zero):
             if q.ghosts[idxs[a]] % 2:
                 jsign = -jsign
         for i, coef in kv.c.items():
-            new = idxs[:j] + (i,) + idxs[j + 1:]
-            if isinstance(omega, PairSymMap):
-                val = omega.get(new[:-2], new[-2:])
-            else:
-                val = omega.get(new)
+            val = omega.get(idxs[:j] + (i,) + idxs[j + 1:])
             acc = acc + val.scale(coef * Fraction(jsign))
     return acc
 
@@ -516,19 +482,19 @@ def nabla(q: QuantizedRetract, omega, ghost: int):
     """
     r = q.retract
     cl = omega.classical_part(0)
-    out = _like(omega, PolyElement.zero(q.n_vars))
+    out = type(omega)(omega.arity, omega.ghosts, PolyElement.zero(q.n_vars))
     s_cl = cl.map_values(r.s)
     ks = twisted_K_HC(q, s_cl, ghost - 1)
-    for key in _iter_keys(omega):
-        w = _get(omega, key)
-        w0 = _get(cl, key)
+    for key in omega.keys():
+        w = omega.get(key)
+        w0 = cl.get(key)
         val = w
         hvec = r.h(w0)
         if not hvec.is_zero():
             val = val - q.fhat(hvec)
-        val = val - _get(ks, key)
+        val = val - ks.get(key)
         kw = classical_K(q.pot, w0)
         if not kw.is_zero():
             val = val - r.s(kw)
-        _set(out, key, val.neg_h_divide(1))
+        out.set(key, val.neg_h_divide(1))
     return out

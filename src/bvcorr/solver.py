@@ -97,6 +97,40 @@ def _twisted_family_sum(sol, n, key, family_block, zero, sizes=None) -> object:
     return acc
 
 
+def _transfer(q: QuantizedRetract, omega, varpi, steps: int, ghost: int):
+    """Homotopy transfer of Omega through `steps` applications of nabla.
+
+    With Omega_0 = Omega and Omega_{k+1} = nabla(Omega_k), returns
+    pi = sum_k (-h)^k h(Omega_k^cl), eta = sum_k (-h)^k s(Omega_k^cl), the
+    last Omega_steps and (varpi + kappa_HH pi) / (-h)^steps, all on the
+    table type and keys of Omega.
+    """
+    nv = q.n_vars
+    pi_acc = type(omega)(omega.arity, omega.ghosts, HVector.zero())
+    eta_acc = type(omega)(omega.arity, omega.ghosts, PolyElement.zero(nv))
+    for key in omega.keys():
+        pi_acc.set(key, HVector.zero())
+        eta_acc.set(key, PolyElement.zero(nv))
+    om_iter = omega
+    for step in range(steps):
+        cl = om_iter.classical_part(0)
+        for key in omega.keys():
+            w0 = cl.get(key)
+            pi_acc.set(
+                key, pi_acc.get(key) + q.retract.h(w0).scale(HPoly.neg_h(step))
+            )
+            eta_acc.set(
+                key, eta_acc.get(key) + q.retract.s(w0).scale(HPoly.neg_h(step))
+            )
+        om_iter = nabla(q, om_iter, ghost=ghost)
+
+    kap_pi = twisted_kappa_HH(q, pi_acc, ghost=ghost)
+    top = type(omega)(omega.arity, omega.ghosts, HVector.zero())
+    for key in omega.keys():
+        top.set(key, (varpi.get(key) + kap_pi.get(key)).neg_h_divide(steps))
+    return pi_acc, eta_acc, om_iter, top
+
+
 def solve_level_zero(
     q: QuantizedRetract, n_max: int, verify: bool = True
 ) -> LevelZeroSolution:
@@ -142,41 +176,10 @@ def solve_level_zero(
             varpi.set(key, vp)
         sol.omega0[n] = omega
         sol.varpi1[n] = varpi
-
-        pi_acc = SymMap(n, ghosts, HVector.zero())
-        eta_acc = SymMap(n, ghosts, PolyElement.zero(nv))
-        for key in omega.keys():
-            pi_acc.set(key, HVector.zero())
-            eta_acc.set(key, PolyElement.zero(nv))
-        om_iter = omega
-        for step in range(n - 1):
-            cl = om_iter.classical_part(0)
-            for key in omega.keys():
-                w0 = cl.get(key)
-                pi_acc.set(
-                    key,
-                    pi_acc.get(key)
-                    + q.retract.h(w0).scale(HPoly.neg_h(step)),
-                )
-                eta_acc.set(
-                    key,
-                    eta_acc.get(key)
-                    + q.retract.s(w0).scale(HPoly.neg_h(step)),
-                )
-            om_iter = nabla(q, om_iter, ghost=0)
-        phi_n = om_iter.map_values(lambda v: -v)
-        sol.pi0[n] = pi_acc
-        sol.eta1[n] = eta_acc
-        sol.phi0[n] = phi_n
-
-        kap_pi = twisted_kappa_HH(q, pi_acc, ghost=0)
-        l_n = SymMap(n, ghosts, HVector.zero())
-        for key in omega.keys():
-            l_n.set(
-                key,
-                (varpi.get(key) + kap_pi.get(key)).neg_h_divide(n - 1),
-            )
-        sol.lhat[n] = l_n
+        sol.pi0[n], sol.eta1[n], om_last, sol.lhat[n] = _transfer(
+            q, omega, varpi, n - 1, ghost=0
+        )
+        sol.phi0[n] = om_last.map_values(lambda v: -v)
 
         if verify:
             _check_level_zero_identities(sol, n)
@@ -264,12 +267,10 @@ class LevelOneSolution:
 
     def mhat_block(self, idxs) -> HVector:
         """mhat on a whole block whose last two entries form the pair."""
-        n = len(idxs)
-        return self.mhat[n].get(tuple(idxs[:-2]), tuple(idxs[-2:]))
+        return self.mhat[len(idxs)].get(idxs)
 
     def phim1_block(self, idxs) -> PolyElement:
-        n = len(idxs)
-        return self.phim1[n].get(tuple(idxs[:-2]), tuple(idxs[-2:]))
+        return self.phim1[len(idxs)].get(idxs)
 
 
 def _mhat_sum(mhat_block, family_block, key, ghosts, zero,
@@ -341,10 +342,10 @@ def solve_level_one(
     t_m = PairSymMap(2, ghosts, HVector.zero())
     t_phi = PairSymMap(2, ghosts, PolyElement.zero(nv))
     for pair in tuples_with_repetition(dim, 2):
-        t_pi.set((), pair, HVector.zero())
-        t_eta.set((), pair, PolyElement.zero(nv))
-        t_m.set((), pair, z.pi0[2].get(pair))
-        t_phi.set((), pair, z.eta1[2].get(pair))
+        t_pi.set(pair, HVector.zero())
+        t_eta.set(pair, PolyElement.zero(nv))
+        t_m.set(pair, z.pi0[2].get(pair))
+        t_phi.set(pair, z.eta1[2].get(pair))
     o.pi1[2], o.eta2[2], o.mhat[2], o.phim1[2] = t_pi, t_eta, t_m, t_phi
 
     for n in range(3, n_max + 1):
@@ -358,52 +359,16 @@ def solve_level_one(
                     o.mhat_block, z.eta1_block, key, ghosts, PolyElement.zero(nv)
                 )
                 om = om - _phi_phim1_sum(o, n, key, nv)
-                omega.set(front, pair, om)
+                omega.set(key, om)
                 vp = z.pi0[n].get(key) - _mhat_sum(
                     o.mhat_block, z.pi0_block, key, ghosts, HVector.zero()
                 )
-                varpi.set(front, pair, vp)
+                varpi.set(key, vp)
         o.omega1[n] = omega
         o.varpi0[n] = varpi
-
-        pi_acc = PairSymMap(n, ghosts, HVector.zero())
-        eta_acc = PairSymMap(n, ghosts, PolyElement.zero(nv))
-        for fkey, pkey in omega.keys():
-            pi_acc.set(fkey, pkey, HVector.zero())
-            eta_acc.set(fkey, pkey, PolyElement.zero(nv))
-        om_iter = omega
-        for step in range(n - 2):
-            cl = om_iter.classical_part(0)
-            for fkey, pkey in omega.keys():
-                w0 = cl.get(fkey, pkey)
-                pi_acc.set(
-                    fkey,
-                    pkey,
-                    pi_acc.get(fkey, pkey)
-                    + q.retract.h(w0).scale(HPoly.neg_h(step)),
-                )
-                eta_acc.set(
-                    fkey,
-                    pkey,
-                    eta_acc.get(fkey, pkey)
-                    + q.retract.s(w0).scale(HPoly.neg_h(step)),
-                )
-            om_iter = nabla(q, om_iter, ghost=-1)
-        o.pi1[n] = pi_acc
-        o.eta2[n] = eta_acc
-        o.phim1[n] = om_iter
-
-        kap_pi = twisted_kappa_HH(q, pi_acc, ghost=-1)
-        m_n = PairSymMap(n, ghosts, HVector.zero())
-        for fkey, pkey in omega.keys():
-            m_n.set(
-                fkey,
-                pkey,
-                (varpi.get(fkey, pkey) + kap_pi.get(fkey, pkey)).neg_h_divide(
-                    n - 2
-                ),
-            )
-        o.mhat[n] = m_n
+        o.pi1[n], o.eta2[n], o.phim1[n], o.mhat[n] = _transfer(
+            q, omega, varpi, n - 2, ghost=-1
+        )
 
         if verify:
             _check_level_one_identities(o, n)
@@ -414,22 +379,22 @@ def _check_level_one_identities(o: LevelOneSolution, n: int) -> None:
     q = o.q
     k_eta = twisted_K_HC(q, o.eta2[n], ghost=-2)
     kap_pi = twisted_kappa_HH(q, o.pi1[n], ghost=-1)
-    for fkey, pkey in o.omega1[n].keys():
-        lhs = o.omega1[n].get(fkey, pkey)
-        lhs = lhs - q.fhat(o.pi1[n].get(fkey, pkey))
-        lhs = lhs - k_eta.get(fkey, pkey)
-        rhs = o.phim1[n].get(fkey, pkey).scale(HPoly.neg_h(n - 2))
+    for key in o.omega1[n].keys():
+        lhs = o.omega1[n].get(key)
+        lhs = lhs - q.fhat(o.pi1[n].get(key))
+        lhs = lhs - k_eta.get(key)
+        rhs = o.phim1[n].get(key).scale(HPoly.neg_h(n - 2))
         if lhs != rhs:
             raise MasterEquationError(
                 f"level-one identity (correlator) fails at arity {n}, "
-                f"{fkey}|{pkey}"
+                f"{key[:-2]}|{key[-2:]}"
             )
-        lhs2 = o.varpi0[n].get(fkey, pkey) + kap_pi.get(fkey, pkey)
-        rhs2 = o.mhat[n].get(fkey, pkey).scale(HPoly.neg_h(n - 2))
+        lhs2 = o.varpi0[n].get(key) + kap_pi.get(key)
+        rhs2 = o.mhat[n].get(key).scale(HPoly.neg_h(n - 2))
         if lhs2 != rhs2:
             raise MasterEquationError(
                 f"level-one identity (products) fails at arity {n}, "
-                f"{fkey}|{pkey}"
+                f"{key[:-2]}|{key[-2:]}"
             )
 
 
@@ -439,37 +404,33 @@ def level_one_report(o: LevelOneSolution) -> Report:
     z = o.z
     anomaly_free = o.q.kappa_is_zero() and z.lhat_is_zero()
     for n in range(3, o.n_max + 1):
-        for fkey, pkey in o.pi1[n].keys():
+        for key in o.pi1[n].keys():
+            where = (key[:-2], key[-2:])
             rep.checks += 1
-            if o.pi1[n].get(fkey, pkey).h_degree() > n - 3:
-                rep.add(n, (fkey, pkey), "pi1 h-degree exceeds n-3")
-            if o.eta2[n].get(fkey, pkey).h_degree() > n - 3:
-                rep.add(n, (fkey, pkey), "eta2 h-degree exceeds n-3")
-            if 0 in fkey:
-                if not o.pi1[n].get(fkey, pkey).is_zero():
-                    rep.add(n, (fkey, pkey), "pi1 not killed by a unit slot")
-                if not o.eta2[n].get(fkey, pkey).is_zero():
-                    rep.add(n, (fkey, pkey), "eta2 not killed by a unit slot")
-            m = o.mhat[n].get(fkey, pkey)
+            if o.pi1[n].get(key).h_degree() > n - 3:
+                rep.add(n, where, "pi1 h-degree exceeds n-3")
+            if o.eta2[n].get(key).h_degree() > n - 3:
+                rep.add(n, where, "eta2 h-degree exceeds n-3")
+            if 0 in key[:-2]:
+                if not o.pi1[n].get(key).is_zero():
+                    rep.add(n, where, "pi1 not killed by a unit slot")
+                if not o.eta2[n].get(key).is_zero():
+                    rep.add(n, where, "eta2 not killed by a unit slot")
+            m = o.mhat[n].get(key)
             if anomaly_free:
                 rep.checks += 1
                 if m.h_degree() > 0:
-                    rep.add(n, (fkey, pkey), "mhat depends on h")
+                    rep.add(n, where, "mhat depends on h")
                 # pi0 expands in powers of (-h); take the top coefficient
-                top = z.pi0[n].get(fkey + pkey).classical_part(n - 2)
+                top = z.pi0[n].get(key).classical_part(n - 2)
                 if (n - 2) % 2:
                     top = -top
                 if m != top:
-                    rep.add(
-                        n, (fkey, pkey), "mhat differs from the top pi0 part"
-                    )
+                    rep.add(n, where, "mhat differs from the top pi0 part")
         # full symmetry of mhat across the front/pair split
         for key in tuples_with_repetition(o.dim, n):
             rep.checks += 1
-            seen = [
-                o.mhat[n].get(perm[:-2], perm[-2:])
-                for perm in set(_permutations(key))
-            ]
+            seen = [o.mhat[n].get(perm) for perm in set(_permutations(key))]
             base = seen[0]
             if any(v != base for v in seen[1:]):
                 rep.add(n, key, "mhat is not fully symmetric")
@@ -482,7 +443,7 @@ def mhat_symmetric(o: LevelOneSolution):
     for n in range(2, o.n_max + 1):
         t = SymMap(n, o.ghosts, HVector.zero())
         for key in tuples_with_repetition(o.dim, n):
-            t.set(key, o.mhat[n].get(key[:-2], key[-2:]))
+            t.set(key, o.mhat[n].get(key))
         out[n] = t
     return out
 
@@ -505,11 +466,13 @@ def reconstruct_pi(mhat_sym, ghosts, n_max: int):
     return pi
 
 
-def build_M0(o: LevelOneSolution, n: int, front, pair, fam: DescendantFamily) -> PolyElement:
-    """The four-term combination M0_n of phi0, mhat, phim1 and the brackets."""
+def build_M0(o: LevelOneSolution, n: int, key, fam: DescendantFamily) -> PolyElement:
+    """The four-term combination M0_n of phi0, mhat, phim1 and the brackets.
+
+    `key` is a flat index tuple whose last two entries form the pair.
+    """
     z = o.z
     nv = o.q.n_vars
-    key = front + pair
     degs = [o.ghosts[i] for i in key]
     acc = z.phi0[n].get(key).scale(HPoly.neg_h(1))
     # two blocks that split the pair: n is in the last block, n-1 is not
@@ -550,21 +513,20 @@ def verify_M_identity(
         fam = DescendantFamily(q.pot)
     rep = Report()
     for n in range(2, n_max + 1):
-        for fkey, pkey in o.mhat[n].keys():
+        for key in o.mhat[n].keys():
+            where = (key[:-2], key[-2:])
             rep.checks += 1
-            m0 = build_M0(o, n, fkey, pkey, fam)
-            rhs = q.fhat(o.mhat[n].get(fkey, pkey)) + q.Khat(
-                o.phim1[n].get(fkey, pkey)
-            )
+            m0 = build_M0(o, n, key, fam)
+            rhs = q.fhat(o.mhat[n].get(key)) + q.Khat(o.phim1[n].get(key))
             if m0 != rhs:
-                rep.add(n, (fkey, pkey), "M0 identity fails")
+                rep.add(n, where, "M0 identity fails")
             # classical route: the h^0 part of M0 drops the (-h) phi0 term
             m_cl = m0.classical_part(0)
             if not classical_K(q.pot, m_cl).is_zero():
-                rep.add(n, (fkey, pkey), "classical M is not K-closed")
+                rep.add(n, where, "classical M is not K-closed")
             route = q.retract.h(m_cl)
-            if route != o.mhat[n].get(fkey, pkey):
-                rep.add(n, (fkey, pkey), "dual-route mhat mismatch")
+            if route != o.mhat[n].get(key):
+                rep.add(n, where, "dual-route mhat mismatch")
     return rep
 
 

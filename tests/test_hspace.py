@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from bvcorr.hspace import HVector
+from bvcorr.hspace import HVector, PairSymMap
 from bvcorr.scalars import HPoly
 
 coefs = st.builds(
@@ -49,3 +50,91 @@ def test_add_sub_scale_keep_canonical_form(a, b, c, shape):
         assert got == HVector({i: v * HPoly.promote(k) for i, v in a.c.items()})
     _assert_canonical(-a)
     assert (a - a).is_zero()
+
+
+# basis 0 and 3 even, 1 and 2 odd
+PAIR_GHOSTS = [0, -1, 1, 2]
+
+
+def _koszul(block):
+    """Sign that sorts `block` by adjacent swaps; 0 on a repeated odd index."""
+    odd = [PAIR_GHOSTS[i] % 2 for i in block]
+    if any(odd[a] and block[a] == block[b]
+           for a in range(len(block)) for b in range(a + 1, len(block))):
+        return 0
+    inversions = sum(
+        1 for a in range(len(block)) for b in range(a + 1, len(block))
+        if block[a] > block[b] and odd[a] and odd[b]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def _pair_table(arity):
+    """Every canonical flat key of the given arity gets its own value."""
+    t = PairSymMap(arity, PAIR_GHOSTS, HVector.zero())
+    expected = {}
+    for front, pair in itertools.product(
+        itertools.combinations_with_replacement(range(4), arity - 2),
+        list(itertools.combinations_with_replacement(range(4), 2)),
+    ):
+        key = front + pair
+        if _koszul(front) and _koszul(pair):
+            expected[key] = HVector({len(expected) % 4: HPoly({0: len(expected) + 1, 1: 1})})
+            t.set(key, expected[key])
+    return t, expected
+
+
+def test_pair_symmap_flat_keys_and_koszul_signs():
+    for arity in (2, 3, 4):
+        t, expected = _pair_table(arity)
+        assert expected, "the fill must not be empty"
+        # keys() is flat and sorted as the nested (front, pair) keys were
+        keys = t.keys()
+        assert keys == sorted(expected)
+        assert all(len(k) == arity and all(isinstance(i, int) for i in k) for k in keys)
+        assert keys == sorted(keys, key=lambda k: (k[:-2], k[-2:]))
+        for key, value in expected.items():
+            front, pair = key[:-2], key[-2:]
+            for f in set(itertools.permutations(front)):
+                for p in set(itertools.permutations(pair)):
+                    sign = _koszul(f) * _koszul(p)
+                    assert sign != 0
+                    got = t.get(f + p)
+                    assert got == (value if sign > 0 else -value), (f, p)
+        # a repeated odd element inside one block reads as zero
+        for odd_pair in ((1, 1), (2, 2)):
+            assert t.get((0,) * (arity - 2) + odd_pair).is_zero()
+
+
+def test_pair_symmap_split_is_part_of_the_key():
+    t = PairSymMap(4, PAIR_GHOSTS, HVector.zero())
+    t.set((1, 2, 0, 3), HVector.basis(0))
+    # the same multiset split differently is another key
+    assert t.get((0, 3, 1, 2)).is_zero()
+    assert t.get((0, 1, 2, 3)).is_zero()
+    t.set((0, 3, 1, 2), HVector.basis(1))
+    assert t.keys() == [(0, 3, 1, 2), (1, 2, 0, 3)]
+    # swapping the two odd entries of a block flips the sign, even ones do not
+    assert t.get((2, 1, 0, 3)) == -HVector.basis(0)
+    assert t.get((1, 2, 3, 0)) == HVector.basis(0)
+    assert t.get((3, 0, 2, 1)) == -HVector.basis(1)
+    # a set through a non-canonical ordering stores the signed canonical value
+    t.set((3, 1, 2, 1), HVector.basis(2))
+    assert t.values[(1, 3, 1, 2)] == -HVector.basis(2)
+    assert t.get((3, 1, 2, 1)) == HVector.basis(2)
+
+
+def test_pair_symmap_map_values_and_classical_part_keep_the_type():
+    t, expected = _pair_table(3)
+    for out, want in (
+        (t.map_values(lambda v: -v), {k: -v for k, v in expected.items()}),
+        (t.classical_part(1), {k: v.classical_part(1) for k, v in expected.items()}),
+    ):
+        assert type(out) is PairSymMap
+        assert (out.arity, out.ghosts) == (3, PAIR_GHOSTS)
+        assert out.keys() == sorted(expected)
+        for key in expected:
+            assert out.get(key) == want[key]
+        # the pair canon still applies: a swap inside the odd pair flips the sign
+        assert out.get((0, 2, 1)) == -out.get((0, 1, 2))
+    assert t.h_degree() == 1

@@ -72,10 +72,10 @@ def test_level_zero_reports(a2, a3):
 def test_level_one_initials(a2):
     _, z, o = a2
     for pair in [(0, 0), (0, 1), (1, 1)]:
-        assert o.pi1[2].get((), pair).is_zero()
-        assert o.eta2[2].get((), pair).is_zero()
-        assert o.mhat[2].get((), pair) == z.pi0[2].get(pair)
-        assert o.phim1[2].get((), pair) == z.eta1[2].get(pair)
+        assert o.pi1[2].get(pair).is_zero()
+        assert o.eta2[2].get(pair).is_zero()
+        assert o.mhat[2].get(pair) == z.pi0[2].get(pair)
+        assert o.phim1[2].get(pair) == z.eta1[2].get(pair)
 
 
 def test_a3_products(a3):
@@ -102,7 +102,7 @@ def test_m2_equals_two_point_correlator(a3):
     fam = DescendantFamily(q.pot)
     corr = correlators(lambda idxs: z.phi0[len(idxs)].get(idxs), z.ghosts, 2, 1)
     for pair in [(0, 0), (1, 1), (1, 2), (2, 2)]:
-        assert build_M0(o, 2, (), pair, fam) == corr[2].get(pair)
+        assert build_M0(o, 2, pair, fam) == corr[2].get(pair)
 
 
 def test_reconstruction_formulas(a3):
@@ -163,9 +163,9 @@ def test_h_degree_bounds(a3):
             assert z.pi0[n].get(key).h_degree() <= n - 2
             assert z.eta1[n].get(key).h_degree() <= n - 2
     for n in range(3, 6):
-        for fkey, pkey in o.pi1[n].keys():
-            assert o.pi1[n].get(fkey, pkey).h_degree() <= n - 3
-            assert o.eta2[n].get(fkey, pkey).h_degree() <= n - 3
+        for key in o.pi1[n].keys():
+            assert o.pi1[n].get(key).h_degree() <= n - 3
+            assert o.eta2[n].get(key).h_degree() <= n - 3
 
 
 def test_unity_and_associativity(a2, a3):
