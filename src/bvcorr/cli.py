@@ -60,6 +60,8 @@ class JobSpec:
     """Validated job description."""
 
     def __init__(self, doc: dict):
+        if not isinstance(doc, dict):
+            raise InputError("input must be a JSON object")
         if doc.get("schema") != 1:
             raise InputError('input must declare "schema": 1')
         pot = doc.get("potential")
@@ -67,7 +69,8 @@ class JobSpec:
             raise InputError('missing "potential" object')
         n_vars = pot.get("n_vars")
         terms = pot.get("terms")
-        if not isinstance(n_vars, int) or n_vars < 1:
+        # type(v) is int: a JSON integer, not a bool (an int subclass)
+        if type(n_vars) is not int or n_vars < 1:
             raise InputError('"n_vars" must be a positive integer')
         if not isinstance(terms, list) or not terms:
             raise InputError('"terms" must be a nonempty list')
@@ -76,28 +79,32 @@ class JobSpec:
             if not (isinstance(item, list) and len(item) == 2):
                 raise InputError("each term is [exponent-vector, rational]")
             exp, coef = item
-            exp = tuple(exp)
-            if len(exp) != n_vars or any(
-                not isinstance(e, int) or e < 0 for e in exp
+            if not isinstance(exp, list) or len(exp) != n_vars or any(
+                type(e) is not int or e < 0 for e in exp
             ):
-                raise InputError(f"bad exponent vector {exp}")
+                raise InputError(f"bad exponent vector {exp!r}")
+            exp = tuple(exp)
             try:
                 c = Fraction(str(coef))
             except (ValueError, ZeroDivisionError) as e:
                 raise InputError(f"bad rational {coef!r}") from e
             parsed[exp] = parsed.get(exp, Fraction(0)) + c
         self.potential = Potential(n_vars, parsed)
-        self.n_max = int(doc.get("n_max", 5))
-        self.h_order = int(doc.get("h_order", 6))
-        self.t_order = int(doc.get("t_order", 4))
-        if self.n_max < 1 or self.h_order < 1 or self.t_order < 1:
-            raise InputError("truncation orders must be positive")
+        self.n_max = doc.get("n_max", 5)
+        self.h_order = doc.get("h_order", 6)
+        self.t_order = doc.get("t_order", 4)
+        if not all(
+            type(v) is int and v >= 1 for v in (self.n_max, self.h_order, self.t_order)
+        ):
+            raise InputError("truncation orders must be positive integers")
         if self.n_max > ARITY_HARD_CAP or self.t_order + 2 > ARITY_HARD_CAP:
             raise ArityCapError(
                 f"requested arity exceeds the cap ({ARITY_HARD_CAP})"
             )
         self.iota = doc.get("iota")
         if self.iota is not None:
+            if not isinstance(self.iota, list):
+                raise InputError('"iota" must be a list of rationals')
             try:
                 self.iota = [Fraction(str(v)) for v in self.iota]
             except (ValueError, ZeroDivisionError) as e:
@@ -107,7 +114,9 @@ class JobSpec:
         self.outputs = doc.get("outputs")
         if self.outputs is not None:
             known = {"pi0", "mhat", "phi0", "phim1"}
-            if not isinstance(self.outputs, list) or not set(self.outputs) <= known:
+            if not isinstance(self.outputs, list) or not all(
+                isinstance(o, str) and o in known for o in self.outputs
+            ):
                 raise InputError(f'"outputs" must be a sublist of {sorted(known)}')
 
 
@@ -117,7 +126,7 @@ def load_job(path: str) -> JobSpec:
             doc = json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, bad UTF-8, oversized ints
         raise InputError(f"invalid JSON: {e}") from e
     return JobSpec(doc)
 

@@ -17,6 +17,8 @@ reproducible.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby, product
+from math import comb, prod
 
 DEFAULT_ARITY_CAP = 7
 
@@ -125,6 +127,30 @@ def subsets(seq):
         inc = tuple(seq[i] for i in range(n) if mask >> i & 1)
         exc = tuple(seq[i] for i in range(n) if not mask >> i & 1)
         yield inc, exc
+
+
+@lru_cache(maxsize=None)
+def sub_multisets(key: tuple, anchored: bool) -> tuple:
+    """Every sub-multiset k of an ascending key as (k, rest = key - k, mult).
+
+    mult = prod_i C(m_i, k_i) counts the position subsets of key that carry k
+    (m_i, k_i the multiplicities of index i).  With `anchored`, k must contain
+    a = key[0] and the first a is fixed, so a's factor is C(m_a - 1, k_a - 1):
+    the multiset form of the set-partition block that holds position 1.
+    """
+    runs = [(v, len(tuple(g))) for v, g in groupby(key)]
+    if anchored and not runs:
+        return ()
+    ranges = [range(1 if anchored and r == 0 else 0, m + 1)
+              for r, (_, m) in enumerate(runs)]
+    out = []
+    for ks in product(*ranges):
+        k = tuple(v for (v, _), c in zip(runs, ks) for _ in range(c))
+        rest = tuple(v for (v, m), c in zip(runs, ks) for _ in range(m - c))
+        mult = prod(comb(m - 1, c - 1) if anchored and r == 0 else comb(m, c)
+                    for r, ((_, m), c) in enumerate(zip(runs, ks)))
+        out.append((k, rest, mult))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

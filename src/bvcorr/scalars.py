@@ -91,11 +91,12 @@ class HPoly:
 
     @classmethod
     def neg_h(cls, power: int, sign: int = 1) -> "HPoly":
-        """sign * (-h)^power, the weight of the partition sums."""
+        """sign * (-h)^power for a nonzero integer sign (+-1 or a multiplicity)."""
         if power < 0:
             raise ValueError("HPoly exponents must be nonnegative")
+        c = sign if power % 2 == 0 else -sign
         return cls._of(
-            {power: _ONE if (sign > 0) == (power % 2 == 0) else _MINUS_ONE},
+            {power: _ONE if c == 1 else _MINUS_ONE if c == -1 else Fraction(c)},
             INF_TRUNC,
         )
 

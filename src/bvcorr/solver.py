@@ -7,15 +7,31 @@ homotopies eta1; the level-one solver extracts the h-independent products
 mhat that generate all level-zero data.  Solver intermediates (Omega, varpi,
 L, M families) are retained on the solution objects for audit output, and the
 defining identities are re-checked before a solution is returned.
+
+The sum over set partitions p of a key m, E_m = sum_p (-h)^(|m|-|p|)
+prod_B phi0(v_B), has only +1 signs on even ghosts and depends only on the
+multisets of the blocks: it is the exponential formula (Stanley, Enumerative
+Combinatorics vol. 2, section 5.1).  Splitting off the block of the smallest
+index a of m gives one product per sub-multiset k instead of one per partition:
+
+    E_m = sum_{k <= m, a in k} prod_i C(m_i - d_ia, k_i - d_ia)
+          (-h)^(|k|-1) phi0(k) E_{m-k},        E_() = 1.
+
+E is built once; the level-one sums split off the block of the pair and read
+E on the rest.  The solvers therefore need even ghosts; only `reconstruct_pi`
+on graded bases keeps the signed partition sum.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations as _permutations
 
 from .hspace import HVector, PairSymMap, SymMap, tuples_with_repetition
-from .partitions import insertions, koszul_sign, signed_partitions, subsets
+from .partitions import (
+    insertions, koszul_sign, signed_partitions, sub_multisets, subsets,
+)
 from .polyalg import DescendantFamily, PolyElement, classical_K
 from .retract import QuantizedRetract, nabla, twisted_K_HC, twisted_kappa_HH
 from .scalars import HPoly
@@ -27,7 +43,8 @@ class MasterEquationError(RuntimeError):
 
 
 class LevelZeroSolution:
-    """Families (pi0, eta1, phi0, lhat) indexed by arity, plus intermediates."""
+    """Families (pi0, eta1, phi0, lhat) indexed by arity, plus intermediates
+    and the table E of partition sums of phi0 on ascending keys."""
 
     def __init__(self, q: QuantizedRetract, n_max: int):
         self.q = q
@@ -40,11 +57,9 @@ class LevelZeroSolution:
         self.lhat = {}
         self.omega0 = {}
         self.varpi1 = {}
+        self.E = {}
 
     # -- family access, multilinear in an HVector slot -------------
-    def phi0_block(self, idxs) -> PolyElement:
-        return self.phi0[len(idxs)].get(tuple(idxs))
-
     def pi0_block(self, idxs) -> HVector:
         return self.pi0[len(idxs)].get(tuple(idxs))
 
@@ -60,17 +75,17 @@ class LevelZeroSolution:
         )
 
 
-def _product_sum(sol, n, key, exclude_trivial, nv) -> PolyElement:
-    """sum over partitions of (-h)^(n-|p|) eps(p) prod phi0(blocks)."""
-    acc = PolyElement.zero(nv)
-    for p, signs in signed_partitions(n, [sol.ghosts[k] for k in key]):
-        if exclude_trivial and len(p) == 1:
+def _split_sum(key, block, E, anchored) -> PolyElement:
+    """sum over sub-multisets k of key, k != key, of mult block(k) E[key - k]
+    (-h)^(|k|-1) when `anchored` (the block holds key[0], level zero), else
+    (-h)^|k| (the block holds the pair besides k, level one)."""
+    acc = PolyElement.zero(E[()].n_vars)
+    for k, rest, mult in sub_multisets(key, anchored):
+        if not rest:
             continue
-        term = None
-        for b in p:
-            v = sol.phi0_block(tuple(key[j - 1] for j in b))
-            term = v if term is None else term * v
-        acc = acc + term.scale(HPoly.neg_h(n - len(p), signs[0]))
+        v = block(k)
+        if not v.is_zero():
+            acc = acc + (v * E[rest]).scale(HPoly.neg_h(len(k) - anchored, mult))
     return acc
 
 
@@ -135,6 +150,8 @@ def solve_level_zero(
     q: QuantizedRetract, n_max: int, verify: bool = True
 ) -> LevelZeroSolution:
     """The canonical level-zero solution over a quantized retract."""
+    if any(g % 2 for g in q.ghosts):
+        raise ValueError("the master-equation solvers need even ghosts")
     sol = LevelZeroSolution(q, n_max)
     nv = q.n_vars
     ghosts = sol.ghosts
@@ -150,36 +167,29 @@ def solve_level_zero(
         t_phi.set((i,), q.fhat(HVector.basis(i)))
         t_l.set((i,), q.kappa(HVector.basis(i)))
     sol.pi0[1], sol.eta1[1], sol.phi0[1], sol.lhat[1] = t_pi, t_eta, t_phi, t_l
+    E = sol.E
+    E[()] = PolyElement.one(nv)
+    E.update(t_phi.values)
 
     for n in range(2, n_max + 1):
         omega = SymMap(n, ghosts, PolyElement.zero(nv))
         varpi = SymMap(n, ghosts, HVector.zero())
         for key in tuples_with_repetition(dim, n):
-            om = _product_sum(sol, n, key, exclude_trivial=True, nv=nv)
-            om = om - _twisted_family_sum(
-                sol,
-                n,
-                key,
-                sol.eta1_block,
-                PolyElement.zero(nv),
-                sizes=set(range(2, n)),
-            )
-            omega.set(key, om)
-            vp = -_twisted_family_sum(
-                sol,
-                n,
-                key,
-                sol.pi0_block,
-                HVector.zero(),
-                sizes=set(range(2, n)),
-            )
-            varpi.set(key, vp)
+            om = _split_sum(key, lambda k: sol.phi0[len(k)].values[k], E, True)
+            E[key] = om  # completed by the one-block term below
+            sizes = set(range(2, n))
+            omega.set(key, om - _twisted_family_sum(
+                sol, n, key, sol.eta1_block, PolyElement.zero(nv), sizes))
+            varpi.set(key, -_twisted_family_sum(
+                sol, n, key, sol.pi0_block, HVector.zero(), sizes))
         sol.omega0[n] = omega
         sol.varpi1[n] = varpi
         sol.pi0[n], sol.eta1[n], om_last, sol.lhat[n] = _transfer(
             q, omega, varpi, n - 1, ghost=0
         )
         sol.phi0[n] = om_last.map_values(lambda v: -v)
+        for key, v in sol.phi0[n].values.items():
+            E[key] = E[key] + v.scale(HPoly.neg_h(n - 1))
 
         if verify:
             _check_level_zero_identities(sol, n)
@@ -192,20 +202,16 @@ def _check_level_zero_identities(sol: LevelZeroSolution, n: int) -> None:
     for key in sol.pi0[n].keys():
         # first defining identity
         lhs = q.fhat(sol.pi0[n].get(key))
-        rhs = _product_sum(sol, n, key, exclude_trivial=False, nv=nv)
-        rhs = rhs - q.Khat(sol.eta1[n].get(key))
-        rhs = rhs - _twisted_family_sum(
-            sol, n, key, sol.eta1_block, PolyElement.zero(nv)
-        )
+        rhs = sol.E[key] - q.Khat(sol.eta1[n].get(key))
+        rhs = rhs - _twisted_family_sum(sol, n, key, sol.eta1_block,
+                                        PolyElement.zero(nv))
         if lhs != rhs:
             raise MasterEquationError(
                 f"level-zero identity (correlator) fails at arity {n}, {key}"
             )
         # second defining identity
         lhs2 = q.kappa(sol.pi0[n].get(key))
-        rhs2 = _twisted_family_sum(
-            sol, n, key, sol.pi0_block, HVector.zero()
-        )
+        rhs2 = _twisted_family_sum(sol, n, key, sol.pi0_block, HVector.zero())
         if lhs2 != rhs2:
             raise MasterEquationError(
                 f"level-zero identity (structure) fails at arity {n}, {key}"
@@ -265,52 +271,45 @@ class LevelOneSolution:
         self.omega1 = {}
         self.varpi0 = {}
 
-    def mhat_block(self, idxs) -> HVector:
-        """mhat on a whole block whose last two entries form the pair."""
-        return self.mhat[len(idxs)].get(idxs)
 
-    def phim1_block(self, idxs) -> PolyElement:
-        return self.phim1[len(idxs)].get(idxs)
+def _mhat_sum(mhat, family, key, zero, weight=HPoly.neg_h, trivial=False):
+    """sum over sub-multisets k of the front of mult weight(|k|, mult)
+    sum_j mhat(k + pair)_j F(front - k, j), with even ghosts.
 
-
-def _mhat_sum(mhat_block, family_block, key, ghosts, zero,
-              weight=HPoly.neg_h, trivial=False):
-    """sum over pair partitions whose last block is distinguished of
-    weight(n-|p|-1, eps(p)) F(v_B1, .., v_B_{|p|-1}, mhat(v_Blast)).
-
-    The one-block partition enters only when `trivial` is set.  mhat has
-    degree 0, so the sign is eps(p) alone, with no J-signs of the blocks
-    before the last.
+    This is the sum over the pair partitions of key (a pair-table key) whose
+    block of the pair is distinguished; k = front, the one-block partition,
+    enters only when `trivial` is set.
     """
-    n = len(key)
+    front, pair = key[:-2], key[-2:]
     acc = zero
-    for p, signs in signed_partitions(n, [ghosts[k] for k in key], pair=True):
-        if len(p[-1]) != n - len(p) + 1 or (len(p) == 1 and not trivial):
+    for k, rest, mult in sub_multisets(front, False):
+        if not rest and not trivial:
             continue
-        inner = mhat_block(tuple(key[j - 1] for j in p[-1]))
+        inner = mhat[len(k) + 2].values[k + pair]
         if inner.is_zero():
             continue
-        w = weight(n - len(p) - 1, signs[0])
-        for k, coef in inner.c.items():
-            args = tuple(key[b[0] - 1] for b in p[:-1]) + (k,)
-            acc = acc + family_block(args).scale(coef * w)
+        w = weight(len(k), mult)
+        for j, coef in inner.c.items():
+            args = tuple(sorted(rest + (j,)))
+            acc = acc + family[len(args)].values[args].scale(coef * w)
     return acc
 
 
-def _phi_phim1_sum(o: LevelOneSolution, n, key, nv) -> PolyElement:
-    """sum over pair partitions (|p| != 1) of
-    (-h)^(n-|p|-1) eps(p) phi0(Jv_B1) ... phi0(Jv_B_{|p|-1}) phim1(v_Blast)."""
-    z = o.z
-    acc = PolyElement.zero(nv)
-    for p, signs in signed_partitions(n, [o.ghosts[k] for k in key], pair=True):
-        if len(p) == 1:
+def _signed_mhat_sum(mhat_sym, pi, key, ghosts) -> HVector:
+    """`_mhat_sum` with `trivial` set on graded data, signed by eps(p) alone:
+    mhat has degree 0, so the blocks before the last give no J-signs."""
+    n = len(key)
+    acc = HVector.zero()
+    for p, signs in signed_partitions(n, [ghosts[k] for k in key], pair=True):
+        if len(p[-1]) != n - len(p) + 1:
             continue
-        term = None
-        for b in p[:-1]:
-            v = z.phi0_block(tuple(key[j - 1] for j in b))
-            term = v if term is None else term * v
-        term = term * o.phim1_block(tuple(key[j - 1] for j in p[-1]))
-        acc = acc + term.scale(HPoly.neg_h(n - len(p) - 1, signs[-1]))
+        inner = mhat_sym[len(p[-1])].get(tuple(key[j - 1] for j in p[-1]))
+        if inner.is_zero():
+            continue
+        w = HPoly.neg_h(n - len(p) - 1, signs[0])
+        for k, coef in inner.c.items():
+            args = tuple(key[b[0] - 1] for b in p[:-1]) + (k,)
+            acc = acc + pi[len(args)].get(args).scale(coef * w)
     return acc
 
 
@@ -355,13 +354,12 @@ def solve_level_one(
             for pair in tuples_with_repetition(dim, 2):
                 key = front + pair
                 om = z.eta1[n].get(key)
-                om = om - _mhat_sum(
-                    o.mhat_block, z.eta1_block, key, ghosts, PolyElement.zero(nv)
-                )
-                om = om - _phi_phim1_sum(o, n, key, nv)
+                om = om - _mhat_sum(o.mhat, z.eta1, key, PolyElement.zero(nv))
+                om = om - _split_sum(
+                    front, lambda k: o.phim1[len(k) + 2].values[k + pair], z.E, False)
                 omega.set(key, om)
                 vp = z.pi0[n].get(key) - _mhat_sum(
-                    o.mhat_block, z.pi0_block, key, ghosts, HVector.zero()
+                    o.mhat, z.pi0, key, HVector.zero()
                 )
                 varpi.set(key, vp)
         o.omega1[n] = omega
@@ -454,14 +452,13 @@ def reconstruct_pi(mhat_sym, ghosts, n_max: int):
     pi = {1: SymMap(1, ghosts, HVector.zero())}
     for i in range(dim):
         pi[1].set((i,), HVector.basis(i))
+    even = not any(g % 2 for g in ghosts)
     for n in range(2, n_max + 1):
         table = SymMap(n, ghosts, HVector.zero())
         for key in tuples_with_repetition(dim, n):
-            table.set(key, _mhat_sum(
-                lambda idxs: mhat_sym[len(idxs)].get(idxs),
-                lambda args: pi[len(args)].get(args),
-                key, ghosts, HVector.zero(), trivial=True,
-            ))
+            table.set(key, _mhat_sum(mhat_sym, pi, key, HVector.zero(),
+                                     trivial=True) if even
+                      else _signed_mhat_sum(mhat_sym, pi, key, ghosts))
         pi[n] = table
     return pi
 
@@ -469,31 +466,33 @@ def reconstruct_pi(mhat_sym, ghosts, n_max: int):
 def build_M0(o: LevelOneSolution, n: int, key, fam: DescendantFamily) -> PolyElement:
     """The four-term combination M0_n of phi0, mhat, phim1 and the brackets.
 
-    `key` is a flat index tuple whose last two entries form the pair.
+    `key` is a key of the pair tables: ascending within the front and within
+    the pair, its last two entries.  The ghosts are even, as the solvers
+    require, so every partition sign is +1.
     """
     z = o.z
     nv = o.q.n_vars
-    degs = [o.ghosts[i] for i in key]
-    acc = z.phi0[n].get(key).scale(HPoly.neg_h(1))
-    # two blocks that split the pair: n is in the last block, n-1 is not
-    for p, signs in signed_partitions(n, degs):
-        if len(p) != 2 or n - 1 in p[1]:
-            continue
-        v1 = z.phi0_block(tuple(key[j - 1] for j in p[0]))
-        v2 = z.phi0_block(tuple(key[j - 1] for j in p[1]))
-        acc = acc + v1 * v2 if signs[0] > 0 else acc - v1 * v2
-    acc = acc - _mhat_sum(o.mhat_block, z.phi0_block, key, o.ghosts,
-                          PolyElement.zero(nv),
-                          weight=lambda k, sign: HPoly.neg_h(0, sign))
+    front, (a, b) = key[:-2], key[-2:]
+    phi0 = z.phi0
+    acc = phi0[n].get(key).scale(HPoly.neg_h(1))
+    # two blocks that split the pair: a with k, b with the rest of the front
+    for k, rest, mult in sub_multisets(front, False):
+        ka, rb = tuple(sorted(k + (a,))), tuple(sorted(rest + (b,)))
+        acc = acc + (phi0[len(ka)].values[ka] * phi0[len(rb)].values[rb]).scale(mult)
+    acc = acc - _mhat_sum(o.mhat, phi0, key, PolyElement.zero(nv),
+                          weight=lambda k, mult: HPoly.neg_h(0, mult))
     # the bracket correction must enter with a minus sign for
-    # M0 = fhat mhat + Khat phim1 to hold
-    for p, signs in signed_partitions(n, degs, pair=True):
-        if len(p) == 1:
-            continue
-        args = [z.phi0_block(tuple(key[j - 1] for j in b)) for b in p[:-1]]
-        args.append(o.phim1_block(tuple(key[j - 1] for j in p[-1])))
-        val = fam.ell(len(p), args)
-        acc = acc - val if signs[-1] > 0 else acc + val
+    # M0 = fhat mhat + Khat phim1 to hold; ell is symmetric in the even
+    # phi0 slots, so the partitions with the same blocks share one call
+    groups = Counter(
+        (tuple(sorted(tuple(key[j - 1] for j in blk) for blk in p[:-1])),
+         tuple(key[j - 1] for j in p[-1]))
+        for p, _ in signed_partitions(n, [0] * n, pair=True) if len(p) > 1
+    )
+    for (blocks, last), count in groups.items():
+        args = [phi0[len(blk)].values[blk] for blk in blocks]
+        args.append(o.phim1[len(last)].values[last])
+        acc = acc - fam.ell(len(args), args).scale(count)
     return acc
 
 

@@ -1,6 +1,13 @@
+import copy
 import json
 import subprocess
 import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bvcorr.cli import InputError, JobSpec
+from bvcorr.partitions import ArityCapError
 
 A2_JOB = {
     "schema": 1,
@@ -150,3 +157,70 @@ def test_fmanifold_byte_stable(tmp_path):
     r2 = run_cli("fmanifold", "--input", path)
     assert r1.stdout == r2.stdout
     assert r1.returncode == r2.returncode == 0
+
+
+# Malformed documents that crashed `solve` with a traceback (the first six)
+# or were silently coerced (the last two).
+MALFORMED = {
+    "n_max-string": dict(A2_JOB, n_max="abc"),
+    "n_max-null": dict(A2_JOB, n_max=None),
+    "term-exponent-not-a-list": dict(
+        A2_JOB, potential={"n_vars": 1, "terms": [[3, "1/3"]]}
+    ),
+    "iota-number": dict(A2_JOB, iota=5),
+    "outputs-nested": dict(A2_JOB, outputs=[["x"]]),
+    "top-level-list": [1, 2],
+    "n_max-fractional": dict(A2_JOB, n_max=2.7),
+    "exponent-boolean": dict(
+        A2_JOB, potential={"n_vars": 1, "terms": [[[3], "1/3"], [[True], "1"]]}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_job_exits_2(tmp_path, name):
+    r = run_cli("solve", "--input", write_job(tmp_path, MALFORMED[name]))
+    assert r.returncode == 2, r.stderr
+    assert b"input rejected" in r.stderr
+    assert b"Traceback" not in r.stderr
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=10,
+)
+FIELDS = ("schema", "n_max", "h_order", "t_order", "iota", "outputs",
+          "potential", "n_vars", "terms", "term", "exponent", "coefficient")
+
+
+@st.composite
+def near_valid_jobs(draw):
+    """A2_JOB with up to three fields replaced by arbitrary JSON values."""
+    doc = copy.deepcopy(A2_JOB)
+    pot, term = doc["potential"], doc["potential"]["terms"][0]
+    for field in draw(st.lists(st.sampled_from(FIELDS), max_size=3)):
+        value = draw(JSON_VALUES)
+        if field in ("n_vars", "terms"):
+            pot[field] = value
+        elif field == "term":
+            pot["terms"].append(value)
+        elif field in ("exponent", "coefficient"):
+            term[field == "coefficient"] = value
+        else:
+            doc[field] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(JSON_VALUES, near_valid_jobs()))
+def test_jobspec_builds_or_rejects(doc):
+    try:
+        JobSpec(doc)
+    except (InputError, ArityCapError):
+        pass

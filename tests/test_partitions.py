@@ -10,6 +10,8 @@ from bvcorr.partitions import (
     set_partitions,
     signed_partitions,
     sort_sign,
+    sub_multisets,
+    subsets,
 )
 
 
@@ -179,3 +181,21 @@ def test_sort_sign_against_insertion_sort(n, even, data):
     pool = st.sampled_from([-4, -2, 0, 2]) if even else st.integers(-3, 3)
     degrees = data.draw(st.lists(pool, min_size=n, max_size=n))
     assert sort_sign(tuple(indices), degrees) == _insertion_sort_sign(indices, degrees)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=7), st.booleans())
+def test_sub_multisets_count_position_subsets(key, anchored):
+    # mult is the number of position subsets (holding position 1 when
+    # anchored) whose entries form k, and rest is what those leave
+    key = tuple(sorted(key))
+    want = {}
+    for inc, exc in subsets(tuple(range(len(key)))):
+        if anchored and 0 not in inc:
+            continue
+        k = tuple(key[i] for i in inc)
+        rest = tuple(key[i] for i in exc)
+        want[k, rest] = want.get((k, rest), 0) + 1
+    got = sub_multisets(key, anchored)
+    assert {(k, rest): mult for k, rest, mult in got} == want
+    assert len(got) == len(want)

@@ -1,15 +1,20 @@
+import random
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 
+import bvcorr.solver as solver
 from bvcorr.groebner import MilnorData
-from bvcorr.hspace import HVector
-from bvcorr.partitions import koszul_sign, set_partitions
+from bvcorr.hspace import HVector, tuples_with_repetition
+from bvcorr.partitions import koszul_sign, set_partitions, signed_partitions
 from bvcorr.polyalg import DescendantFamily, PolyElement, Potential
 from bvcorr.retract import build_retract, quantize_retract, spanning_monomials
 from bvcorr.scalars import HPoly
 from bvcorr.slinf import Expectation, correlators
 from bvcorr.solver import (
+    build_M0,
     factorization_report,
     generalized_associativity_report,
     level_one_report,
@@ -97,8 +102,6 @@ def test_m_identity_and_dual_route(a2, a3):
 
 def test_m2_equals_two_point_correlator(a3):
     q, z, o = a3
-    from bvcorr.solver import build_M0
-
     fam = DescendantFamily(q.pot)
     corr = correlators(lambda idxs: z.phi0[len(idxs)].get(idxs), z.ghosts, 2, 1)
     for pair in [(0, 0), (1, 1), (1, 2), (2, 2)]:
@@ -184,3 +187,159 @@ def test_factorization(a2):
     for n in range(1, 5):
         for key in z.pi0[n].keys():
             assert expect(corr[n].get(key)) == expect.apply_iota(z.pi0[n].get(key))
+
+
+# -- the exponential formula against the set-partition sums it replaces ----
+
+
+def _solve(pot, n0, n1=None):
+    q = quantize_retract(build_retract(MilnorData(pot)))
+    z = solve_level_zero(q, n0)
+    return q, z, solve_level_one(q, z, n1) if n1 else None
+
+
+def _random_potential(seed, mu):
+    rng = random.Random(seed)
+    coeffs = {mu + 1: Fraction(rng.randint(1, 3), mu + 1)}
+    for d in range(1, mu):
+        coeffs[d] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+    return Potential.single_variable(coeffs)
+
+
+@pytest.fixture(scope="module")
+def a4_deep():
+    return _solve(Potential.a_k(4), 7, 6)
+
+
+@pytest.fixture(scope="module")
+def deep_level_zero(a4_deep):
+    return {
+        "A4": a4_deep[1],
+        "A5": _solve(Potential.a_k(5), 7)[1],
+        "random": _solve(_random_potential(2018, 4), 7)[1],
+    }
+
+
+def _blocks(key, p):
+    return [tuple(key[j - 1] for j in b) for b in p]
+
+
+def _product(vals):
+    term = vals[0]
+    for v in vals[1:]:
+        term = term * v
+    return term
+
+
+def _partition_sum(z, key):
+    """E_m written out: sum over all set partitions of
+    (-h)^(n-|p|) eps(p) prod phi0(blocks)."""
+    n = len(key)
+    acc = PolyElement.zero(z.q.n_vars)
+    for p, signs in signed_partitions(n, [z.ghosts[k] for k in key]):
+        vals = [z.phi0[len(b)].get(b) for b in _blocks(key, p)]
+        if not any(v.is_zero() for v in vals):
+            acc = acc + _product(vals).scale(HPoly.neg_h(n - len(p), signs[0]))
+    return acc
+
+
+def _pair_partition_sums(o, key):
+    """omega1 and varpi0 at key written out over the pair partitions p:
+    eta1 - sum (-h)^(n-|p|-1) eps(p) [eta1(v.., mhat(v_Blast)) +
+    phi0(v_B1)..phim1(v_Blast)], and pi0 - the same mhat sum on pi0."""
+    z, n = o.z, len(key)
+    om, vp = z.eta1[n].get(key), z.pi0[n].get(key)
+    for p, signs in signed_partitions(n, [o.ghosts[k] for k in key], pair=True):
+        if len(p) == 1:
+            continue
+        blocks = _blocks(key, p)
+        w = HPoly.neg_h(n - len(p) - 1, signs[0])
+        if len(blocks[-1]) == n - len(p) + 1:  # every other block a singleton
+            for j, c in o.mhat[len(blocks[-1])].get(blocks[-1]).c.items():
+                args = tuple(b[0] for b in blocks[:-1]) + (j,)
+                om = om - z.eta1[len(args)].get(args).scale(c * w)
+                vp = vp - z.pi0[len(args)].get(args).scale(c * w)
+        vals = [z.phi0[len(b)].get(b) for b in blocks[:-1]]
+        vals.append(o.phim1[len(blocks[-1])].get(blocks[-1]))
+        om = om - _product(vals).scale(w)
+    return om, vp
+
+
+@pytest.mark.parametrize("name", ["A4", "A5", "random"])
+def test_E_equals_the_set_partition_sum(deep_level_zero, name):
+    z = deep_level_zero[name]
+    assert z.E[()] == ONE
+    for n in range(1, 8):
+        for key in tuples_with_repetition(z.dim, n):
+            assert z.E[key] == _partition_sum(z, key), (name, key)
+
+
+def test_level_one_sums_equal_the_pair_partition_sums(a4_deep):
+    _, _, o = a4_deep
+    for n in range(3, 7):
+        assert len(o.omega1[n].values) == len(o.varpi0[n].values) > 0
+        for key in o.omega1[n].keys():
+            om, vp = _pair_partition_sums(o, key)
+            assert o.omega1[n].get(key) == om, key
+            assert o.varpi0[n].get(key) == vp, key
+
+
+def _m0_partition_sum(o, key, fam):
+    """build_M0 written out over the set partitions of key."""
+    z, n = o.z, len(key)
+    acc = z.phi0[n].get(key).scale(HPoly.neg_h(1))
+    for p, _ in signed_partitions(n, [0] * n):
+        if len(p) == 2 and n - 1 not in p[1]:  # two blocks that split the pair
+            acc = acc + _product([z.phi0[len(b)].get(b) for b in _blocks(key, p)])
+    for p, _ in signed_partitions(n, [0] * n, pair=True):
+        if len(p) == 1:
+            continue
+        blocks = _blocks(key, p)
+        if len(blocks[-1]) == n - len(p) + 1:
+            for j, c in o.mhat[len(blocks[-1])].get(blocks[-1]).c.items():
+                args = tuple(b[0] for b in blocks[:-1]) + (j,)
+                acc = acc - z.phi0[len(args)].get(args).scale(c)
+        args = [z.phi0[len(b)].get(b) for b in blocks[:-1]]
+        args.append(o.phim1[len(blocks[-1])].get(blocks[-1]))
+        acc = acc - fam.ell(len(p), args)
+    return acc
+
+
+def test_build_M0_equals_the_partition_sum(a3, a4_deep):
+    for q, _, o in (a3, a4_deep):
+        fam = DescendantFamily(q.pot)
+        for n in range(2, 6):
+            for key in o.mhat[n].keys():
+                assert build_M0(o, n, key, fam) == _m0_partition_sum(o, key, fam)
+
+
+def test_level_zero_makes_one_product_per_sub_multiset(monkeypatch):
+    q = quantize_retract(build_retract(MilnorData(Potential.a_k(4))))
+    calls = []
+    mul = PolyElement.__mul__
+    monkeypatch.setattr(
+        PolyElement, "__mul__", lambda a, b: calls.append(1) or mul(a, b)
+    )
+    solve_level_zero(q, 7)
+    bound = sum(
+        prod(m + 1 for m in Counter(key).values())
+        for n in range(2, 8)
+        for key in tuples_with_repetition(q.dim, n)
+    )
+    assert 0 < len(calls) <= bound  # the set-partition sums made 664,616
+
+
+def test_solvers_enumerate_no_partitions_on_ghost_zero_data(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("signed_partitions called on ghost-0 data")
+
+    monkeypatch.setattr(solver, "signed_partitions", refuse)
+    _solve(Potential.a_k(3), 5, 5)
+    _solve(Potential.single_variable({4: Fraction(1, 4), 2: -Fraction(1, 2)}), 5, 5)
+
+
+def test_solver_rejects_an_odd_ghost(monkeypatch):
+    q = quantize_retract(build_retract(MilnorData(Potential.a_k(2))))
+    monkeypatch.setattr(q, "ghosts", [0, -1])
+    with pytest.raises(ValueError, match="even ghosts"):
+        solve_level_zero(q, 3)
