@@ -62,7 +62,7 @@ class JobSpec:
     def __init__(self, doc: dict):
         if not isinstance(doc, dict):
             raise InputError("input must be a JSON object")
-        if doc.get("schema") != 1:
+        if type(doc.get("schema")) is not int or doc["schema"] != 1:
             raise InputError('input must declare "schema": 1')
         pot = doc.get("potential")
         if not isinstance(pot, dict):

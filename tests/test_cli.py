@@ -160,7 +160,7 @@ def test_fmanifold_byte_stable(tmp_path):
 
 
 # Malformed documents that crashed `solve` with a traceback (the first six)
-# or were silently coerced (the last two).
+# or were silently coerced (the last three).
 MALFORMED = {
     "n_max-string": dict(A2_JOB, n_max="abc"),
     "n_max-null": dict(A2_JOB, n_max=None),
@@ -171,6 +171,7 @@ MALFORMED = {
     "outputs-nested": dict(A2_JOB, outputs=[["x"]]),
     "top-level-list": [1, 2],
     "n_max-fractional": dict(A2_JOB, n_max=2.7),
+    "schema-boolean": dict(A2_JOB, schema=True),
     "exponent-boolean": dict(
         A2_JOB, potential={"n_vars": 1, "terms": [[[3], "1/3"], [[True], "1"]]}
     ),
