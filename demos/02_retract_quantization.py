@@ -2,8 +2,10 @@
 
 For an isolated singularity the classical cohomology of (C, K) is the
 Milnor ring.  We split the complex with (f, h, s), quantize it in h by the
-homological perturbation lemma, and confirm there is no anomaly: the
-quantized retract exists with f unchanged.
+homological perturbation lemma.  Delta kills every chosen representative,
+so there is no anomaly and the quantized retract keeps f unchanged;
+quantization checks this and rejects a representative that Delta does not
+kill.
 """
 
 from bvcorr import (
@@ -14,6 +16,7 @@ from bvcorr import (
     quantize_retract,
 )
 from bvcorr.hspace import HVector
+from bvcorr.retract import RetractError
 
 for k in (2, 3, 4):
     pot = Potential.a_k(k)
@@ -33,9 +36,14 @@ print("  s(x^4) =", r.s(x4), "  # the division witness, worn as an eta")
 print()
 
 q = quantize_retract(r)
-print("Quantization: kappa =", "0" if q.kappa_is_zero() else "nonzero")
-print("(anomaly-free because delta kills every chosen representative)")
-print("first correction to f at h-order:", q.f_correction_order(), "(past the cutoff)")
+print("Quantization: Delta kills every representative, so fhat = f:")
+print("  fhat([x^2]) =", q.fhat(HVector.basis(2)))
+bad = build_retract(milnor_basis(pot))
+bad.basis_elements[1] = bad.basis_elements[1] + PolyElement.x(0, 1) * PolyElement.eta(0, 1)
+try:
+    quantize_retract(bad)
+except RetractError as e:
+    print("  the representative x + x*eta is rejected:", e)
 print()
 print("But hhat does pick up quantum corrections:")
 print("  hhat(x^4) =", q.hhat(x4), "  # = h-exact correction of the class")

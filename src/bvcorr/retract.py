@@ -8,16 +8,18 @@ s s = h s = s f = 0 collapse its four series into one chain per monomial m of
 C, x_0 = m, x_{k+1} = Delta(s(x_k)):
 
     hhat(m) = sum_k h^k h(x_k)        fhat(e_i) = f_i + h shat(Delta f_i)
-    shat(m) = sum_k h^k s(x_k)        kappa(e_i) = -h hhat(Delta f_i)
+    shat(m) = sum_k h^k s(x_k)
 
-For potentials whose chosen representatives are killed by Delta the anomaly
-kappa vanishes identically.  The operator `nabla` implements division of
-symmetric-map families by (-h) up to homotopy correction terms.
+The lemma also yields an anomaly -h hhat(Delta f_i) that obstructs Khat
+fhat = 0.  Quantization is restricted to retracts with Delta f_i = 0 for
+every representative, which `QuantizedRetract` checks: then the anomaly
+vanishes and fhat = f.  In one variable this always holds, since every
+Milnor class has an eta-free representative.  The operator `nabla`
+implements division of symmetric-map families by (-h) up to homotopy
+correction terms.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .groebner import MilnorData, p_is_zero
 from .hspace import HVector
@@ -155,9 +157,15 @@ def _by_linearity(entry, coords: dict, zero, order: int):
 
 
 class QuantizedRetract:
-    """The quantized trio (fhat, hhat, shat) plus the anomaly series kappa."""
+    """The quantized trio (fhat, hhat, shat) of a retract with Delta f_i = 0."""
 
     def __init__(self, retract: Retract, order: int = DEFAULT_H_ORDER, verify: bool = True):
+        for i, b in enumerate(retract.basis_elements):
+            if not delta_op(b).is_zero():
+                raise RetractError(
+                    f"Delta does not kill the representative of basis element {i}; "
+                    "quantization needs Delta f_i = 0 (an anomaly-free retract)"
+                )
         self.retract = retract
         self.pot = retract.pot
         self.n_vars = retract.n_vars
@@ -165,17 +173,6 @@ class QuantizedRetract:
         self.ghosts = retract.ghosts
         self.order = order
         self._chains: dict = {}
-        h = HPoly.h()
-        self._fhat = [
-            (b + self.shat(delta_op(b)).scale(h)).cap_trunc(order)
-            for b in retract.basis_elements
-        ]
-        self._kappa = [
-            (-self.hhat(delta_op(b)).scale(h)).cap_trunc(order)
-            for b in retract.basis_elements
-        ]
-        self._kappa_zero = all(k.is_zero() for k in self._kappa)
-        self._f_uncorrected = self.f_correction_order() > order
         if verify:
             self._verify()
 
@@ -202,11 +199,7 @@ class QuantizedRetract:
 
     # -- assembled quantum maps -------------
     def fhat(self, v: HVector) -> PolyElement:
-        if self._f_uncorrected:  # exact values: no h-window is imposed on f
-            return self.retract.f(v)
-        return _by_linearity(
-            self._fhat.__getitem__, v.c, PolyElement.zero(self.n_vars), self.order
-        )
+        return self.retract.f(v)  # h shat(Delta f_i) = 0: no quantum correction
 
     def hhat(self, c: PolyElement) -> HVector:
         return _by_linearity(lambda m: self._chain(m)[0], c.terms, HVector.zero(), self.order)
@@ -218,19 +211,6 @@ class QuantizedRetract:
 
     def Khat(self, c: PolyElement) -> PolyElement:
         return quantum_K(self.pot, c)
-
-    def kappa(self, v: HVector) -> HVector:
-        return _by_linearity(self._kappa.__getitem__, v.c, HVector.zero(), self.order)
-
-    def kappa_is_zero(self) -> bool:
-        return self._kappa_zero
-
-    def f_correction_order(self) -> int:
-        """Lowest h-order with a nonzero correction to f (order+1 when none)."""
-        for n in range(1, self.order + 1):
-            if any(not f.classical_part(n).is_zero() for f in self._fhat):
-                return n
-        return self.order + 1
 
     def unit(self) -> HVector:
         return HVector.basis(0)
@@ -244,17 +224,12 @@ class QuantizedRetract:
             raise RetractError("hhat(1_C) != 1_H")
         if not self.shat(one).is_zero():
             raise RetractError("shat(1_C) != 0")
-        if not self.kappa(self.unit()).is_zero():
-            raise RetractError("kappa(1_H) != 0")
         for i in range(self.dim):
             v = HVector.basis(i)
             if self.hhat(self.fhat(v)) != v:
                 raise RetractError("hhat fhat != id")
-            if self.Khat(self.fhat(v)) != self.fhat(self.kappa(v)):
-                raise RetractError("Khat fhat != fhat kappa")
-            kk = self.kappa(self.kappa(v))
-            if not kk.is_zero():
-                raise RetractError("kappa^2 != 0")
+            if not self.Khat(self.fhat(v)).is_zero():
+                raise RetractError("Khat fhat != 0")
         for m in spanning_monomials(self.n_vars, span_degree):
             lhs = self.fhat(self.hhat(m))
             rhs = m - self.Khat(self.shat(m)) - self.shat(self.Khat(m))
@@ -264,8 +239,8 @@ class QuantizedRetract:
                 raise RetractError("side condition shat shat = 0 fails")
             if not self.hhat(self.shat(m)).is_zero():
                 raise RetractError("side condition hhat shat = 0 fails")
-            if self.hhat(self.Khat(m)) != self.kappa(self.hhat(m)):
-                raise RetractError("hhat Khat != kappa hhat")
+            if not self.hhat(self.Khat(m)).is_zero():
+                raise RetractError("hhat Khat != 0")
             # mixed side conditions with the classical splitting
             if not self.retract.s(self.shat(m)).is_zero():
                 raise RetractError("side condition s shat = 0 fails")
@@ -341,34 +316,24 @@ def compare_retracts(q: QuantizedRetract, qp: QuantizedRetract, verify: bool = T
 
     Returns (xi_orders, lam_orders) with xi = 1 + h xi1 + ... as basis-indexed
     HVector tables and lam as PolyElement tables, satisfying
-    kappa' = xi^-1 kappa xi and fhat' = fhat xi + Khat lam + lam kappa'.
+    fhat' = fhat xi + Khat lam.  Both sides have fhat = f, so with
+    Khat = K - h Delta the order-n equation is f xi_n + K lam_n = Delta lam_(n-1)
+    =: w_n, and w_n = f h(w_n) + K s(w_n) gives xi_n = h(w_n), lam_n = s(w_n).
     """
     if q.pot is not qp.pot and q.pot.s_cl != qp.pot.s_cl:
         raise ValueError("retracts quantize different potentials")
     r = q.retract
     N = min(q.order, qp.order)
-    dim = q.dim
-
-    def f(qr, n, b):
-        return qr._fhat[b].classical_part(n)
-
     # classical gauge: lam0 = s(f' - f), xi0 = identity
-    lam_orders = [[r.s(f(qp, 0, b) - f(q, 0, b)) for b in range(dim)]]
-    xi_orders = [[HVector.basis(b) for b in range(dim)]]
-    for n in range(1, N + 1):
-        w_vals = []
-        for b in range(dim):
-            # Khat = K - h Delta: the h^1 part of K lam contributes +Delta lam
-            w = f(qp, n, b) - f(q, n, b) + delta_op(lam_orders[n - 1][b])
-            for l in range(1, n):
-                for i, coef in xi_orders[l][b].c.items():
-                    w = w - f(q, n - l, i).scale(coef)
-            for l in range(1, n + 1):
-                for i, coef in qp._kappa[b].classical_part(l).c.items():
-                    w = w - lam_orders[n - l][i].scale(coef)
-            w_vals.append(w)
+    lam_orders = [[
+        r.s(fp - f)
+        for f, fp in zip(r.basis_elements, qp.retract.basis_elements)
+    ]]
+    xi_orders = [[HVector.basis(b) for b in range(q.dim)]]
+    for _ in range(N):
+        w_vals = [delta_op(lam) for lam in lam_orders[-1]]
         xi_orders.append([r.h(w) for w in w_vals])
-        lam_orders.append([-r.s(w) for w in w_vals])
+        lam_orders.append([r.s(w) for w in w_vals])
 
     if verify:
         _verify_gauge(q, qp, xi_orders, lam_orders, N)
@@ -410,81 +375,23 @@ def _verify_gauge(q, qp, xi_orders, lam_orders, N) -> None:
         v = HVector.basis(b)
         if xi_inverse(xi(v)) != v:
             raise RetractError("xi inverse is wrong")
-        lhs = qp.kappa(v)
-        rhs = xi_inverse(q.kappa(xi(v)))
-        if lhs != rhs:
-            raise RetractError("kappa' != xi^-1 kappa xi")
-        lhs2 = qp.fhat(v)
-        rhs2 = q.fhat(xi(v)) + q.Khat(lam(v)) + lam(qp.kappa(v))
-        if lhs2 != rhs2:
-            raise RetractError("f' != f xi + K lam + lam kappa'")
+        if qp.fhat(v) != q.fhat(xi(v)) + q.Khat(lam(v)):
+            raise RetractError("f' != f xi + Khat lam")
 
 
 # -- homotopy h-divisibility -------------
 
 
-def twisted_K_HC(q: QuantizedRetract, omega, ghost: int):
-    """K_HC on a C-valued symmetric family: Khat after, kappa-twist before.
-
-    (K_HC W)(v_1..v_n) = Khat(W(v)) - (-1)^ghost sum_j W(Jv_1..Jv_{j-1},
-    kappa v_j, v_{j+1}..v_n).
-    """
-    out = type(omega)(omega.arity, omega.ghosts, PolyElement.zero(q.n_vars))
-    sign = -1 if ghost % 2 else 1
-    twist = not q.kappa_is_zero()
-    for key in omega.keys():
-        val = q.Khat(omega.get(key))
-        if twist:
-            tw = _kappa_twist(q, omega, key, PolyElement.zero(q.n_vars))
-            val = val - tw.scale(HPoly.const(sign))
-        out.set(key, val)
-    return out
-
-
-def twisted_kappa_HH(q: QuantizedRetract, omega, ghost: int):
-    """kappa_HH on an H-valued symmetric family."""
-    out = type(omega)(omega.arity, omega.ghosts, HVector.zero())
-    if q.kappa_is_zero():
-        for key in omega.keys():
-            out.set(key, HVector.zero())
-        return out
-    sign = -1 if ghost % 2 else 1
-    for key in omega.keys():
-        val = q.kappa(omega.get(key))
-        tw = _kappa_twist(q, omega, key, HVector.zero())
-        out.set(key, val - tw.scale(HPoly.const(sign)))
-    return out
-
-
-def _kappa_twist(q: QuantizedRetract, omega, idxs, zero):
-    """sum_j W(Jv_1..Jv_{j-1}, kappa v_j, ...) expanded over the basis."""
-    acc = zero
-    for j in range(len(idxs)):
-        kv = q.kappa(HVector.basis(idxs[j]))
-        if kv.is_zero():
-            continue
-        jsign = 1
-        for a in range(j):
-            if q.ghosts[idxs[a]] % 2:
-                jsign = -jsign
-        for i, coef in kv.c.items():
-            val = omega.get(idxs[:j] + (i,) + idxs[j + 1:])
-            acc = acc + val.scale(coef * Fraction(jsign))
-    return acc
-
-
-def nabla(q: QuantizedRetract, omega, ghost: int):
+def nabla(q: QuantizedRetract, omega):
     """One application of the division-by-(-h) homotopy operator.
 
-    (-h) nabla W = W - fhat(h W0) - K_HC(s W0) - s(K W0), where W0 is the
+    (-h) nabla W = W - fhat(h W0) - Khat(s W0) - s(K W0), where W0 is the
     classical limit of W.  Raises NotDivisibleError when the combination is
     not h-divisible (an input violating the divisibility hypothesis).
     """
     r = q.retract
     cl = omega.classical_part(0)
     out = type(omega)(omega.arity, omega.ghosts, PolyElement.zero(q.n_vars))
-    s_cl = cl.map_values(r.s)
-    ks = twisted_K_HC(q, s_cl, ghost - 1)
     for key in omega.keys():
         w = omega.get(key)
         w0 = cl.get(key)
@@ -492,7 +399,7 @@ def nabla(q: QuantizedRetract, omega, ghost: int):
         hvec = r.h(w0)
         if not hvec.is_zero():
             val = val - q.fhat(hvec)
-        val = val - ks.get(key)
+        val = val - q.Khat(r.s(w0))
         kw = classical_K(q.pot, w0)
         if not kw.is_zero():
             val = val - r.s(kw)

@@ -210,7 +210,8 @@ def near_valid_jobs(draw):
         if field in ("n_vars", "terms"):
             pot[field] = value
         elif field == "term":
-            pot["terms"].append(value)
+            if isinstance(pot["terms"], list):  # "terms" may be replaced already
+                pot["terms"].append(value)
         elif field in ("exponent", "coefficient"):
             term[field == "coefficient"] = value
         else:

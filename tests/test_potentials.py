@@ -42,8 +42,7 @@ def test_generic_one_variable_potential(name, terms, dim):
     pot = Potential.single_variable(terms)
     mil = milnor_basis(pot)
     assert mil.dimension == dim
-    q = quantize_retract(build_retract(mil), order=8)
-    assert q.kappa_is_zero()
+    q = quantize_retract(build_retract(mil), order=8)  # raises unless Delta f = 0
     z = solve_level_zero(q, 4)
     o = solve_level_one(q, z, 4)
     assert level_zero_report(z).ok

@@ -53,7 +53,6 @@ def test_level_zero_initials(a2):
         assert z.pi0[1].get((i,)) == HVector.basis(i)
         assert z.eta1[1].get((i,)).is_zero()
         assert z.phi0[1].get((i,)) == q.fhat(HVector.basis(i))
-        assert z.lhat[1].get((i,)).is_zero()  # kappa = 0 here
 
 
 def test_a2_arity_two_values(a2):
@@ -72,6 +71,33 @@ def test_a3_arity_two_values(a3):
 def test_level_zero_reports(a2, a3):
     for _, z, _ in (a2, a3):
         assert level_zero_report(z).ok
+
+
+@pytest.mark.parametrize(
+    "table,key",
+    [("E", (1,)), ("E", (1, 2, 2)), ("pi0", (2, 2)), ("pi0", (1, 1, 2, 2))],
+)
+def test_level_zero_report_sees_a_corrupted_entry(a3, table, key):
+    # hhat(E) = pi0 holds at every key, so one wrong entry fails exactly there
+    _, z, _ = a3
+    values = z.E if table == "E" else z.pi0[len(key)].values
+    saved = values[key]
+    values[key] = saved + (ONE if table == "E" else HVector.basis(1))
+    try:
+        rep = level_zero_report(z)
+    finally:
+        values[key] = saved
+    hits = [(v.arity, v.where) for v in rep.violations
+            if v.residual == "hhat(E) differs from pi0"]
+    assert hits == [(len(key), key)]
+    assert level_zero_report(z).ok
+
+
+def test_level_zero_report_holds_below_the_pi0_degree():
+    # at h-order 1 hhat(E) is known through h^1 only, while pi0 at arity 6
+    # reaches h^4; the check compares through the window it has
+    q = quantize_retract(build_retract(MilnorData(Potential.a_k(3))), order=1)
+    assert level_zero_report(solve_level_zero(q, 6)).ok
 
 
 def test_level_one_initials(a2):

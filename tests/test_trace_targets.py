@@ -2,7 +2,9 @@
 
 A rename in the library would break `perfbench/run.py --trace 1`.  This runs
 `Tracer().install()` against src/ in a fresh process and checks that every
-target resolves and is replaced by its wrapper.  perfbench/ is only read.
+target resolves and is replaced by its wrapper, and that a traced solve fills
+the table counter, which reads the solution fields by name.  perfbench/ is
+only read.
 """
 
 import subprocess
@@ -27,7 +29,36 @@ sys.exit(1 if stale else 0)
 """
 
 
+SOLVE_SCRIPT = """
+import sys
+sys.path[:0] = [{perfbench!r}, {src!r}]
+import bvcorr.cli  # noqa: F401
+import tracer
+
+t = tracer.Tracer()
+t.install()
+from bvcorr import solver
+from bvcorr.groebner import MilnorData
+from bvcorr.polyalg import Potential
+from bvcorr.retract import build_retract, quantize_retract
+
+q = quantize_retract(build_retract(MilnorData(Potential.a_k(2))))
+solver.solve_level_one(q, solver.solve_level_zero(q, 3), 3)
+print(t.counts["solver.table_keys"])
+"""
+
+
+def _run(script):
+    code = script.format(perfbench=str(ROOT / "perfbench"), src=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120)
+
+
 def test_every_trace_target_resolves_and_is_wrapped():
-    code = SCRIPT.format(perfbench=str(ROOT / "perfbench"), src=str(ROOT / "src"))
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120)
+    r = _run(SCRIPT)
     assert r.returncode == 0, (r.stdout + r.stderr).decode()
+
+
+def test_traced_solve_counts_the_solution_tables():
+    r = _run(SOLVE_SCRIPT)
+    assert r.returncode == 0, (r.stdout + r.stderr).decode()
+    assert int(r.stdout.split()[-1]) > 0
