@@ -23,6 +23,8 @@ CASES = {
     "solve_a2_audit": ("solve", "a2.job.json", ["--audit"], 0),
     "solve_quartic_iota": ("solve", "quartic_iota.job.json", [], 0),
     "fmanifold_a2": ("fmanifold", "a2.job.json", [], 0),
+    # Z has h^-1 .. h^-3 coefficients: pins the printing of negative exponents
+    "fmanifold_quartic_iota": ("fmanifold", "quartic_iota.job.json", [], 0),
     "basis_two_var": ("basis", "two_var.job.json", [], 0),
     # a corrupted mhat value: pins the (front, pair) shape of level-one witnesses
     "solve_a2_fault": ("solve", "a2.job.json", ["--inject-fault"], 3),
