@@ -20,7 +20,7 @@ from .retract import (
     nabla,
     quantize_retract,
 )
-from .scalars import HLaurent, HPoly, NotDivisibleError
+from .scalars import HPoly, NotDivisibleError
 from .slinf import (
     Expectation,
     GradedBasisElement,
@@ -55,7 +55,6 @@ __all__ = [
     "DescendantFamily",
     "Expectation",
     "GradedBasisElement",
-    "HLaurent",
     "HPoly",
     "LevelOneSolution",
     "LevelZeroSolution",

@@ -456,8 +456,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, epilog=JOB_FIELDS_HELP if needs_input else None)
         p.add_argument("--input", required=needs_input, help="job JSON file")
         p.add_argument("--json", dest="json_path", help="write the full bundle")
-        p.add_argument("--audit", action="store_true", help="dump intermediates")
         if name == "solve":
+            p.add_argument("--audit", action="store_true", help="dump intermediates")
             p.add_argument(
                 "--inject-fault", action="store_true", help=argparse.SUPPRESS
             )
@@ -471,9 +471,7 @@ def main(argv=None) -> int:
             if args.command == "basis":
                 code, bundle = cmd_basis(job, sink)
             elif args.command == "solve":
-                code, bundle = cmd_solve(
-                    job, sink, args.audit, getattr(args, "inject_fault", False)
-                )
+                code, bundle = cmd_solve(job, sink, args.audit, args.inject_fault)
             else:
                 code, bundle = cmd_fmanifold(job, sink)
     except (InputError, NonIsolatedError, RetractError) as e:

@@ -16,7 +16,7 @@ from math import factorial
 
 from .hspace import HVector
 from .polyalg import DescendantFamily, PolyElement
-from .scalars import HLaurent, HPoly
+from .scalars import HPoly
 from .slinf import Report
 from .solver import LevelZeroSolution
 
@@ -36,9 +36,9 @@ def _merge_sign(ea, eb, parities) -> int:
 class TSeries:
     """Truncated series in the deformation coordinates.
 
-    Coefficients may be HPoly, HLaurent, or PolyElement; t-variables obey the
-    graded commutation rule determined by `ghosts` (odd coordinates square to
-    zero).
+    Coefficients may be HPoly (negative h-exponents allowed) or PolyElement;
+    t-variables obey the graded commutation rule determined by `ghosts` (odd
+    coordinates square to zero).
     """
 
     def __init__(self, ghosts, t_order: int, zero_value):
@@ -349,7 +349,7 @@ def wdvv_report(A, h_ghosts, t_order: int) -> Report:
 
 
 class FlatCoords:
-    """The distinguished coordinate series That^c with Laurent coefficients."""
+    """The distinguished coordinate series That^c, with h^-1 coefficients."""
 
     def __init__(self, z: LevelZeroSolution, t_order: int):
         self.z = z
@@ -360,13 +360,12 @@ class FlatCoords:
         for c in range(dim):
             def term(ordering, c=c):
                 n = len(ordering)
-                val = z.pi0[n].get(ordering).coeff(c).to_laurent()
-                return val.neg_h_divide(n - 1)
+                return z.pi0[n].get(ordering).coeff(c) * HPoly.neg_h(1 - n)
 
             s = assemble_series(
                 tgh,
                 t_order,
-                HLaurent.zero(),
+                HPoly.zero(),
                 term,
                 range(1, t_order + 1),
             )
@@ -402,16 +401,16 @@ def flat_coordinate_report(
         for b in range(dim):
             rep.checks += 1
             d = fc.T[c].derivative(b).constant_term()
-            want = HLaurent.promote(1 if b == c else 0)
+            want = HPoly.const(1 if b == c else 0)
             if d != want:
                 rep.add(0, (b, c), "boundary derivative fails")
         # unit direction: d_0 That^c = delta_0^c - (1/h) That^c
         rep.checks += 1
         lhs = fc.T[c].derivative(0)
-        rhs = TSeries(tgh, t_order, HLaurent.zero())
+        rhs = TSeries(tgh, t_order, HPoly.zero())
         if c == 0:
-            rhs.add_term(zero_exp, HLaurent.promote(1))
-        rhs = rhs + fc.T[c].scale(HLaurent({-1: Fraction(-1)}))
+            rhs.add_term(zero_exp, HPoly.const(1))
+        rhs = rhs + fc.T[c].scale(HPoly.neg_h(-1))
         if not lhs.eq_through(rhs, t_order - 1):
             rep.add(0, (c,), "unit-direction equation fails")
     if not fc.low_exponent_ok():
@@ -425,17 +424,15 @@ def flat_coordinate_report(
             for b in range(dim):
                 for c in range(dim):
                     second = (
-                        fc.T[c].derivative(b).derivative(a).scale(
-                            HLaurent({1: Fraction(1)})
-                        )
+                        fc.T[c].derivative(b).derivative(a).scale(HPoly.h())
                     )
                     transport = None
                     for r in range(dim):
-                        term = _laurent_mul_series(A[(a, b)][r], fc.T[c].derivative(r))
+                        term = A[(a, b)][r] * fc.T[c].derivative(r)
                         transport = term if transport is None else transport + term
                     resid = second + transport.scale(sgn)
                     if not resid.eq_through(
-                        TSeries(tgh, t_order, HLaurent.zero()), t_order - 2
+                        TSeries(tgh, t_order, HPoly.zero()), t_order - 2
                     ):
                         ok = False
         verdicts.append((sign_name, ok))
@@ -448,19 +445,6 @@ def flat_coordinate_report(
         resolved = "neither"
         rep.add(0, (), "flat-coordinate PDE fails for both signs")
     return rep, resolved
-
-
-def _laurent_mul_series(a: TSeries, b: TSeries) -> TSeries:
-    """Product of an HPoly-coefficient series with a Laurent-coefficient one."""
-    out = TSeries(b.ghosts, b.t_order, b.zero_value)
-    for ea, va in a.terms.items():
-        for eb, vb in b.terms.items():
-            exp = tuple(x + y for x, y in zip(ea, eb))
-            if sum(exp) > b.t_order:
-                continue
-            sign = _merge_sign(ea, eb, b.parities)
-            out.add_term(exp, Fraction(sign) * (HLaurent.promote(va) * vb))
-    return out
 
 
 def generating_function(
@@ -476,33 +460,29 @@ def generating_function(
     dim = z.dim
     zero_exp = (0,) * dim
 
-    def expect(c_elem) -> HLaurent:
-        return iota(q.hhat(c_elem)).to_laurent()
-
     def corr_term(ordering):
         n = len(ordering)
-        val = expect(correlator_tables[n].get(ordering))
-        return val.neg_h_divide(n)
+        return iota(q.hhat(correlator_tables[n].get(ordering))) * HPoly.neg_h(-n)
 
     z_corr = assemble_series(
-        tgh, t_order, HLaurent.zero(), corr_term, range(1, t_order + 1)
+        tgh, t_order, HPoly.zero(), corr_term, range(1, t_order + 1)
     )
-    one = TSeries(tgh, t_order, HLaurent.zero())
-    one.add_term(zero_exp, HLaurent.promote(1))
+    one = TSeries(tgh, t_order, HPoly.zero())
+    one.add_term(zero_exp, HPoly.const(1))
     z_corr = one + z_corr
 
     fc = FlatCoords(z, t_order)
     z_that = one.copy()
     for c in range(dim):
-        ev = iota(q.hhat(q.fhat(HVector.basis(c)))).to_laurent()
-        z_that = z_that + fc.T[c].scale(ev.neg_h_divide(1))
+        ev = iota(q.hhat(q.fhat(HVector.basis(c))))
+        z_that = z_that + fc.T[c].scale(ev * HPoly.neg_h(-1))
 
     rep = Report()
     rep.checks += 1
     if not z_corr.eq_through(z_that, t_order):
         rep.add(0, (), "generating-function routes disagree")
     rep.checks += 1
-    lhs = z_corr.derivative(0).scale(HLaurent({1: Fraction(-1)}))
+    lhs = z_corr.derivative(0).scale(HPoly.neg_h(1))
     if not lhs.eq_through(z_corr, t_order - 1):
         rep.add(0, (), "-h d_0 Z = Z fails")
     return z_corr, z_that, rep

@@ -397,7 +397,7 @@ class DescendantFamily:
         nv = self.pot.n_vars
         out = PolyElement.zero(nv)
         # multilinear expansion into monomials
-        for combo, coef in _monomial_combos(args):
+        for combo, coef in _monomial_combos([a.terms for a in args]):
             val = self._ell_monomials(n, combo)
             out = out + val.scale(coef)
         return out
@@ -446,13 +446,14 @@ class DescendantFamily:
         return val
 
 
-def _monomial_combos(args):
-    """Expand a tuple of elements into (monomial-tuple, coefficient) pairs."""
+def _monomial_combos(term_dicts):
+    """Expand a product of sparse sums, each a dict of key -> HPoly
+    coefficient, into (key-tuple, coefficient) pairs."""
     combos = [((), HPoly.const(1))]
-    for a in args:
-        nxt = []
-        for key, coef in combos:
-            for mono, c in a.terms.items():
-                nxt.append((key + (mono,), coef * c))
-        combos = nxt
+    for terms in term_dicts:
+        combos = [
+            (key + (mono,), coef * c)
+            for key, coef in combos
+            for mono, c in terms.items()
+        ]
     return combos

@@ -280,12 +280,6 @@ class PerturbedRetract(Retract):
         self._lam = lam_values
         self._verify_light()
 
-    def f(self, v: HVector) -> PolyElement:
-        out = PolyElement.zero(self.n_vars)
-        for i, coef in v.c.items():
-            out = out + self.basis_elements[i].scale(coef)
-        return out
-
     def h(self, c: PolyElement) -> HVector:
         return self.base.h(c)
 
@@ -390,12 +384,12 @@ def nabla(q: QuantizedRetract, omega):
     not h-divisible (an input violating the divisibility hypothesis).
     """
     r = q.retract
-    cl = omega.classical_part(0)
+    cl = omega.classical_part(0).values
     out = type(omega)(omega.arity, omega.ghosts, PolyElement.zero(q.n_vars))
+    # stored keys are canonical: read and write the tables directly
     for key in omega.keys():
-        w = omega.get(key)
-        w0 = cl.get(key)
-        val = w
+        w0 = cl[key]
+        val = omega.values[key]
         hvec = r.h(w0)
         if not hvec.is_zero():
             val = val - q.fhat(hvec)
@@ -403,5 +397,5 @@ def nabla(q: QuantizedRetract, omega):
         kw = classical_K(q.pot, w0)
         if not kw.is_zero():
             val = val - r.s(kw)
-        out.set(key, val.neg_h_divide(1))
+        out.values[key] = val.neg_h_divide(1)
     return out

@@ -1,12 +1,14 @@
 """Exact scalars: rationals and truncated series in the formal Planck constant.
 
-Every coefficient in the library is a Fraction.  HPoly is a polynomial in
-the formal parameter h; HLaurent additionally allows negative exponents.
-Values built from exact data are exact (infinite truncation order); values
-assembled from an h-adic series carry the finite order through which their
-coefficients are known.  Binary operations track the surviving precision
-(multiplication by a power of h raises it), equality compares the common
-window, and exact division by h^k lowers a finite order by k.
+Every coefficient in the library is a Fraction.  HPoly is an exact truncated
+series in the formal parameter h with finitely many terms; negative exponents
+are allowed, for the h^-1 terms of the flat coordinates and the correlation
+generating function.  Values built from exact data are exact (infinite
+truncation order); values assembled from an h-adic series carry the finite
+order through which their coefficients are known.  Binary operations track
+the surviving precision (multiplication by h^k shifts it by k), equality
+compares the common window, and exact division by h^k lowers a finite order
+by k; it never yields a negative exponent.
 """
 
 from __future__ import annotations
@@ -43,24 +45,21 @@ class NotDivisibleError(ArithmeticError):
 
 
 class HPoly:
-    """Polynomial in h with Fraction coefficients and tracked precision.
+    """Truncated series in h with Fraction coefficients and tracked precision.
 
-    `trunc` is the largest exponent whose coefficient is known; INF_TRUNC
-    marks exact values.  Exponents above a finite trunc are discarded.
+    Exponents may be negative.  `trunc` is the largest exponent whose
+    coefficient is known; INF_TRUNC marks exact values.  Exponents above a
+    finite trunc are discarded.
     """
 
     __slots__ = ("c", "trunc")
 
     def __init__(self, coeffs=None, trunc: int | None = None):
         t = INF_TRUNC if trunc is None else trunc
-        if t < 0:
-            raise ValueError("negative truncation order")
         self.trunc = t
         c = {}
         if coeffs:
             for k, v in coeffs.items():
-                if k < 0:
-                    raise ValueError("HPoly exponents must be nonnegative")
                 if k > t:
                     continue
                 v = _rat(v)
@@ -71,7 +70,7 @@ class HPoly:
     # -- constructors -------------
     @classmethod
     def _of(cls, c: dict, trunc: int) -> "HPoly":
-        """Wrap nonzero coefficients at exponents 0..trunc without checks."""
+        """Wrap nonzero coefficients at exponents <= trunc without checks."""
         out = cls.__new__(cls)
         out.trunc = trunc
         out.c = c
@@ -91,9 +90,10 @@ class HPoly:
 
     @classmethod
     def neg_h(cls, power: int, sign: int = 1) -> "HPoly":
-        """sign * (-h)^power for a nonzero integer sign (+-1 or a multiplicity)."""
-        if power < 0:
-            raise ValueError("HPoly exponents must be nonnegative")
+        """sign * (-h)^power for a nonzero integer sign (+-1 or a multiplicity).
+
+        The power may be negative: (-h)^-k is the inverse of (-h)^k.
+        """
         c = sign if power % 2 == 0 else -sign
         return cls._of(
             {power: _ONE if c == 1 else _MINUS_ONE if c == -1 else Fraction(c)},
@@ -164,8 +164,6 @@ class HPoly:
     def __mul__(self, other):
         if isinstance(other, HPoly):
             b, tb = other.c, other.trunc
-        elif isinstance(other, HLaurent):
-            return HLaurent.promote(self) * other
         else:
             v = _rat(other)
             b, tb = ({0: v} if v else {}), INF_TRUNC
@@ -206,8 +204,6 @@ class HPoly:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, HLaurent):
-            return other == self
         if not isinstance(other, HPoly):
             try:
                 other = HPoly.promote(other)
@@ -219,12 +215,16 @@ class HPoly:
         return a == b
 
     def h_divide(self, k: int) -> "HPoly":
-        """Exact division by h^k; a finite precision window shrinks by k."""
-        if k == 0:
-            return self
+        """Exact division by h^k; a finite precision window shrinks by k.
+
+        Any exponent below k is an obstruction, so the quotient never has a
+        negative exponent; multiply by HPoly.h(-k) to shift instead.
+        """
         bad = [e for e in self.c if e < k]
         if bad:
             raise NotDivisibleError(min(bad))
+        if k == 0:
+            return self
         t = self.trunc if self.trunc >= INF_TRUNC else self.trunc - k
         if t < 0:
             raise NotDivisibleError(
@@ -241,135 +241,8 @@ class HPoly:
         """The h^j coefficient as an exact constant."""
         return HPoly.const(self.coeff(j))
 
-    def to_laurent(self) -> "HLaurent":
-        return HLaurent(dict(self.c), trunc=self.trunc)
-
     def __repr__(self):
         return f"HPoly({_fmt_coeffs(self.c)})"
-
-    def __str__(self):
-        return _fmt_coeffs(self.c)
-
-
-class HLaurent:
-    """Bounded-Laurent scalar in h: finitely many negative exponents allowed."""
-
-    __slots__ = ("c", "trunc")
-
-    def __init__(self, coeffs=None, trunc: int | None = None):
-        t = INF_TRUNC if trunc is None else trunc
-        self.trunc = t
-        c = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if k > t:
-                    continue
-                v = _rat(v)
-                if v != 0:
-                    c[k] = v
-        self.c = c
-
-    @classmethod
-    def promote(cls, v) -> "HLaurent":
-        if isinstance(v, HLaurent):
-            return v
-        if isinstance(v, HPoly):
-            return v.to_laurent()
-        return cls({0: _rat(v)})
-
-    @classmethod
-    def zero(cls, trunc: int | None = None) -> "HLaurent":
-        return cls({}, trunc=trunc)
-
-    def coeff(self, k: int) -> Fraction:
-        return self.c.get(k, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def low(self) -> int:
-        return min(self.c) if self.c else 0
-
-    def _val(self) -> int:
-        return min(self.c) if self.c else INF_TRUNC
-
-    def _combine(self, other, sign: int) -> "HLaurent":
-        other = HLaurent.promote(other)
-        t = min(self.trunc, other.trunc)
-        c = {k: v for k, v in self.c.items() if k <= t}
-        for k, v in other.c.items():
-            if k > t:
-                continue
-            w = c.get(k, Fraction(0)) + sign * v
-            if w == 0:
-                c.pop(k, None)
-            else:
-                c[k] = w
-        out = HLaurent.zero(trunc=t)
-        out.c = c
-        return out
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __rsub__(self, other):
-        return HLaurent.promote(other) - self
-
-    def __neg__(self):
-        out = HLaurent.zero(trunc=self.trunc)
-        out.c = {k: -v for k, v in self.c.items()}
-        return out
-
-    def __mul__(self, other):
-        other = HLaurent.promote(other)
-        t = min(
-            self.trunc + other._val(), other.trunc + self._val(), INF_TRUNC
-        )
-        c = {}
-        for i, a in self.c.items():
-            for j, b in other.c.items():
-                k = i + j
-                if k > t:
-                    continue
-                w = c.get(k, Fraction(0)) + a * b
-                if w == 0:
-                    c.pop(k, None)
-                else:
-                    c[k] = w
-        out = HLaurent.zero(trunc=t)
-        out.c = c
-        return out
-
-    __rmul__ = __mul__
-
-    def h_shift(self, k: int) -> "HLaurent":
-        """Multiply by h^k (k may be negative)."""
-        t = self.trunc if self.trunc >= INF_TRUNC else self.trunc + k
-        out = HLaurent.zero(trunc=max(t, -INF_TRUNC))
-        out.c = {e + k: v for e, v in self.c.items() if e + k <= t}
-        return out
-
-    def neg_h_divide(self, k: int) -> "HLaurent":
-        out = self.h_shift(-k)
-        return out if k % 2 == 0 else -out
-
-    def __eq__(self, other):
-        try:
-            other = HLaurent.promote(other)
-        except TypeError:
-            return NotImplemented
-        t = min(self.trunc, other.trunc)
-        a = {k: v for k, v in self.c.items() if k <= t}
-        b = {k: v for k, v in other.c.items() if k <= t}
-        return a == b
-
-    def __repr__(self):
-        return f"HLaurent({_fmt_coeffs(self.c)})"
 
     def __str__(self):
         return _fmt_coeffs(self.c)

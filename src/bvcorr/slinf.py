@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .hspace import HVector, SymMap, tuples_with_repetition
 from .partitions import insertions, signed_partitions, sort_sign
-from .polyalg import PolyElement
+from .polyalg import PolyElement, _monomial_combos
 from .scalars import HPoly, NotDivisibleError
 
 
@@ -62,14 +62,7 @@ class SLInfStructure:
         """Evaluate the bracket multilinearly on HVector / index arguments."""
         vecs = [a if isinstance(a, HVector) else HVector.basis(a) for a in args]
         out = HVector.zero()
-        combos = [((), HPoly.const(1))]
-        for v in vecs:
-            combos = [
-                (key + (i,), coef * c)
-                for key, coef in combos
-                for i, c in v.c.items()
-            ]
-        for key, coef in combos:
+        for key, coef in _monomial_combos([v.c for v in vecs]):
             out = out + self.op(key).scale(coef)
         return out
 
@@ -365,14 +358,7 @@ def descendant_morphism(
 
     def psi(n, args):
         acc = target.zero
-        combos = [((), HPoly.const(1))]
-        for a in args:
-            combos = [
-                (key + (m,), coef * c)
-                for key, coef in combos
-                for m, c in a.terms.items()
-            ]
-        for monos, coef in combos:
+        for monos, coef in _monomial_combos([a.terms for a in args]):
             acc = acc + _scale_target(psi_mono(n, monos), coef)
         return acc
 

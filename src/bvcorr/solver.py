@@ -35,7 +35,7 @@ from .hspace import HVector, PairSymMap, SymMap, tuples_with_repetition
 from .partitions import koszul_sign, signed_partitions, sub_multisets, subsets
 from .polyalg import DescendantFamily, PolyElement, classical_K
 from .retract import QuantizedRetract, nabla
-from .scalars import HPoly
+from .scalars import HPoly, NotDivisibleError
 from .slinf import Report
 
 
@@ -83,27 +83,38 @@ def _transfer(q: QuantizedRetract, omega, varpi, steps: int):
     With Omega_0 = Omega and Omega_{k+1} = nabla(Omega_k), returns
     pi = sum_k (-h)^k h(Omega_k^cl), eta = sum_k (-h)^k s(Omega_k^cl), the
     last Omega_steps and varpi / (-h)^steps, all on the table type and keys
-    of Omega.
+    of Omega.  The keys are canonical, so the tables are read and written
+    directly.  An undivisible varpi entry is a failed products identity
+    varpi = (-h)^steps mhat and raises MasterEquationError.
     """
     nv = q.n_vars
+    keys = omega.keys()
     pi_acc = type(omega)(omega.arity, omega.ghosts, HVector.zero())
     eta_acc = type(omega)(omega.arity, omega.ghosts, PolyElement.zero(nv))
-    for key in omega.keys():
-        pi_acc.set(key, HVector.zero())
-        eta_acc.set(key, PolyElement.zero(nv))
+    pis, etas = pi_acc.values, eta_acc.values
+    for key in keys:
+        pis[key] = HVector.zero()
+        etas[key] = PolyElement.zero(nv)
     om_iter = omega
     for step in range(steps):
-        cl = om_iter.classical_part(0)
-        for key in omega.keys():
-            w0 = cl.get(key)
-            pi_acc.set(
-                key, pi_acc.get(key) + q.retract.h(w0).scale(HPoly.neg_h(step))
-            )
-            eta_acc.set(
-                key, eta_acc.get(key) + q.retract.s(w0).scale(HPoly.neg_h(step))
-            )
+        cl = om_iter.classical_part(0).values
+        for key in keys:
+            w0 = cl[key]
+            pis[key] = pis[key] + q.retract.h(w0).scale(HPoly.neg_h(step))
+            etas[key] = etas[key] + q.retract.s(w0).scale(HPoly.neg_h(step))
         om_iter = nabla(q, om_iter)
-    top = varpi.map_values(lambda v: v.neg_h_divide(steps))
+    top = type(varpi)(varpi.arity, varpi.ghosts, varpi.zero_value)
+    for key, v in varpi.values.items():
+        try:
+            top.values[key] = v.neg_h_divide(steps)
+        except NotDivisibleError as e:
+            where = (f"{key[:-2]}|{key[-2:]}" if isinstance(varpi, PairSymMap)
+                     else f"{key}")
+            raise MasterEquationError(
+                f"products identity fails at arity {varpi.arity}, {where}: "
+                f"varpi is not divisible by (-h)^{steps} "
+                f"(nonzero coefficient at h^{e.offending_exponent})"
+            ) from e
     return pi_acc, eta_acc, om_iter, top
 
 
@@ -320,12 +331,6 @@ def _check_level_one_identities(o: LevelOneSolution, n: int) -> None:
         if lhs != rhs:
             raise MasterEquationError(
                 f"level-one identity (correlator) fails at arity {n}, "
-                f"{key[:-2]}|{key[-2:]}"
-            )
-        rhs2 = o.mhat[n].get(key).scale(HPoly.neg_h(n - 2))
-        if o.varpi0[n].get(key) != rhs2:
-            raise MasterEquationError(
-                f"level-one identity (products) fails at arity {n}, "
                 f"{key[:-2]}|{key[-2:]}"
             )
 

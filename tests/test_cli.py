@@ -139,6 +139,15 @@ def test_threads_flag_rejected(tmp_path):
     assert b"Traceback" not in r.stderr
 
 
+def test_audit_flag_only_on_solve(tmp_path):
+    # --audit dumps solver intermediates; the other commands reject it
+    path = write_job(tmp_path, A2_JOB)
+    r = run_cli("fmanifold", "--input", path, "--audit")
+    assert r.returncode == 2
+    assert b"unrecognized arguments: --audit" in r.stderr
+    assert b"Traceback" not in r.stderr
+
+
 def test_outputs_filter(tmp_path):
     doc = dict(A2_JOB, outputs=["mhat"])
     path = write_job(tmp_path, doc)

@@ -18,7 +18,7 @@ from bvcorr.groebner import MilnorData
 from bvcorr.hspace import HVector
 from bvcorr.polyalg import DescendantFamily, PolyElement, Potential
 from bvcorr.retract import build_retract, quantize_retract
-from bvcorr.scalars import HLaurent, HPoly
+from bvcorr.scalars import HPoly
 from bvcorr.slinf import Expectation, correlators
 from bvcorr.solver import mhat_symmetric, solve_level_one, solve_level_zero
 
@@ -135,7 +135,7 @@ def test_flat_coordinates_properties(a3_run):
     for c in range(dim):
         lin = [fc.T[c].coeff(tuple(1 if i == b else 0 for i in range(dim))) for b in range(dim)]
         for b, v in enumerate(lin):
-            assert v == (HLaurent.promote(1) if b == c else HLaurent.zero())
+            assert v == (HPoly.const(1) if b == c else HPoly.zero())
     rep, sign = flat_coordinate_report(fc, A, 3)
     assert rep.ok
     assert sign == "plus"
@@ -148,11 +148,11 @@ def test_generating_function_examples(a3_run):
     zc, zt, rep = generating_function(expect.apply_iota, z, corr, 3)
     assert rep.ok
     dim = z.dim
-    assert zc.coeff((0,) * dim) == HLaurent.promote(1)
+    assert zc.coeff((0,) * dim) == HPoly.const(1)
     # coefficient of t^a at order 1: -iota(pi0_1(e_a))/h
     for a in range(dim):
         e = tuple(1 if i == a else 0 for i in range(dim))
-        want = HLaurent({-1: Fraction(-1)}) if a == 0 else HLaurent.zero()
+        want = HPoly({-1: Fraction(-1)}) if a == 0 else HPoly.zero()
         assert zc.coeff(e) == want
 
 

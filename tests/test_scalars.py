@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvcorr.scalars import HLaurent, HPoly, NotDivisibleError
+from bvcorr.scalars import HPoly, NotDivisibleError
 
 
 def hp(d):
@@ -11,7 +11,7 @@ def hp(d):
 
 
 small_polys = st.dictionaries(
-    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=-3, max_value=5),
     st.fractions(max_denominator=6),
     max_size=4,
 ).map(hp)
@@ -59,16 +59,9 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_polys, small_polys)
-def test_laurent_embeds_poly(a, b):
-    assert (a * b).to_laurent() == a.to_laurent() * b.to_laurent()
-    assert (a + b).to_laurent() == a.to_laurent() + b.to_laurent()
-
-
 def test_laurent_shift_and_bounds():
-    v = HLaurent({0: 1, 2: -1})
-    w = v.neg_h_divide(3)
+    v = HPoly({0: 1, 2: -1})
+    w = v * HPoly.neg_h(-3)
     assert w.coeff(-3) == -1
     assert w.coeff(-1) == 1
     assert w.low() == -3
@@ -129,6 +122,28 @@ def test_one_term_product_matches_double_loop(m, p):
         assert all(v != 0 for v in got.c.values())
 
 
+def _shift(p, k):
+    """p * h^k coefficient by coefficient; an exact window stays exact."""
+    return HPoly({e + k: v for e, v in p.c.items()},
+                 trunc=None if p.trunc >= INF else p.trunc + k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series, series, st.integers(0, 4), st.integers(0, 4))
+def test_negative_exponents_match_shifted_products(a, b, j, k):
+    la, lb = _shift(a, -j), _shift(b, -k)
+    got = la * lb
+    assert (got.trunc, got.c) == _reference_product(la, lb)
+    # shifting back by h^(j+k) gives the product of the nonnegative series
+    t, c = _reference_product(a, b)
+    assert got.c == {e - j - k: v for e, v in c.items()}
+    if t < INF:
+        assert got.trunc == t - j - k
+    total = la + _shift(b, -j)
+    want = _shift(a + b, -j)
+    assert (total.trunc, total.c) == (want.trunc, want.c)
+
+
 @settings(max_examples=60, deadline=None)
 @given(series, st.one_of(st.integers(-3, 3), st.fractions(max_denominator=6)))
 def test_scalar_product_matches_const_product(p, s):
@@ -138,10 +153,16 @@ def test_scalar_product_matches_const_product(p, s):
 
 
 def test_neg_h_carries_the_sign():
-    for k in range(5):
+    for k in range(-4, 5):
         for s in (1, -1):
             w = HPoly.neg_h(k, s)
             assert w.trunc == INF
-            assert w.c == {k: Fraction(s * (-1) ** k)}
-    with pytest.raises(ValueError):
-        HPoly.neg_h(-1)
+            assert w.c == {k: Fraction(s * (-1) ** abs(k))}
+        assert HPoly.neg_h(k) * HPoly.neg_h(-k) == 1
+    # exact division never produces a negative exponent
+    v = HPoly({-2: 1, 1: 3})
+    for k in (0, 1, 2):
+        for divide in (v.h_divide, v.neg_h_divide):
+            with pytest.raises(NotDivisibleError) as exc:
+                divide(k)
+            assert exc.value.offending_exponent == -2

@@ -369,3 +369,16 @@ def test_solver_rejects_an_odd_ghost(monkeypatch):
     monkeypatch.setattr(q, "ghosts", [0, -1])
     with pytest.raises(ValueError, match="even ghosts"):
         solve_level_zero(q, 3)
+
+
+def test_undivisible_varpi_fails_the_products_identity(a3, monkeypatch):
+    q, z, _ = a3
+    # dropping the mhat sum leaves varpi0 = pi0, which -h does not divide
+    monkeypatch.setattr(
+        solver, "_mhat_sum", lambda mhat, family, key, zero, **kw: zero
+    )
+    with pytest.raises(solver.MasterEquationError) as exc:
+        solve_level_one(q, z, 4)
+    assert str(exc.value).startswith("products identity fails at arity 3, (")
+    assert ")|(" in str(exc.value)
+    assert str(exc.value).endswith("(nonzero coefficient at h^0)")
