@@ -46,7 +46,7 @@ for n in (2, 3):
 print()
 
 print("mhat determines pi0 recursively; checking a five-point product:")
-pi = reconstruct_pi(ms, z.ghosts, 5)
+pi = reconstruct_pi(ms, 5)
 key = (1, 1, 1, 1, 1)
 print("  solver pi0_5(x,..,x)        =", show(z.pi0[5].get(key)))
 print("  reconstructed from mhat     =", show(pi[5].get(key)))

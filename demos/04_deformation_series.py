@@ -15,7 +15,7 @@ from bvcorr.fmanifold import (
     structure_constants,
     wdvv_report,
 )
-from bvcorr.slinf import Expectation, correlators
+from bvcorr.slinf import Expectation
 from bvcorr.solver import mhat_symmetric, solve_level_one, solve_level_zero
 
 T_ORDER = 3
@@ -26,7 +26,7 @@ o = solve_level_one(q, z, T_ORDER + 2)
 ms = mhat_symmetric(o)
 labels = ["1", "x", "x^2"]
 
-A = structure_constants(ms, z.ghosts, T_ORDER)
+A = structure_constants(ms, T_ORDER)
 print(f"structure constants of A3 through t-order {T_ORDER}:")
 for a in range(3):
     for b in range(a, 3):
@@ -34,7 +34,7 @@ for a in range(3):
             s = A[(a, b)][c]
             if not s.is_zero():
                 print(f"  A[{labels[a]},{labels[b]}]^{labels[c]} = {s}")
-rep = wdvv_report(A, z.ghosts, T_ORDER)
+rep = wdvv_report(A, T_ORDER)
 print("WDVV (unity, symmetry, potentiality, associativity):", "pass" if rep.ok else "FAIL")
 print()
 
@@ -48,8 +48,7 @@ print("(h d_a d_b That + A_ab^r d_r That = 0 is the sign that holds)")
 print()
 
 expect = Expectation(q, [1, 0, 0])
-corr = correlators(lambda idxs: z.phi0[len(idxs)].get(idxs), z.ghosts, T_ORDER, 1)
-zc, zt, zrep = generating_function(expect.apply_iota, z, corr, T_ORDER)
+zc, zt, zrep = generating_function(expect.apply_iota, z, T_ORDER)
 print("generating series of correlation functions (iota = coefficient of [1]):")
 print("  Z =", zc)
 print("dual-route equality and -h d_0 Z = Z:", "pass" if zrep.ok else "FAIL")

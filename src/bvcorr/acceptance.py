@@ -325,14 +325,14 @@ def criterion_7_correlation_algebra():
     for k in (2, 3, 4):
         pot, r, q, z, o = pipeline(k, 5)
         ms = mhat_symmetric(o)
-        rep = mhat_unity_report(ms, z.ghosts, 5)
+        rep = mhat_unity_report(ms, 5)
         if not rep.ok:
             return False, f"A{k}: unity fails"
-        rep = generalized_associativity_report(ms, z.ghosts, 3)
+        rep = generalized_associativity_report(ms, 3)
         if not rep.ok:
             v = rep.violations[0]
             return False, f"A{k}: associativity fails at {v.where}"
-        pi = reconstruct_pi(ms, z.ghosts, 5)
+        pi = reconstruct_pi(ms, 5)
         for n in range(1, 6):
             for key in z.pi0[n].keys():
                 if pi[n].get(key) != z.pi0[n].get(key):
@@ -347,8 +347,8 @@ def criterion_8_f_manifold():
     for k in (2, 3, 4):
         pot, r, q, z, o = pipeline(k, 6, order=10)
         ms = mhat_symmetric(o)
-        A = structure_constants(ms, z.ghosts, 4)
-        rep = wdvv_report(A, z.ghosts, 4)
+        A = structure_constants(ms, 4)
+        rep = wdvv_report(A, 4)
         if not rep.ok:
             v = rep.violations[0]
             return False, f"A{k}: WDVV fails at {v.where}: {v.residual}"
@@ -360,11 +360,8 @@ def criterion_8_f_manifold():
         if sign == "neither":
             return False, f"A{k}: no determinate PDE sign"
         signs.add(sign if "both" not in sign else "plus")
-        corr = correlators(
-            lambda idxs: z.phi0[len(idxs)].get(idxs), z.ghosts, 4, 1
-        )
         expect = Expectation(q, [1] + [0] * (z.dim - 1))
-        zc, zt, zrep = generating_function(expect.apply_iota, z, corr, 4)
+        zc, zt, zrep = generating_function(expect.apply_iota, z, 4)
         if not zrep.ok:
             v = zrep.violations[0]
             return False, f"A{k}: generating function: {v.residual}"

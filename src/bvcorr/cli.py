@@ -22,7 +22,7 @@ from .partitions import ArityCapError
 from .polyalg import DescendantFamily, Potential
 from .retract import RetractError, build_retract, quantize_retract
 from .scalars import rat_str
-from .slinf import Expectation, correlators
+from .slinf import Expectation
 from .solver import (
     MasterEquationError,
     generalized_associativity_report,
@@ -217,12 +217,10 @@ def _run_solve(job: JobSpec, fault: bool = False):
         "M-identity": verify_M_identity(q, z, o, job.n_max),
     }
     ms = mhat_symmetric(o)
-    reports["unity"] = mhat_unity_report(ms, z.ghosts, job.n_max)
+    reports["unity"] = mhat_unity_report(ms, job.n_max)
     spect = max(0, min(3, job.n_max - 3))
-    reports["associativity"] = generalized_associativity_report(
-        ms, z.ghosts, spect
-    )
-    pi = reconstruct_pi(ms, z.ghosts, job.n_max)
+    reports["associativity"] = generalized_associativity_report(ms, spect)
+    pi = reconstruct_pi(ms, job.n_max)
     recon_ok = all(
         pi[n].get(key) == z.pi0[n].get(key)
         for n in range(1, job.n_max + 1)
@@ -354,7 +352,7 @@ def cmd_fmanifold(job: JobSpec, sink: list):
     o = solve_level_one(q, z, job_n)
     ms = mhat_symmetric(o)
     labels = [monomial_label(e, mil.n_vars) for e in mil.basis]
-    A = structure_constants(ms, z.ghosts, job.t_order)
+    A = structure_constants(ms, job.t_order)
     _emit("structure constants A[a,b]^c:", sink)
     for a in range(z.dim):
         for b in range(z.dim):
@@ -363,7 +361,7 @@ def cmd_fmanifold(job: JobSpec, sink: list):
                 if s.is_zero():
                     continue
                 _emit(f"  A[{labels[a]},{labels[b]}]^[{labels[c]}] = {s}", sink)
-    w = wdvv_report(A, z.ghosts, job.t_order)
+    w = wdvv_report(A, job.t_order)
     _emit(
         f"check wdvv: {'pass' if w.ok else 'FAIL'} ({w.checks} instances)", sink
     )
@@ -387,10 +385,7 @@ def cmd_fmanifold(job: JobSpec, sink: list):
             f"iota must list {z.dim} values for this potential"
         )
     expect = Expectation(q, iota)
-    corr = correlators(
-        lambda idxs: z.phi0[len(idxs)].get(idxs), z.ghosts, job.t_order, mil.n_vars
-    )
-    zc, zt, zrep = generating_function(expect.apply_iota, z, corr, job.t_order)
+    zc, zt, zrep = generating_function(expect.apply_iota, z, job.t_order)
     _emit(f"Z = {zc}", sink)
     _emit(
         f"check generating-function: {'pass' if zrep.ok else 'FAIL'} "

@@ -1,66 +1,49 @@
 """Deformation series over the cohomology: structure constants, flat
 coordinates, Maurer-Cartan checks, and correlation generating functions.
 
-One deformation coordinate t^a is attached to each basis element of H with
-the opposite ghost number; coefficients are exact scalars (or elements of C
-for the universal solution Theta).  Series are assembled in the reversed
-index ordering t^{rho_n} ... t^{rho_1}, kept literal so the signs stay
-right once odd coordinates are present.
+One deformation coordinate t^a is attached to each basis element of H.  H
+is the Milnor ring, which sits in ghost number 0 (the partial derivatives of
+an isolated singularity form a regular sequence, so the Koszul complex has no
+other cohomology); every t^a is therefore even and the series are ordinary
+commutative power series.  Coefficients are exact scalars (or elements of C
+for the universal solution Theta).  `structure_constants` rejects mhat tables
+with an odd ghost.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 from .hspace import HVector
 from .polyalg import DescendantFamily, PolyElement
 from .scalars import HPoly
 from .slinf import Report
-from .solver import LevelZeroSolution
-
-
-def _merge_sign(ea, eb, parities) -> int:
-    """Koszul sign of merging two canonical monomials t^ea * t^eb."""
-    sign = 1
-    for i in range(len(ea)):
-        if not parities[i] or eb[i] == 0:
-            continue
-        for j in range(i + 1, len(ea)):
-            if parities[j] and ea[j] % 2 and eb[i] % 2:
-                sign = -sign
-    return sign
+from .solver import LevelZeroSolution, mhat_dimension
 
 
 class TSeries:
     """Truncated series in the deformation coordinates.
 
     Coefficients may be HPoly (negative h-exponents allowed) or PolyElement;
-    t-variables obey the graded commutation rule determined by `ghosts` (odd
-    coordinates square to zero).
+    the `dim` coordinates commute.
     """
 
-    def __init__(self, ghosts, t_order: int, zero_value):
-        self.ghosts = list(ghosts)
-        self.parities = [g % 2 != 0 for g in self.ghosts]
+    def __init__(self, dim: int, t_order: int, zero_value):
+        self.dim = dim
         self.t_order = t_order
         self.zero_value = zero_value
         self.terms = {}
 
     def copy(self) -> "TSeries":
-        out = TSeries(self.ghosts, self.t_order, self.zero_value)
+        out = TSeries(self.dim, self.t_order, self.zero_value)
         out.terms = dict(self.terms)
         return out
 
-    def _ok(self, exp) -> bool:
-        if sum(exp) > self.t_order:
-            return False
-        return all(not (self.parities[i] and e > 1) for i, e in enumerate(exp))
-
     def add_term(self, exp, value) -> None:
         exp = tuple(exp)
-        if not self._ok(exp):
+        if sum(exp) > self.t_order:
             return
         if value.is_zero():
             return
@@ -90,40 +73,33 @@ class TSeries:
         return self.scale(Fraction(-1))
 
     def scale(self, c) -> "TSeries":
-        out = TSeries(self.ghosts, self.t_order, self.zero_value)
+        out = TSeries(self.dim, self.t_order, self.zero_value)
         for e, v in self.terms.items():
             out.add_term(e, c * v)
         return out
 
     def __mul__(self, other: "TSeries") -> "TSeries":
-        out = TSeries(self.ghosts, self.t_order, self.zero_value)
+        out = TSeries(self.dim, self.t_order, self.zero_value)
         for ea, va in self.terms.items():
             for eb, vb in other.terms.items():
                 exp = tuple(a + b for a, b in zip(ea, eb))
-                if not self._ok(exp):
-                    continue
-                sign = _merge_sign(ea, eb, self.parities)
-                out.add_term(exp, Fraction(sign) * (va * vb))
+                if sum(exp) <= self.t_order:
+                    out.add_term(exp, va * vb)
         return out
 
     def derivative(self, alpha: int) -> "TSeries":
-        """Left derivative with respect to t^alpha."""
-        out = TSeries(self.ghosts, self.t_order, self.zero_value)
+        """Derivative with respect to t^alpha."""
+        out = TSeries(self.dim, self.t_order, self.zero_value)
         for e, v in self.terms.items():
             if e[alpha] == 0:
                 continue
-            sign = 1
-            if self.parities[alpha]:
-                for j in range(alpha):
-                    if self.parities[j] and e[j] % 2:
-                        sign = -sign
             ne = list(e)
             ne[alpha] -= 1
-            out.add_term(tuple(ne), Fraction(sign * e[alpha]) * v)
+            out.add_term(tuple(ne), Fraction(e[alpha]) * v)
         return out
 
     def constant_term(self):
-        return self.coeff((0,) * len(self.ghosts))
+        return self.coeff((0,) * self.dim)
 
     def eq_through(self, other: "TSeries", order: int) -> bool:
         keys = set(self.terms) | set(other.terms)
@@ -156,17 +132,15 @@ class TSeries:
         return " + ".join(bits)
 
 
-def _t_monomials(dim: int, parities, order: int):
-    """All exponent vectors of total degree <= order (odd vars at most once)."""
+def _t_monomials(dim: int, order: int):
+    """All exponent vectors of total degree <= order."""
     out = []
 
     def rec(prefix):
         if len(prefix) == dim:
             out.append(tuple(prefix))
             return
-        i = len(prefix)
-        cap = 1 if parities[i] else order - sum(prefix)
-        for k in range(min(cap, order - sum(prefix)) + 1):
+        for k in range(order - sum(prefix) + 1):
             rec(prefix + [k])
 
     rec([])
@@ -174,79 +148,31 @@ def _t_monomials(dim: int, parities, order: int):
     return out
 
 
-def _orderings(exp):
-    """Distinct index orderings (rho_1..rho_n) of the monomial multiset."""
-    seq = []
-    for i, k in enumerate(exp):
-        seq.extend([i] * k)
-    return sorted(set(permutations(seq)))
+def assemble_series(dim, t_order, zero_value, term_fn, degrees) -> TSeries:
+    """Build sum_n (1/n!) sum_rho t^{rho_1}..t^{rho_n} F_n(rho_1..rho_n).
 
-
-def _reversed_monomial_sign(ordering, parities) -> int:
-    """Sign expressing t^{rho_n} ... t^{rho_1} in canonical variable order.
-
-    The product is taken in reversed index order per the series conventions;
-    sorting the reversed word into ascending variable order counts odd
-    transpositions.
+    term_fn(ordering) returns the coefficient value on the ascending index
+    tuple of one monomial; `degrees` lists the n to include.  F_n is
+    symmetric, so the n!/prod(e_i!) orderings of t^e share one value.
     """
-    word = list(reversed(ordering))
-    sign = 1
-    for a in range(len(word)):
-        if not parities[word[a]]:
+    out = TSeries(dim, t_order, zero_value)
+    for exp in _t_monomials(dim, t_order):
+        if sum(exp) not in degrees:
             continue
-        for b in range(a + 1, len(word)):
-            if word[a] > word[b] and parities[word[b]]:
-                sign = -sign
-    return sign
-
-
-def assemble_series(ghosts, t_order, zero_value, term_fn, degrees) -> TSeries:
-    """Build sum_n (1/n!) t^{rho_n}..t^{rho_1} F_n(rho_1..rho_n).
-
-    term_fn(ordering) returns the coefficient value for one ordered index
-    tuple; `degrees` lists the n to include.  Handles odd coordinates by
-    summing distinct orderings with their reversal signs.
-    """
-    dim = len(ghosts)
-    parities = [g % 2 != 0 for g in ghosts]
-    out = TSeries(ghosts, t_order, zero_value)
-    all_even = not any(parities)
-    for exp in _t_monomials(dim, parities, t_order):
-        n = sum(exp)
-        if n not in degrees:
-            continue
-        if all_even:
-            ordering = []
-            for i, k in enumerate(exp):
-                ordering.extend([i] * k)
-            denom = 1
-            for k in exp:
-                denom *= factorial(k)
-            val = term_fn(tuple(ordering))
-            out.add_term(exp, Fraction(1, denom) * val)
-        else:
-            acc = None
-            for ordering in _orderings(exp):
-                sgn = _reversed_monomial_sign(ordering, parities)
-                val = Fraction(sgn, factorial(n)) * term_fn(ordering)
-                acc = val if acc is None else acc + val
-            out.add_term(exp, acc)
+        ordering = tuple(i for i, k in enumerate(exp) for _ in range(k))
+        denom = prod(factorial(k) for k in exp)
+        out.add_term(exp, Fraction(1, denom) * term_fn(ordering))
     return out
 
 
 # -- assembled objects -------------
 
 
-def t_ghosts(h_ghosts) -> list:
-    """Coordinate ghost numbers: gh(t^a) = -gh(e_a)."""
-    return [-g for g in h_ghosts]
-
-
 def theta_series(z: LevelZeroSolution, t_order: int) -> TSeries:
     """The universal Maurer-Cartan element Theta built from phi0."""
     nv = z.q.n_vars
     return assemble_series(
-        t_ghosts(z.ghosts),
+        z.dim,
         t_order,
         PolyElement.zero(nv),
         lambda ordering: z.phi0[len(ordering)].get(ordering),
@@ -254,14 +180,13 @@ def theta_series(z: LevelZeroSolution, t_order: int) -> TSeries:
     )
 
 
-def structure_constants(mhat_sym, h_ghosts, t_order: int):
+def structure_constants(mhat_sym, t_order: int):
     """The deformed products A_{ab}^c as scalar series.
 
     Requires mhat through arity t_order + 2.  Returns a dict mapping (a, b)
     to a list of TSeries, one per output index c.
     """
-    dim = len(h_ghosts)
-    tgh = t_ghosts(h_ghosts)
+    dim = mhat_dimension(mhat_sym)
     need = t_order + 2
     if max(mhat_sym) < need:
         raise ValueError(
@@ -271,58 +196,53 @@ def structure_constants(mhat_sym, h_ghosts, t_order: int):
     out = {}
     for a in range(dim):
         for b in range(dim):
-            comp = [None] * dim
-
-            def term(ordering, a=a, b=b):
-                return mhat_sym[len(ordering) + 2].get(tuple(ordering) + (a, b))
-
             series = assemble_series(
-                tgh,
+                dim,
                 t_order,
                 HVector.zero(),
-                lambda ordering: term(ordering),
+                lambda ordering, a=a, b=b: mhat_sym[len(ordering) + 2].get(
+                    ordering + (a, b)
+                ),
                 range(0, t_order + 1),
             )
             # unpack the HVector-valued series into scalar components
+            comp = []
             for c in range(dim):
-                s = TSeries(tgh, t_order, HPoly.zero())
+                s = TSeries(dim, t_order, HPoly.zero())
                 for e, v in series.terms.items():
                     s.add_term(e, v.coeff(c))
-                comp[c] = s
+                comp.append(s)
             out[(a, b)] = comp
     return out
 
 
-def wdvv_report(A, h_ghosts, t_order: int) -> Report:
-    """Unity, graded symmetry, potentiality, and associativity of A."""
+def wdvv_report(A, t_order: int) -> Report:
+    """Unity, symmetry, potentiality, and associativity of A."""
     rep = Report()
-    dim = len(h_ghosts)
-    tgh = t_ghosts(h_ghosts)
+    dim = len(A[(0, 0)])
     one = HPoly.const(1)
     for b in range(dim):
         for c in range(dim):
             rep.checks += 1
             s = A[(0, b)][c]
-            want = TSeries(tgh, t_order, HPoly.zero())
+            want = TSeries(dim, t_order, HPoly.zero())
             if b == c:
                 want.add_term((0,) * dim, one)
             if s != want:
                 rep.add(0, (0, b, c), "unity fails")
     for a in range(dim):
         for b in range(dim):
-            sign = Fraction(-1) if (tgh[a] % 2 and tgh[b] % 2) else Fraction(1)
             for c in range(dim):
                 rep.checks += 1
-                if A[(a, b)][c] != A[(b, a)][c].scale(sign):
-                    rep.add(0, (a, b, c), "graded symmetry fails")
+                if A[(a, b)][c] != A[(b, a)][c]:
+                    rep.add(0, (a, b, c), "symmetry fails")
     for a in range(dim):
         for b in range(dim):
-            sign = Fraction(-1) if (tgh[a] % 2 and tgh[b] % 2) else Fraction(1)
             for g in range(dim):
                 for s_idx in range(dim):
                     rep.checks += 1
                     lhs = A[(b, g)][s_idx].derivative(a)
-                    rhs = A[(a, g)][s_idx].derivative(b).scale(sign)
+                    rhs = A[(a, g)][s_idx].derivative(b)
                     if not lhs.eq_through(rhs, t_order - 1):
                         rep.add(0, (a, b, g, s_idx), "potentiality fails")
     for a in range(dim):
@@ -354,16 +274,14 @@ class FlatCoords:
     def __init__(self, z: LevelZeroSolution, t_order: int):
         self.z = z
         self.t_order = t_order
-        tgh = t_ghosts(z.ghosts)
-        dim = z.dim
         self.T = []
-        for c in range(dim):
+        for c in range(z.dim):
             def term(ordering, c=c):
                 n = len(ordering)
                 return z.pi0[n].get(ordering).coeff(c) * HPoly.neg_h(1 - n)
 
             s = assemble_series(
-                tgh,
+                z.dim,
                 t_order,
                 HPoly.zero(),
                 term,
@@ -392,7 +310,6 @@ def flat_coordinate_report(
     z = fc.z
     rep = Report()
     dim = z.dim
-    tgh = t_ghosts(z.ghosts)
     zero_exp = (0,) * dim
     for c in range(dim):
         rep.checks += 1
@@ -407,7 +324,7 @@ def flat_coordinate_report(
         # unit direction: d_0 That^c = delta_0^c - (1/h) That^c
         rep.checks += 1
         lhs = fc.T[c].derivative(0)
-        rhs = TSeries(tgh, t_order, HPoly.zero())
+        rhs = TSeries(dim, t_order, HPoly.zero())
         if c == 0:
             rhs.add_term(zero_exp, HPoly.const(1))
         rhs = rhs + fc.T[c].scale(HPoly.neg_h(-1))
@@ -432,7 +349,7 @@ def flat_coordinate_report(
                         transport = term if transport is None else transport + term
                     resid = second + transport.scale(sgn)
                     if not resid.eq_through(
-                        TSeries(tgh, t_order, HPoly.zero()), t_order - 2
+                        TSeries(dim, t_order, HPoly.zero()), t_order - 2
                     ):
                         ok = False
         verdicts.append((sign_name, ok))
@@ -448,26 +365,25 @@ def flat_coordinate_report(
 
 
 def generating_function(
-    iota, z: LevelZeroSolution, correlator_tables, t_order: int
+    iota, z: LevelZeroSolution, t_order: int
 ) -> tuple[TSeries, TSeries, Report]:
     """The series Z assembled two ways: correlator sums and the That identity.
 
     iota(v: HVector) -> HPoly is the on-shell functional with iota(1_H) = 1;
-    the expectation is c = iota . hhat.  Returns (Z_corr, Z_that, report).
+    the expectation is c = iota . hhat.  The correlators of phi0 are the
+    partition sums `z.E`.  Returns (Z_corr, Z_that, report).
     """
     q = z.q
-    tgh = t_ghosts(z.ghosts)
     dim = z.dim
     zero_exp = (0,) * dim
 
     def corr_term(ordering):
-        n = len(ordering)
-        return iota(q.hhat(correlator_tables[n].get(ordering))) * HPoly.neg_h(-n)
+        return iota(q.hhat(z.E[ordering])) * HPoly.neg_h(-len(ordering))
 
     z_corr = assemble_series(
-        tgh, t_order, HPoly.zero(), corr_term, range(1, t_order + 1)
+        dim, t_order, HPoly.zero(), corr_term, range(1, t_order + 1)
     )
-    one = TSeries(tgh, t_order, HPoly.zero())
+    one = TSeries(dim, t_order, HPoly.zero())
     one.add_term(zero_exp, HPoly.const(1))
     z_corr = one + z_corr
 
@@ -494,55 +410,30 @@ def theta_mc_report(
     """Maurer-Cartan residual of Theta and the unit-direction identity."""
     rep = Report()
     nv = z.q.n_vars
-    tgh = t_ghosts(z.ghosts)
+    dim = z.dim
     theta = theta_series(z, t_order)
-    residual = TSeries(tgh, t_order, PolyElement.zero(nv))
+    residual = TSeries(dim, t_order, PolyElement.zero(nv))
     for e, v in theta.terms.items():
         residual.add_term(e, z.q.Khat(v))
-    # sum over multisets of Theta monomials feeding the brackets; for odd
-    # coordinates the t-monomials of later arguments cross the coefficients
-    # of earlier ones, and Theta terms have matching parities on both sides
+    # sum over multisets of Theta monomials feeding the brackets; a monomial
+    # repeated k times is counted by 1/k!
     monos = [e for e in theta.terms if sum(e) >= 1]
-    parities = [g % 2 != 0 for g in tgh]
-    max_arity = min(t_order, fam.arity_cap)
-    for n in range(2, max_arity + 1):
+    for n in range(2, min(t_order, fam.arity_cap) + 1):
         for combo in _multisets(monos, n, t_order):
-            total = tuple(sum(e[i] for e in combo) for i in range(len(tgh)))
-            if sum(total) > t_order:
-                continue
-            denom = 1
-            seen = {}
-            for e in combo:
-                seen[e] = seen.get(e, 0) + 1
-            for k in seen.values():
-                denom *= factorial(k)
-            sign = 1
-            p_mono = [_mono_parity(e, parities) for e in combo]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if p_mono[i] and p_mono[j]:
-                        sign = -sign
-            acc = combo[0]
-            for e in combo[1:]:
-                sign *= _merge_sign(acc, e, parities)
-                acc = tuple(x + y for x, y in zip(acc, e))
-            args = [theta.terms[e] for e in combo]
-            val = fam.ell(n, args)
-            residual.add_term(total, Fraction(sign, denom) * val)
+            total = tuple(map(sum, zip(*combo)))
+            denom = prod(factorial(k) for k in Counter(combo).values())
+            val = fam.ell(n, [theta.terms[e] for e in combo])
+            residual.add_term(total, Fraction(1, denom) * val)
     rep.checks += 1
     if not residual.is_zero():
         rep.add(0, (), "Maurer-Cartan residual is nonzero")
     rep.checks += 1
     d0 = theta.derivative(0)
-    want = TSeries(tgh, t_order, PolyElement.zero(nv))
-    want.add_term((0,) * len(tgh), PolyElement.one(nv))
+    want = TSeries(dim, t_order, PolyElement.zero(nv))
+    want.add_term((0,) * dim, PolyElement.one(nv))
     if not d0.eq_through(want, t_order - 1):
         rep.add(0, (), "d_0 Theta != 1_C")
     return rep
-
-
-def _mono_parity(exp, parities) -> bool:
-    return sum(e for e, p in zip(exp, parities) if p) % 2 != 0
 
 
 def _multisets(items, n, max_total):

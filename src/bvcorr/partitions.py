@@ -120,15 +120,6 @@ def distinguished_blocks(partition, n: int):
             yield i, block
 
 
-def subsets(seq):
-    """All subsets of seq as (subset, complement) pairs, order-preserving."""
-    n = len(seq)
-    for mask in range(1 << n):
-        inc = tuple(seq[i] for i in range(n) if mask >> i & 1)
-        exc = tuple(seq[i] for i in range(n) if not mask >> i & 1)
-        yield inc, exc
-
-
 @lru_cache(maxsize=None)
 def sub_multisets(key: tuple, anchored: bool) -> tuple:
     """Every sub-multiset k of an ascending key as (k, rest = key - k, mult).

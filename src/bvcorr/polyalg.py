@@ -146,11 +146,6 @@ class PolyElement:
     def monomial(cls, n_vars: int, exp, etas=(), coef=1) -> "PolyElement":
         return cls(n_vars, {(tuple(exp), tuple(etas)): coef})
 
-    @classmethod
-    def from_x_poly(cls, poly: dict, n_vars: int) -> "PolyElement":
-        """Lift an exponent-dict x-polynomial into C."""
-        return cls(n_vars, {(exp, ()): c for exp, c in poly.items()})
-
     # -- structure queries -------------
     def is_zero(self) -> bool:
         return not self.terms

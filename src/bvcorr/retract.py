@@ -31,7 +31,7 @@ class RetractError(RuntimeError):
     """A retract identity failed verification."""
 
 
-DEFAULT_SPAN_DEGREE = 8
+SPAN_DEGREE = 8  # x-degree of the monomials the retract identities are checked on
 
 
 def spanning_monomials(n_vars: int, x_degree: int, eta_count: int | None = None):
@@ -61,7 +61,7 @@ def spanning_monomials(n_vars: int, x_degree: int, eta_count: int | None = None)
 class Retract:
     """Classical off-to-on-shell retract (f, h, s) over a Milnor basis."""
 
-    def __init__(self, milnor: MilnorData, verify: bool = True, span_degree: int = DEFAULT_SPAN_DEGREE):
+    def __init__(self, milnor: MilnorData, verify: bool = True):
         self.milnor = milnor
         self.pot = milnor.pot
         self.n_vars = milnor.n_vars
@@ -71,7 +71,7 @@ class Retract:
             PolyElement.monomial(self.n_vars, exp) for exp in milnor.basis
         ]
         if verify:
-            self._verify(span_degree)
+            self._verify()
 
     # -- the three maps -------------
     def f(self, v: HVector) -> PolyElement:
@@ -106,7 +106,7 @@ class Retract:
         return HVector.basis(0)
 
     # -- verification -------------
-    def _verify(self, span_degree: int) -> None:
+    def _verify(self) -> None:
         mil = self.milnor
         if mil.basis[0] != (0,) * self.n_vars:
             raise RetractError("first basis element is not the unit")
@@ -116,7 +116,7 @@ class Retract:
                 raise RetractError("h . f is not the identity on H")
         if not self.s(PolyElement.one(self.n_vars)).is_zero():
             raise RetractError("s(1) != 0")
-        for m in spanning_monomials(self.n_vars, span_degree):
+        for m in spanning_monomials(self.n_vars, SPAN_DEGREE):
             km = classical_K(self.pot, m)
             lhs = self.f(self.h(m))
             rhs = m - classical_K(self.pot, self.s(m)) - self.s(km)
@@ -138,8 +138,8 @@ class Retract:
                 raise RetractError("side condition s f = 0 fails")
 
 
-def build_retract(milnor: MilnorData, span_degree: int = DEFAULT_SPAN_DEGREE) -> Retract:
-    return Retract(milnor, verify=True, span_degree=span_degree)
+def build_retract(milnor: MilnorData) -> Retract:
+    return Retract(milnor, verify=True)
 
 
 def _by_linearity(entry, coords: dict, zero, order: int):

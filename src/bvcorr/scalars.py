@@ -113,12 +113,6 @@ class HPoly:
     def is_zero(self) -> bool:
         return not self.c
 
-    def is_const(self) -> bool:
-        return all(k == 0 for k in self.c)
-
-    def classical(self) -> Fraction:
-        return self.coeff(0)
-
     def degree(self) -> int:
         """Largest stored exponent (-1 when zero)."""
         return max(self.c) if self.c else -1
@@ -168,11 +162,13 @@ class HPoly:
             v = _rat(other)
             b, tb = ({0: v} if v else {}), INF_TRUNC
         a = self.c
-        # each window grows by the other factor's h-adic valuation (min key;
-        # a zero factor has maximal valuation)
+        # each finite window grows by the other factor's h-adic valuation
+        # (min key; a zero factor has maximal valuation); an exact factor
+        # leaves no finite window of its own
+        ta = self.trunc
         t = min(
-            self.trunc + (min(b) if b else INF_TRUNC),
-            tb + (min(a) if a else INF_TRUNC),
+            ta + (min(b) if b else INF_TRUNC) if ta < INF_TRUNC else INF_TRUNC,
+            tb + (min(a) if a else INF_TRUNC) if tb < INF_TRUNC else INF_TRUNC,
             INF_TRUNC,
         )
         if len(a) == 1 and len(b) != 1:

@@ -21,18 +21,20 @@ index a of m gives one product per sub-multiset k instead of one per partition:
           (-h)^(|k|-1) phi0(k) E_{m-k},        E_() = 1.
 
 E is built once; the level-one sums split off the block of the pair and read
-E on the rest.  The solvers therefore need even ghosts; only `reconstruct_pi`
-on graded bases keeps the signed partition sum.
+E on the rest, and `fmanifold.generating_function` reads E as the correlators
+of phi0.  The solvers therefore need even ghosts.  So do the on-shell
+functions that take mhat tables alone (reconstruction and the mhat reports):
+H is the Milnor ring, which sits in ghost number 0, and `mhat_dimension`
+rejects a table with an odd ghost.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import permutations as _permutations
 
 from .hspace import HVector, PairSymMap, SymMap, tuples_with_repetition
-from .partitions import koszul_sign, signed_partitions, sub_multisets, subsets
+from .partitions import signed_partitions, sub_multisets
 from .polyalg import DescendantFamily, PolyElement, classical_K
 from .retract import QuantizedRetract, nabla
 from .scalars import HPoly, NotDivisibleError
@@ -255,24 +257,6 @@ def _mhat_sum(mhat, family, key, zero, weight=HPoly.neg_h, trivial=False):
     return acc
 
 
-def _signed_mhat_sum(mhat_sym, pi, key, ghosts) -> HVector:
-    """`_mhat_sum` with `trivial` set on graded data, signed by eps(p) alone:
-    mhat has degree 0, so the blocks before the last give no J-signs."""
-    n = len(key)
-    acc = HVector.zero()
-    for p, signs in signed_partitions(n, [ghosts[k] for k in key], pair=True):
-        if len(p[-1]) != n - len(p) + 1:
-            continue
-        inner = mhat_sym[len(p[-1])].get(tuple(key[j - 1] for j in p[-1]))
-        if inner.is_zero():
-            continue
-        w = HPoly.neg_h(n - len(p) - 1, signs[0])
-        for k, coef in inner.c.items():
-            args = tuple(key[b[0] - 1] for b in p[:-1]) + (k,)
-            acc = acc + pi[len(args)].get(args).scale(coef * w)
-    return acc
-
-
 def solve_level_one(
     q: QuantizedRetract, z: LevelZeroSolution, n_max: int, verify: bool = True
 ) -> LevelOneSolution:
@@ -383,19 +367,26 @@ def mhat_symmetric(o: LevelOneSolution):
     return out
 
 
-def reconstruct_pi(mhat_sym, ghosts, n_max: int):
+def mhat_dimension(mhat_sym) -> int:
+    """The dimension of H read off symmetric mhat tables, which must carry
+    even ghosts: the on-shell sums have no Koszul signs."""
+    if any(g % 2 for t in mhat_sym.values() for g in t.ghosts):
+        raise ValueError("the on-shell layer needs even ghosts")
+    return len(mhat_sym[2].ghosts)
+
+
+def reconstruct_pi(mhat_sym, n_max: int):
     """Rebuild pi0 from the symmetric products mhat alone."""
-    dim = len(ghosts)
+    dim = mhat_dimension(mhat_sym)
+    ghosts = [0] * dim
     pi = {1: SymMap(1, ghosts, HVector.zero())}
     for i in range(dim):
         pi[1].set((i,), HVector.basis(i))
-    even = not any(g % 2 for g in ghosts)
     for n in range(2, n_max + 1):
         table = SymMap(n, ghosts, HVector.zero())
         for key in tuples_with_repetition(dim, n):
             table.set(key, _mhat_sum(mhat_sym, pi, key, HVector.zero(),
-                                     trivial=True) if even
-                      else _signed_mhat_sum(mhat_sym, pi, key, ghosts))
+                                     trivial=True))
         pi[n] = table
     return pi
 
@@ -479,44 +470,36 @@ def factorization_report(expect, z: LevelZeroSolution, correlator_tables, n_max:
     return rep
 
 
-def generalized_associativity_report(
-    mhat_sym, ghosts, n_spectators_max: int
-) -> Report:
+def generalized_associativity_report(mhat_sym, n_spectators_max: int) -> Report:
     """mhat(v_S, mhat(v_Sc, w1, w2), w3) summed over splits is symmetric.
 
     Checks the generalized associativity identity with up to the given
-    number of spectator arguments over all basis tuples.
+    number of spectator arguments over all basis tuples.  The splits S | Sc
+    of the spectators with the same sub-multiset Sc give equal terms, so
+    each sub-multiset enters once, weighted by its multiplicity.
     """
     rep = Report()
-    dim = len(ghosts)
+    dim = mhat_dimension(mhat_sym)
     for n in range(n_spectators_max + 1):
         for spect in tuples_with_repetition(dim, n) if n else [()]:
+            splits = sub_multisets(spect, False)
             for w1 in range(dim):
                 for w2 in range(dim):
                     for w3 in range(dim):
                         rep.checks += 1
-                        degs = [ghosts[i] for i in spect]
                         lhs = HVector.zero()
                         rhs = HVector.zero()
-                        for inc, exc in subsets(tuple(range(1, n + 1))):
-                            eps = koszul_sign((inc, exc), degs)
-                            vs = tuple(spect[i - 1] for i in inc)
-                            vc = tuple(spect[i - 1] for i in exc)
+                        for vc, vs, mult in splits:
                             inner = mhat_sym[len(vc) + 2].get(vc + (w1, w2))
                             for k, coef in inner.c.items():
                                 lhs = lhs + mhat_sym[len(vs) + 2].get(
                                     vs + (k, w3)
-                                ).scale(coef * Fraction(eps))
-                            sgn2 = Fraction(eps)
-                            if ghosts[w1] % 2 and sum(
-                                ghosts[spect[i - 1]] for i in exc
-                            ) % 2:
-                                sgn2 = -sgn2
+                                ).scale(coef * mult)
                             inner2 = mhat_sym[len(vc) + 2].get(vc + (w2, w3))
                             for k, coef in inner2.c.items():
                                 rhs = rhs + mhat_sym[len(vs) + 2].get(
                                     vs + (w1, k)
-                                ).scale(coef * sgn2)
+                                ).scale(coef * mult)
                         if lhs != rhs:
                             rep.add(
                                 n + 3,
@@ -526,10 +509,10 @@ def generalized_associativity_report(
     return rep
 
 
-def mhat_unity_report(mhat_sym, ghosts, n_max: int) -> Report:
+def mhat_unity_report(mhat_sym, n_max: int) -> Report:
     """Unity: mhat_2(1,v) = v and mhat_n(1,..) = 0 for n >= 3."""
     rep = Report()
-    dim = len(ghosts)
+    dim = mhat_dimension(mhat_sym)
     for v in range(dim):
         rep.checks += 1
         if mhat_sym[2].get((0, v)) != HVector.basis(v):

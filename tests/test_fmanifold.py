@@ -9,7 +9,6 @@ from bvcorr.fmanifold import (
     flat_coordinate_report,
     generating_function,
     structure_constants,
-    t_ghosts,
     theta_mc_report,
     theta_series,
     wdvv_report,
@@ -19,7 +18,7 @@ from bvcorr.hspace import HVector
 from bvcorr.polyalg import DescendantFamily, PolyElement, Potential
 from bvcorr.retract import build_retract, quantize_retract
 from bvcorr.scalars import HPoly
-from bvcorr.slinf import Expectation, correlators
+from bvcorr.slinf import Expectation
 from bvcorr.solver import mhat_symmetric, solve_level_one, solve_level_zero
 
 
@@ -36,66 +35,29 @@ def _hp(v):
 
 
 def test_tseries_even_commutativity():
-    s = TSeries([0, 0], 4, HPoly.zero())
+    s = TSeries(2, 4, HPoly.zero())
     s.add_term((1, 0), _hp(2))
-    t = TSeries([0, 0], 4, HPoly.zero())
+    t = TSeries(2, 4, HPoly.zero())
     t.add_term((0, 1), _hp(3))
     assert (s * t).coeff((1, 1)) == _hp(6)
     assert (t * s).coeff((1, 1)) == _hp(6)
 
 
-def test_tseries_odd_anticommutativity():
-    gh = [0, -1, -1]
-    a = TSeries(gh, 4, HPoly.zero())
-    a.add_term((0, 1, 0), _hp(1))
-    b = TSeries(gh, 4, HPoly.zero())
-    b.add_term((0, 0, 1), _hp(1))
-    assert (a * b).coeff((0, 1, 1)) == _hp(1)
-    assert (b * a).coeff((0, 1, 1)) == _hp(-1)
-    assert (a * a).is_zero()  # odd square
-
-
-def test_tseries_derivative_signs():
-    gh = [0, -1, -1]
-    s = TSeries(gh, 4, HPoly.zero())
-    s.add_term((0, 1, 1), _hp(1))  # t1 t2 in canonical order
-    d1 = s.derivative(1)
-    d2 = s.derivative(2)
-    assert d1.coeff((0, 0, 1)) == _hp(1)
-    assert d2.coeff((0, 1, 0)) == _hp(-1)  # d/dt2 crosses the odd t1
-
-
 def test_assemble_series_even_multiplicities():
     # F_n = 1 for every tuple: the coefficient of t^e is 1/prod(e_i!)
-    gh = [0, 0]
-    s = assemble_series(gh, 3, HPoly.zero(), lambda o: _hp(1), range(1, 4))
+    s = assemble_series(2, 3, HPoly.zero(), lambda o: _hp(1), range(1, 4))
     assert s.coeff((2, 0)) == _hp(Fraction(1, 2))
     assert s.coeff((3, 0)) == _hp(Fraction(1, 6))
     assert s.coeff((1, 1)) == _hp(1)
 
 
-def test_assemble_series_graded_signs():
-    # with one odd coordinate, the reversed ordering convention matters;
-    # a symmetric F must still produce a consistent coefficient
-    gh = [0, -1]
-    seen = []
-
-    def F(ordering):
-        seen.append(ordering)
-        return _hp(1)
-
-    s = assemble_series(gh, 2, HPoly.zero(), F, range(1, 3))
-    assert s.coeff((1, 0)) == _hp(1)
-    assert s.coeff((0, 1)) == _hp(1)
-
-
 def test_structure_constants_unity_and_values(a3_run):
     q, z, o, ms = a3_run
-    A = structure_constants(ms, z.ghosts, 2)
+    A = structure_constants(ms, 2)
     dim = z.dim
     for b in range(dim):
         for c in range(dim):
-            want = TSeries(t_ghosts(z.ghosts), 2, HPoly.zero())
+            want = TSeries(dim, 2, HPoly.zero())
             if b == c:
                 want.add_term((0,) * dim, _hp(1))
             assert A[(0, b)][c] == want
@@ -109,26 +71,26 @@ def test_a2_structure_constants_at_zero():
     z = solve_level_zero(q, 4)
     o = solve_level_one(q, z, 4)
     ms = mhat_symmetric(o)
-    A = structure_constants(ms, z.ghosts, 2)
+    A = structure_constants(ms, 2)
     for c in range(z.dim):
         assert A[(1, 1)][c].coeff((0, 0)) == _hp(0)
 
 
 def test_wdvv_passes_and_catches_corruption(a3_run):
     q, z, o, ms = a3_run
-    A = structure_constants(ms, z.ghosts, 3)
-    assert wdvv_report(A, z.ghosts, 3).ok
+    A = structure_constants(ms, 3)
+    assert wdvv_report(A, 3).ok
     # hand-corrupt one coefficient: associativity must locate a violation
     bad = {k: [s.copy() for s in v] for k, v in A.items()}
     bad[(1, 1)][2].add_term((1, 0, 0), _hp(1))
-    rep = wdvv_report(bad, z.ghosts, 3)
+    rep = wdvv_report(bad, 3)
     assert not rep.ok
     assert any("associativity" in str(v.residual) for v in rep.violations)
 
 
 def test_flat_coordinates_properties(a3_run):
     q, z, o, ms = a3_run
-    A = structure_constants(ms, z.ghosts, 3)
+    A = structure_constants(ms, 3)
     fc = FlatCoords(z, 3)
     dim = z.dim
     zero_exp = (0,) * dim
@@ -144,8 +106,7 @@ def test_flat_coordinates_properties(a3_run):
 def test_generating_function_examples(a3_run):
     q, z, o, ms = a3_run
     expect = Expectation(q, [1, 0, 0])
-    corr = correlators(lambda idxs: z.phi0[len(idxs)].get(idxs), z.ghosts, 3, 1)
-    zc, zt, rep = generating_function(expect.apply_iota, z, corr, 3)
+    zc, zt, rep = generating_function(expect.apply_iota, z, 3)
     assert rep.ok
     dim = z.dim
     assert zc.coeff((0,) * dim) == HPoly.const(1)

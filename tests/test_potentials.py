@@ -1,5 +1,5 @@
 """End-to-end runs on potentials outside the quasi-homogeneous family,
-plus a synthetic graded basis exercising the sign machinery."""
+plus a synthetic graded basis that the on-shell layer must reject."""
 
 from fractions import Fraction
 
@@ -11,12 +11,7 @@ from bvcorr import (
     milnor_basis,
     quantize_retract,
 )
-from bvcorr.fmanifold import (
-    FlatCoords,
-    flat_coordinate_report,
-    structure_constants,
-    wdvv_report,
-)
+from bvcorr.fmanifold import structure_constants
 from bvcorr.hspace import HVector, SymMap, tuples_with_repetition
 from bvcorr.solver import (
     generalized_associativity_report,
@@ -49,9 +44,9 @@ def test_generic_one_variable_potential(name, terms, dim):
     assert level_one_report(o).ok
     assert verify_M_identity(q, z, o, 4).ok
     ms = mhat_symmetric(o)
-    assert mhat_unity_report(ms, z.ghosts, 4).ok
-    assert generalized_associativity_report(ms, z.ghosts, 1).ok
-    pi = reconstruct_pi(ms, z.ghosts, 4)
+    assert mhat_unity_report(ms, 4).ok
+    assert generalized_associativity_report(ms, 1).ok
+    pi = reconstruct_pi(ms, 4)
     for n in range(1, 5):
         for key in z.pi0[n].keys():
             assert pi[n].get(key) == z.pi0[n].get(key)
@@ -67,15 +62,6 @@ def test_double_well_products():
     assert ms[2].get((1, 1)) == HVector.basis(2)
     assert ms[2].get((1, 2)) == HVector.basis(1)
     assert ms[2].get((2, 2)) == HVector.basis(2)
-
-
-class _SyntheticSolution:
-    """Just enough of a level-zero solution to feed the series layer."""
-
-    def __init__(self, ghosts, pi0):
-        self.ghosts = ghosts
-        self.dim = len(ghosts)
-        self.pi0 = pi0
 
 
 def _exterior_mhat(n_max, theta_first=False):
@@ -98,46 +84,17 @@ def _exterior_mhat(n_max, theta_first=False):
     return ghosts, mhat
 
 
-def test_graded_reconstruction_and_reports():
-    ghosts, mhat = _exterior_mhat(5)
-    assert mhat_unity_report(mhat, ghosts, 5).ok
-    assert generalized_associativity_report(mhat, ghosts, 3).ok
-    pi = reconstruct_pi(mhat, ghosts, 5)
-    # iterated products of the algebra: pi_n(1..1) = 1, pi_n(1..1,theta) = theta
-    for n in range(1, 6):
-        assert pi[n].get((0,) * n) == HVector.basis(0)
-        assert pi[n].get((0,) * (n - 1) + (1,)) == HVector.basis(1)
-    # two thetas kill every product in sight
-    assert pi[2].get((1, 1)).is_zero()
-    assert pi[4].get((0, 0, 1, 1)).is_zero()
-
-
-def test_graded_reconstruction_theta_first():
-    # with the odd element first it need not sit in the last block: the
-    # partition {1},{2,3} of (theta, 1, 1) puts it in front of mhat, and
-    # mhat has degree 0, so no J-sign may enter
-    ghosts, mhat = _exterior_mhat(5, theta_first=True)
-    assert ghosts == [-1, 0]
-    assert generalized_associativity_report(mhat, ghosts, 3).ok
-    pi = reconstruct_pi(mhat, ghosts, 5)
-    assert pi[3].get((0, 1, 1)) == HVector.basis(0)
-    for n in range(1, 6):
-        assert pi[n].get((1,) * n) == HVector.basis(1)
-        assert pi[n].get((0,) + (1,) * (n - 1)) == HVector.basis(0)
-    assert pi[4].get((0, 0, 1, 1)).is_zero()
-
-
-def test_graded_series_layer():
-    ghosts, mhat = _exterior_mhat(6)
-    A = structure_constants(mhat, ghosts, 3)
-    rep = wdvv_report(A, ghosts, 3)
-    assert rep.ok
-    # odd-odd structure constants must vanish by graded symmetry
-    for c in range(2):
-        assert A[(1, 1)][c].is_zero()
-    pi = reconstruct_pi(mhat, ghosts, 5)
-    z = _SyntheticSolution(ghosts, pi)
-    fc = FlatCoords(z, 3)
-    frep, sign = flat_coordinate_report(fc, A, 3)
-    assert frep.ok
-    assert sign in ("plus", "both (transport term vanishes)")
+def test_on_shell_layer_rejects_an_odd_ghost():
+    # H is the Milnor ring, in ghost 0; the on-shell sums carry no Koszul
+    # signs, so graded tables are refused rather than summed unsigned
+    for theta_first in (False, True):
+        ghosts, mhat = _exterior_mhat(5, theta_first)
+        calls = [
+            lambda: reconstruct_pi(mhat, 5),
+            lambda: mhat_unity_report(mhat, 5),
+            lambda: generalized_associativity_report(mhat, 3),
+            lambda: structure_constants(mhat, 3),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="even ghosts"):
+                call()

@@ -80,10 +80,12 @@ INF = 10**9
 
 
 def _reference_product(a, b):
-    """(trunc, coefficients) of a * b by the general double loop."""
+    """(trunc, coefficients) of a * b by the general double loop; a finite
+    window grows by the other factor's valuation, an exact one stays exact."""
     va = min(a.c) if a.c else INF
     vb = min(b.c) if b.c else INF
-    t = min(a.trunc + vb, b.trunc + va, INF)
+    t = min(a.trunc + vb if a.trunc < INF else INF,
+            b.trunc + va if b.trunc < INF else INF, INF)
     c = {}
     for i, x in a.c.items():
         for j, y in b.c.items():
@@ -166,3 +168,15 @@ def test_neg_h_carries_the_sign():
             with pytest.raises(NotDivisibleError) as exc:
                 divide(k)
             assert exc.value.offending_exponent == -2
+
+
+def test_exact_times_negative_power_stays_exact():
+    p = HPoly.const(3) * HPoly.neg_h(-2)
+    assert (p.trunc, p.c) == (INF, {-2: Fraction(3)})
+    q = HPoly({3: 5}) * HPoly.neg_h(-1)
+    assert (q.trunc, q.c) == (INF, {2: Fraction(-5)})
+    d = q.h_divide(2)
+    assert (d.trunc, d.c) == (INF, {0: Fraction(-5)})
+    # a finite window still shifts by the valuation of the exact factor
+    f = HPoly({2: 1}, trunc=4) * HPoly.neg_h(-1)
+    assert (f.trunc, f.c) == (3, {1: Fraction(-1)})

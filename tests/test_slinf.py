@@ -201,6 +201,16 @@ def test_descendant_functoriality():
         assert composed.morphism.ev(args) == bullet.ev(args)
 
 
+def test_composition_components_stop_at_the_arity_cap():
+    # the components run through the kernel's cap: arity 8 is absent like
+    # arity 9, where it used to raise ArityCapError from the kernel
+    one = EvalMorphism({n: (lambda args: HPoly.const(len(args))) for n in range(1, 10)})
+    comp = compose_morphisms(one, one, lambda a: 0)
+    assert comp.ev((X,) * 7) is not None
+    assert comp.ev((X,) * 8) is None
+    assert comp.ev((X,) * 9) is None
+
+
 def test_composition_with_identity():
     ident = descendant_morphism(lambda c: c, A2, poly_target(1), 3)
     other = descendant_morphism(_scaling_morphism(Fraction(2)), A2, poly_target(1), 3)

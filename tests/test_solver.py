@@ -1,11 +1,24 @@
+import contextlib
+import io
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 
+import bvcorr.cli as cli
+import bvcorr.slinf as slinf
 import bvcorr.solver as solver
+from bvcorr.fmanifold import (
+    FlatCoords,
+    flat_coordinate_report,
+    generating_function,
+    structure_constants,
+    wdvv_report,
+)
 from bvcorr.groebner import MilnorData
 from bvcorr.hspace import HVector, tuples_with_repetition
 from bvcorr.partitions import koszul_sign, set_partitions, signed_partitions
@@ -137,7 +150,7 @@ def test_m2_equals_two_point_correlator(a3):
 def test_reconstruction_formulas(a3):
     _, z, o = a3
     ms = mhat_symmetric(o)
-    pi = reconstruct_pi(ms, z.ghosts, 5)
+    pi = reconstruct_pi(ms, 5)
     for n in range(1, 6):
         for key in z.pi0[n].keys():
             assert pi[n].get(key) == z.pi0[n].get(key)
@@ -200,8 +213,8 @@ def test_h_degree_bounds(a3):
 def test_unity_and_associativity(a2, a3):
     for _, z, o in (a2, a3):
         ms = mhat_symmetric(o)
-        assert mhat_unity_report(ms, z.ghosts, 5).ok
-        assert generalized_associativity_report(ms, z.ghosts, 3).ok
+        assert mhat_unity_report(ms, 5).ok
+        assert generalized_associativity_report(ms, 3).ok
 
 
 def test_factorization(a2):
@@ -355,13 +368,31 @@ def test_level_zero_makes_one_product_per_sub_multiset(monkeypatch):
     assert 0 < len(calls) <= bound  # the set-partition sums made 664,616
 
 
-def test_solvers_enumerate_no_partitions_on_ghost_zero_data(monkeypatch):
+def test_solvers_enumerate_no_partitions_on_ghost_zero_data(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("signed_partitions called on ghost-0 data")
 
     monkeypatch.setattr(solver, "signed_partitions", refuse)
-    _solve(Potential.a_k(3), 5, 5)
     _solve(Potential.single_variable({4: Fraction(1, 4), 2: -Fraction(1, 2)}), 5, 5)
+    # the on-shell layer: reconstruction, both mhat reports, an F-manifold
+    q, z, o = _solve(Potential.a_k(3), 5, 5)
+    ms = mhat_symmetric(o)
+    pi = reconstruct_pi(ms, 5)
+    assert all(pi[n].get(k) == z.pi0[n].get(k) for n in pi for k in z.pi0[n].keys())
+    assert mhat_unity_report(ms, 5).ok
+    assert generalized_associativity_report(ms, 2).ok
+    A = structure_constants(ms, 3)
+    assert wdvv_report(A, 3).ok
+    assert flat_coordinate_report(FlatCoords(z, 3), A, 3)[0].ok
+    assert generating_function(Expectation(q, [1, 0, 0]).apply_iota, z, 3)[2].ok
+    # and the fmanifold command reads no correlators: Z comes from z.E
+    original = slinf.correlators
+    for mod in [m for name, m in sys.modules.items() if name.startswith("bvcorr")]:
+        if getattr(mod, "correlators", None) is original:
+            monkeypatch.setattr(mod, "correlators", refuse)
+    golden = Path(__file__).parent / "golden" / "a2.job.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["fmanifold", "--input", str(golden)]) == 0
 
 
 def test_solver_rejects_an_odd_ghost(monkeypatch):

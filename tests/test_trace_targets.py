@@ -2,11 +2,13 @@
 
 A rename in the library would break `perfbench/run.py --trace 1`.  This runs
 `Tracer().install()` against src/ in a fresh process and checks that every
-target resolves and is replaced by its wrapper, and that a traced solve fills
-the table counter, which reads the solution fields by name.  perfbench/ is
-only read.
+target resolves and is replaced by its wrapper, that a traced solve fills
+the table counter, which reads the solution fields by name, and that a traced
+`bvcorr fmanifold` run through the benchmark worker records its layer spans.
+perfbench/ is only read.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -62,3 +64,17 @@ def test_traced_solve_counts_the_solution_tables():
     r = _run(SOLVE_SCRIPT)
     assert r.returncode == 0, (r.stdout + r.stderr).decode()
     assert int(r.stdout.split()[-1]) > 0
+
+
+def test_traced_fmanifold_records_the_series_spans(tmp_path):
+    report, trace = tmp_path / "report.json", tmp_path / "trace.json"
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "fmanifold",
+         str(ROOT / "tests" / "golden" / "a2.job.json"), str(report), str(trace)],
+        capture_output=True, timeout=120,
+    )
+    assert r.returncode == 0, (r.stdout + r.stderr).decode()
+    spans = json.loads(trace.read_text())["spans"]
+    for name in ("fmanifold.A", "fmanifold.Z"):
+        times = [end - start for span, start, end, _ in spans if span == name]
+        assert times and all(t > 0 for t in times), name
