@@ -48,7 +48,7 @@ print("(h d_a d_b That + A_ab^r d_r That = 0 is the sign that holds)")
 print()
 
 expect = Expectation(q, [1, 0, 0])
-zc, zt, zrep = generating_function(expect.apply_iota, z, T_ORDER)
+zc, zt, zrep = generating_function(expect.apply_iota, fc)
 print("generating series of correlation functions (iota = coefficient of [1]):")
 print("  Z =", zc)
 print("dual-route equality and -h d_0 Z = Z:", "pass" if zrep.ok else "FAIL")

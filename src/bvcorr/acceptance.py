@@ -361,7 +361,7 @@ def criterion_8_f_manifold():
             return False, f"A{k}: no determinate PDE sign"
         signs.add(sign if "both" not in sign else "plus")
         expect = Expectation(q, [1] + [0] * (z.dim - 1))
-        zc, zt, zrep = generating_function(expect.apply_iota, z, 4)
+        zc, zt, zrep = generating_function(expect.apply_iota, fc)
         if not zrep.ok:
             v = zrep.violations[0]
             return False, f"A{k}: generating function: {v.residual}"

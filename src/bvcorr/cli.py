@@ -22,9 +22,9 @@ from .partitions import ArityCapError
 from .polyalg import DescendantFamily, Potential
 from .retract import RetractError, build_retract, quantize_retract
 from .scalars import rat_str
-from .slinf import Expectation
 from .solver import (
     MasterEquationError,
+    build_M0,
     generalized_associativity_report,
     level_one_report,
     level_zero_report,
@@ -34,14 +34,6 @@ from .solver import (
     solve_level_one,
     solve_level_zero,
     verify_M_identity,
-)
-from .fmanifold import (
-    FlatCoords,
-    flat_coordinate_report,
-    generating_function,
-    structure_constants,
-    theta_mc_report,
-    wdvv_report,
 )
 
 EXIT_OK = 0
@@ -294,8 +286,6 @@ def cmd_solve(job: JobSpec, sink: list, audit: bool, fault: bool = False):
         },
     }
     if audit:
-        from .solver import build_M0
-
         fam = DescendantFamily(job.potential)
         m_family = {}
         for n in range(2, job.n_max + 1):
@@ -343,6 +333,17 @@ def _json_family(family, labels, value=None):
 
 
 def cmd_fmanifold(job: JobSpec, sink: list):
+    # imported here so that the other commands do not load these modules
+    from .fmanifold import (
+        FlatCoords,
+        flat_coordinate_report,
+        generating_function,
+        structure_constants,
+        theta_mc_report,
+        wdvv_report,
+    )
+    from .slinf import Expectation
+
     need = job.t_order + 2
     job_n = max(job.n_max, need)
     mil = MilnorData(job.potential)
@@ -385,7 +386,7 @@ def cmd_fmanifold(job: JobSpec, sink: list):
             f"iota must list {z.dim} values for this potential"
         )
     expect = Expectation(q, iota)
-    zc, zt, zrep = generating_function(expect.apply_iota, z, job.t_order)
+    zc, zt, zrep = generating_function(expect.apply_iota, fc)
     _emit(f"Z = {zc}", sink)
     _emit(
         f"check generating-function: {'pass' if zrep.ok else 'FAIL'} "

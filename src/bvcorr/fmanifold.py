@@ -18,8 +18,8 @@ from math import factorial, prod
 
 from .hspace import HVector
 from .polyalg import DescendantFamily, PolyElement
+from .report import Report
 from .scalars import HPoly
-from .slinf import Report
 from .solver import LevelZeroSolution, mhat_dimension
 
 
@@ -364,15 +364,15 @@ def flat_coordinate_report(
     return rep, resolved
 
 
-def generating_function(
-    iota, z: LevelZeroSolution, t_order: int
-) -> tuple[TSeries, TSeries, Report]:
+def generating_function(iota, fc: FlatCoords) -> tuple[TSeries, TSeries, Report]:
     """The series Z assembled two ways: correlator sums and the That identity.
 
     iota(v: HVector) -> HPoly is the on-shell functional with iota(1_H) = 1;
-    the expectation is c = iota . hhat.  The correlators of phi0 are the
-    partition sums `z.E`.  Returns (Z_corr, Z_that, report).
+    the expectation is c = iota . hhat.  `fc` carries the level-zero solution
+    and the t-order; the correlators of phi0 are its partition sums `z.E`.
+    Returns (Z_corr, Z_that, report).
     """
+    z, t_order = fc.z, fc.t_order
     q = z.q
     dim = z.dim
     zero_exp = (0,) * dim
@@ -387,7 +387,6 @@ def generating_function(
     one.add_term(zero_exp, HPoly.const(1))
     z_corr = one + z_corr
 
-    fc = FlatCoords(z, t_order)
     z_that = one.copy()
     for c in range(dim):
         ev = iota(q.hhat(q.fhat(HVector.basis(c))))

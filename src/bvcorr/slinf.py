@@ -9,12 +9,13 @@ correlators, the moment/cumulant identity, and minimal-model transfer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .hspace import HVector, SymMap, tuples_with_repetition
 from .partitions import DEFAULT_ARITY_CAP, insertions, signed_partitions, sort_sign
 from .polyalg import PolyElement, _monomial_combos
+from .report import Report
 from .scalars import HPoly, NotDivisibleError
 
 
@@ -81,40 +82,6 @@ class SLInfStructure:
             val = self.op_on_vectors(outer_args)
             acc = acc + val if sign > 0 else acc - val
         return acc
-
-
-@dataclass
-class Violation:
-    arity: int
-    where: tuple
-    residual: object
-    kind: str = "relation"
-
-
-@dataclass
-class Report:
-    checks: int = 0
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def first_failure_arity(self, kind: str | None = None):
-        for v in self.violations:
-            if kind is None or v.kind == kind:
-                return v.arity
-        return None
-
-    def has_kind(self, kind: str) -> bool:
-        return any(v.kind == kind for v in self.violations)
-
-    def add(self, arity, where, residual, kind: str = "relation") -> None:
-        self.violations.append(Violation(arity, where, residual, kind))
-
-    def __repr__(self):
-        status = "pass" if self.ok else f"{len(self.violations)} violations"
-        return f"Report({self.checks} checks, {status})"
 
 
 def verify_sl_infinity(S: SLInfStructure, n_max: int) -> Report:

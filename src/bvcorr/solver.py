@@ -37,8 +37,8 @@ from .hspace import HVector, PairSymMap, SymMap, tuples_with_repetition
 from .partitions import signed_partitions, sub_multisets
 from .polyalg import DescendantFamily, PolyElement, classical_K
 from .retract import QuantizedRetract, nabla
+from .report import Report
 from .scalars import HPoly, NotDivisibleError
-from .slinf import Report
 
 
 class MasterEquationError(RuntimeError):
@@ -411,7 +411,8 @@ def build_M0(o: LevelOneSolution, n: int, key, fam: DescendantFamily) -> PolyEle
                           weight=lambda k, mult: HPoly.neg_h(0, mult))
     # the bracket correction must enter with a minus sign for
     # M0 = fhat mhat + Khat phim1 to hold; ell is symmetric in the even
-    # phi0 slots, so the partitions with the same blocks share one call
+    # phi0 slots, so the partitions with the same blocks share one call, and
+    # a zero argument makes the bracket zero by multilinearity
     groups = Counter(
         (tuple(sorted(tuple(key[j - 1] for j in blk) for blk in p[:-1])),
          tuple(key[j - 1] for j in p[-1]))
@@ -420,7 +421,8 @@ def build_M0(o: LevelOneSolution, n: int, key, fam: DescendantFamily) -> PolyEle
     for (blocks, last), count in groups.items():
         args = [phi0[len(blk)].values[blk] for blk in blocks]
         args.append(o.phim1[len(last)].values[last])
-        acc = acc - fam.ell(len(args), args).scale(count)
+        if not any(arg.is_zero() for arg in args):
+            acc = acc - fam.ell(len(args), args).scale(count)
     return acc
 
 

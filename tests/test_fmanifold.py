@@ -1,7 +1,11 @@
+import contextlib
+import io
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from bvcorr import cli
 from bvcorr.fmanifold import (
     FlatCoords,
     TSeries,
@@ -106,7 +110,7 @@ def test_flat_coordinates_properties(a3_run):
 def test_generating_function_examples(a3_run):
     q, z, o, ms = a3_run
     expect = Expectation(q, [1, 0, 0])
-    zc, zt, rep = generating_function(expect.apply_iota, z, 3)
+    zc, zt, rep = generating_function(expect.apply_iota, FlatCoords(z, 3))
     assert rep.ok
     dim = z.dim
     assert zc.coeff((0,) * dim) == HPoly.const(1)
@@ -131,3 +135,15 @@ def test_flat_coords_laurent_bounds(a3_run):
     q, z, o, ms = a3_run
     fc = FlatCoords(z, 4)
     assert fc.low_exponent_ok()
+
+
+def test_fmanifold_command_builds_the_flat_coordinates_once(monkeypatch):
+    calls = []
+    init = FlatCoords.__init__
+    monkeypatch.setattr(
+        FlatCoords, "__init__", lambda fc, *a: calls.append(1) or init(fc, *a)
+    )
+    job = Path(__file__).parent / "golden" / "a2.job.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["fmanifold", "--input", str(job)]) == 0
+    assert len(calls) == 1

@@ -1,0 +1,91 @@
+"""The import contract: each job loads only the bvcorr modules it runs.
+
+`bvcorr` resolves its public names on first access (PEP 562), report types
+live in `bvcorr.report`, and `bvcorr fmanifold` imports its own layer.  Each
+check runs in a fresh interpreter with src/ on the path, so no module loaded
+by another test leaks in.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the public names before the namespace became lazy
+PUBLIC = {
+    "DescendantFamily", "Expectation", "GradedBasisElement", "HPoly",
+    "LevelOneSolution", "LevelZeroSolution", "MasterEquationError", "MilnorData",
+    "NonIsolatedError", "NotDivisibleError", "PerturbedRetract", "PolyElement",
+    "Potential", "QuantizedRetract", "Retract", "RetractError", "SLInfStructure",
+    "build_retract", "bv_bracket", "classical_K", "coderivation_square",
+    "compare_retracts", "compose_morphisms", "correlators", "delta_op",
+    "descendant_morphism", "milnor_basis", "minimal_model", "mhat_symmetric",
+    "moment_cumulant_report", "nabla", "probe_descendant", "quantize_retract",
+    "quantum_K", "reconstruct_pi", "solve_level_one", "solve_level_zero",
+    "verify_M_identity", "verify_sl_infinity",
+}
+
+LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('bvcorr'))))"
+
+
+def _run(body: str):
+    code = f"import json, sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n{body}"
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT, timeout=120
+    )
+    assert r.returncode == 0, r.stdout + r.stderr
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+def test_import_bvcorr_loads_no_submodule():
+    assert _run(f"import bvcorr\n{LOADED}") == ["bvcorr"]
+
+
+def test_polyalg_loads_only_its_own_layer():
+    assert _run(f"from bvcorr import polyalg\n{LOADED}") == [
+        "bvcorr", "bvcorr.partitions", "bvcorr.polyalg", "bvcorr.scalars",
+    ]
+
+
+def test_solve_leaves_the_series_and_sl_infinity_layers_unloaded():
+    loaded = _run(
+        "import contextlib, io\n"
+        "from bvcorr import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['solve', '--input', 'tests/golden/a2.job.json'])\n"
+        "assert code == 0, code\n"
+        f"{LOADED}"
+    )
+    assert "bvcorr.solver" in loaded
+    for name in ("bvcorr.fmanifold", "bvcorr.slinf", "bvcorr.acceptance"):
+        assert name not in loaded
+
+
+def test_every_public_name_resolves():
+    found = _run(
+        "import bvcorr\n"
+        "missing = [n for n in bvcorr.__all__ if getattr(bvcorr, n, None) is None]\n"
+        "assert not missing, missing\n"
+        "print(json.dumps(bvcorr.__all__))"
+    )
+    assert set(found) == PUBLIC
+
+
+def test_dir_star_import_and_unknown_names():
+    listed = _run(
+        "import bvcorr\n"
+        "listed = dir(bvcorr)\n"
+        "ns = {}\n"
+        "exec('from bvcorr import *', ns)\n"
+        "assert set(bvcorr.__all__) <= set(ns), set(bvcorr.__all__) - set(ns)\n"
+        "try:\n"
+        "    bvcorr.no_such_name\n"
+        "except AttributeError as e:\n"
+        "    assert 'no_such_name' in str(e)\n"
+        "else:\n"
+        "    raise AssertionError('unknown attribute resolved')\n"
+        "print(json.dumps(listed))"
+    )
+    assert PUBLIC <= set(listed)

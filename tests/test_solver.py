@@ -352,6 +352,18 @@ def test_build_M0_equals_the_partition_sum(a3, a4_deep):
                 assert build_M0(o, n, key, fam) == _m0_partition_sum(o, key, fam)
 
 
+def test_M_identity_brackets_no_zero_argument(monkeypatch):
+    q, z, o = _solve(Potential.a_k(3), 6, 6)
+    calls = []
+    ell = DescendantFamily.ell
+    monkeypatch.setattr(
+        DescendantFamily, "ell", lambda fam, n, args: calls.append(args) or ell(fam, n, args)
+    )
+    assert verify_M_identity(q, z, o, 6).ok
+    assert calls  # 4,240 calls, 2,604 with a zero argument, before the skip
+    assert not [args for args in calls if any(a.is_zero() for a in args)]
+
+
 def test_level_zero_makes_one_product_per_sub_multiset(monkeypatch):
     q = quantize_retract(build_retract(MilnorData(Potential.a_k(4))))
     calls = []
@@ -383,8 +395,9 @@ def test_solvers_enumerate_no_partitions_on_ghost_zero_data(monkeypatch, tmp_pat
     assert generalized_associativity_report(ms, 2).ok
     A = structure_constants(ms, 3)
     assert wdvv_report(A, 3).ok
-    assert flat_coordinate_report(FlatCoords(z, 3), A, 3)[0].ok
-    assert generating_function(Expectation(q, [1, 0, 0]).apply_iota, z, 3)[2].ok
+    fc = FlatCoords(z, 3)
+    assert flat_coordinate_report(fc, A, 3)[0].ok
+    assert generating_function(Expectation(q, [1, 0, 0]).apply_iota, fc)[2].ok
     # and the fmanifold command reads no correlators: Z comes from z.E
     original = slinf.correlators
     for mod in [m for name, m in sys.modules.items() if name.startswith("bvcorr")]:

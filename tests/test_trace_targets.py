@@ -2,10 +2,12 @@
 
 A rename in the library would break `perfbench/run.py --trace 1`.  This runs
 `Tracer().install()` against src/ in a fresh process and checks that every
-target resolves and is replaced by its wrapper, that a traced solve fills
-the table counter, which reads the solution fields by name, and that a traced
-`bvcorr fmanifold` run through the benchmark worker records its layer spans.
-perfbench/ is only read.
+target resolves and is replaced by its wrapper, also in modules loaded after
+`install()` (the package namespace is lazy and `bvcorr fmanifold` imports its
+layer when it runs), that a traced solve fills the table counter, which reads
+the solution fields by name, and that traced `bvcorr solve` and
+`bvcorr fmanifold` runs through the benchmark worker record their layer
+spans.  perfbench/ is only read.
 """
 
 import json
@@ -18,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = """
 import sys
 sys.path[:0] = [{perfbench!r}, {src!r}]
-import bvcorr.cli  # noqa: F401  (loads every layer, as a benchmark job does)
+import bvcorr  # noqa: F401  (loads no layer: the tracer imports its targets)
 import tracer
 
 targets = [t for group in (tracer.SPANS, tracer.COUNTS) for ts in group.values() for t in ts]
@@ -26,6 +28,14 @@ targets.append("partitions:set_partitions")
 before = {{t: tracer._resolve(t)[2] for t in targets}}
 tracer.Tracer().install()
 stale = [t for t in targets if tracer._resolve(t)[2] is before[t]]
+# modules loaded after install() bind the wrappers, not the originals
+import bvcorr.acceptance, bvcorr.cli  # noqa: E401, F401
+stale += [
+    f"{{name}}.{{key}}"
+    for name, module in list(sys.modules.items()) if name.startswith("bvcorr")
+    for key, value in vars(module).items()
+    if any(value is original for original in before.values())
+]
 print(len(targets), "targets; not wrapped:", stale)
 sys.exit(1 if stale else 0)
 """
@@ -66,15 +76,25 @@ def test_traced_solve_counts_the_solution_tables():
     assert int(r.stdout.split()[-1]) > 0
 
 
-def test_traced_fmanifold_records_the_series_spans(tmp_path):
+def _assert_traced_spans(tmp_path, command, names):
     report, trace = tmp_path / "report.json", tmp_path / "trace.json"
     r = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "fmanifold",
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), command,
          str(ROOT / "tests" / "golden" / "a2.job.json"), str(report), str(trace)],
         capture_output=True, timeout=120,
     )
     assert r.returncode == 0, (r.stdout + r.stderr).decode()
     spans = json.loads(trace.read_text())["spans"]
-    for name in ("fmanifold.A", "fmanifold.Z"):
+    for name in names:
         times = [end - start for span, start, end, _ in spans if span == name]
         assert times and all(t > 0 for t in times), name
+
+
+def test_traced_fmanifold_records_the_series_spans(tmp_path):
+    _assert_traced_spans(tmp_path, "fmanifold", ("fmanifold.A", "fmanifold.Z"))
+
+
+def test_traced_solve_records_the_solver_spans(tmp_path):
+    _assert_traced_spans(
+        tmp_path, "solve", ("solver.level0", "solver.checks", "polyalg.ell")
+    )
