@@ -360,7 +360,7 @@ def test_M_identity_brackets_no_zero_argument(monkeypatch):
         DescendantFamily, "ell", lambda fam, n, args: calls.append(args) or ell(fam, n, args)
     )
     assert verify_M_identity(q, z, o, 6).ok
-    assert calls  # 4,240 calls, 2,604 with a zero argument, before the skip
+    assert calls
     assert not [args for args in calls if any(a.is_zero() for a in args)]
 
 
