@@ -12,8 +12,8 @@ with an odd ghost.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import factorial, prod
 
 from .hspace import HVector
@@ -414,15 +414,15 @@ def theta_mc_report(
     residual = TSeries(dim, t_order, PolyElement.zero(nv))
     for e, v in theta.terms.items():
         residual.add_term(e, z.q.Khat(v))
-    # sum over multisets of Theta monomials feeding the brackets; a monomial
-    # repeated k times is counted by 1/k!
-    monos = [e for e in theta.terms if sum(e) >= 1]
-    for n in range(2, min(t_order, fam.arity_cap) + 1):
-        for combo in _multisets(monos, n, t_order):
-            total = tuple(map(sum, zip(*combo)))
-            denom = prod(factorial(k) for k in Counter(combo).values())
-            val = fam.ell(n, [theta.terms[e] for e in combo])
-            residual.add_term(total, Fraction(1, denom) * val)
+    # Khat is second order, so ell_n vanishes for n >= 3 and the residual is
+    # Khat Theta + 1/2 ell_2(Theta, Theta): one bracket per unordered pair of
+    # Theta monomials, halved on the diagonal
+    for e, f in combinations_with_replacement(sorted(theta.terms), 2):
+        total = tuple(map(sum, zip(e, f)))
+        if sum(total) > t_order:
+            continue
+        val = fam.ell(2, [theta.terms[e], theta.terms[f]])
+        residual.add_term(total, val.scale(Fraction(1, 2)) if e == f else val)
     rep.checks += 1
     if not residual.is_zero():
         rep.add(0, (), "Maurer-Cartan residual is nonzero")
@@ -434,21 +434,3 @@ def theta_mc_report(
         rep.add(0, (), "d_0 Theta != 1_C")
     return rep
 
-
-def _multisets(items, n, max_total):
-    """Ascending n-multisets of exponent vectors with bounded total degree."""
-    items = sorted(items)
-    out = []
-
-    def rec(prefix, start, left):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for i in range(start, len(items)):
-            e = items[i]
-            if sum(e) * (n - len(prefix)) > left:
-                continue
-            rec(prefix + [e], i, left - sum(e))
-
-    rec([], 0, max_total)
-    return out

@@ -7,11 +7,11 @@ Every structure in the library is a sum of one shape: over the set
 partitions p of [n], the Koszul sign eps(p), times the J-signs of the blocks
 before a distinguished block, times (-h)^(n-|p|).  This module is the single
 home of that sum.  `signed_partitions` lists each partition with its signs
-and `insertions` its distinguished blocks; the descendant brackets, the
-sL-infinity relations and transfer, the correlators, the moment/cumulant
-identity and the master-equation solvers all iterate over them.  Both follow
-the fixed order of `set_partitions`, so every computation downstream is
-reproducible.
+and `insertions` its distinguished blocks, both in `set_partitions` order,
+so every computation downstream is reproducible.  `polyalg` iterates over
+them for the descendant brackets, `slinf` for the sL-infinity relations and
+transfer, the correlators and the moment/cumulant identity; the
+master-equation solvers sum over sub-multisets (`sub_multisets`) instead.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import groupby, product
 from math import comb, prod
 
-DEFAULT_ARITY_CAP = 7
+ARITY_CAP = 7
 
 Partition = tuple  # tuple of ascending tuples, blocks ordered by max
 
@@ -34,12 +34,12 @@ def _canon(blocks) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def set_partitions(n: int, cap: int = DEFAULT_ARITY_CAP) -> tuple:
+def set_partitions(n: int) -> tuple:
     """All partitions of [n], ordered by block-max sequence then blocks."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > cap:
-        raise ArityCapError(f"arity {n} exceeds cap {cap}")
+    if n > ARITY_CAP:
+        raise ArityCapError(f"arity {n} exceeds cap {ARITY_CAP}")
     parts = [((1,),)]
     for k in range(2, n + 1):
         grown = []
@@ -145,11 +145,9 @@ def sub_multisets(key: tuple, anchored: bool) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _signed(n: int, parities: tuple, pair: bool, cap: int) -> tuple:
+def _signed(n: int, parities: tuple) -> tuple:
     out = []
-    for p in set_partitions(n, cap):
-        if pair and not any(n - 1 in b and n in b for b in p):
-            continue
+    for p in set_partitions(n):
         sign = koszul_sign(p, parities)
         signs = []
         for b in p:
@@ -161,32 +159,29 @@ def _signed(n: int, parities: tuple, pair: bool, cap: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _insertions(n: int, parities: tuple, pair: bool, cap: int) -> tuple:
+def _insertions(n: int, parities: tuple) -> tuple:
     return tuple(
         (p, i, signs[i])
-        for p, signs in _signed(n, parities, pair, cap)
+        for p, signs in _signed(n, parities)
         for i, _ in distinguished_blocks(p, n)
     )
 
 
-def signed_partitions(n: int, degrees, pair: bool = False,
-                      cap: int = DEFAULT_ARITY_CAP) -> tuple:
+def signed_partitions(n: int, degrees) -> tuple:
     """The partitions of [n] in `set_partitions` order, as (p, signs) pairs.
 
     `degrees[j-1]` is the ghost number of v_j.  signs[i] is the Koszul sign
     eps(p) times the J-sign (-1)^|v_B| of every block B before block i, so
-    signs[0] = eps(p).  With pair=True only the partitions in which n-1 and
-    n share a block are kept.  The table is cached on the degree parities:
-    all-even data of one arity shares a single table.
+    signs[0] = eps(p).  The table is cached on the degree parities: all-even
+    data of one arity shares a single table.
     """
-    return _signed(n, tuple(d % 2 for d in degrees), pair, cap)
+    return _signed(n, tuple(d % 2 for d in degrees))
 
 
-def insertions(n: int, degrees, pair: bool = False,
-               cap: int = DEFAULT_ARITY_CAP) -> tuple:
+def insertions(n: int, degrees) -> tuple:
     """(p, i, sign) for each distinguished block B_i of each partition p.
 
     B_i is distinguished when |B_i| = n - |p| + 1, so every other block is
     a singleton; sign is signs[i] of `signed_partitions`.
     """
-    return _insertions(n, tuple(d % 2 for d in degrees), pair, cap)
+    return _insertions(n, tuple(d % 2 for d in degrees))

@@ -15,7 +15,7 @@ from types import MappingProxyType
 from .partitions import ArityCapError, insertions, sort_sign
 from .scalars import HPoly, NotDivisibleError, _rat
 
-DEFAULT_POLY_ARITY_CAP = 6
+POLY_ARITY_CAP = 6
 
 
 class Potential:
@@ -362,17 +362,11 @@ class DescendantFamily:
     square-zero pointed differential is supplied); higher ell_n are defined
     by the partition recursion and an exact division by (-h)^(n-1).  Values
     on monomial tuples are memoized on canonical order; general inputs
-    expand by multilinearity.
+    expand by multilinearity.  Arities above POLY_ARITY_CAP are refused.
     """
 
-    def __init__(
-        self,
-        pot: Potential,
-        arity_cap: int = DEFAULT_POLY_ARITY_CAP,
-        differential=None,
-    ):
+    def __init__(self, pot: Potential, differential=None):
         self.pot = pot
-        self.arity_cap = arity_cap
         self._K = differential if differential is not None else (
             lambda a: quantum_K(pot, a)
         )
@@ -382,8 +376,8 @@ class DescendantFamily:
         args = list(args)
         if len(args) != n:
             raise ValueError("arity mismatch")
-        if n > self.arity_cap:
-            raise ArityCapError(f"arity {n} exceeds cap {self.arity_cap}")
+        if n > POLY_ARITY_CAP:
+            raise ArityCapError(f"arity {n} exceeds cap {POLY_ARITY_CAP}")
         if n == 1:
             return self._K(args[0])
         for a in args:
@@ -418,7 +412,7 @@ class DescendantFamily:
         acc = self._K(prod)
         # the kernel sign carries J of the blocks before i: each is a single
         # monomial, so e.J() = (-1)^gh(e) e
-        for p, i, sign in insertions(n, degs, cap=max(n, 7)):
+        for p, i, sign in insertions(n, degs):
             if len(p) == 1:
                 continue
             term = None

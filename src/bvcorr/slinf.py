@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hspace import HVector, SymMap, tuples_with_repetition
-from .partitions import DEFAULT_ARITY_CAP, insertions, signed_partitions, sort_sign
+from .partitions import ARITY_CAP, insertions, signed_partitions, sort_sign
 from .polyalg import PolyElement, _monomial_combos
 from .report import Report
 from .scalars import HPoly, NotDivisibleError
@@ -390,7 +390,7 @@ def compose_morphisms(outer, inner, ghosts_of_source):
 
         return ev_n
 
-    return EvalMorphism({n: comp(n) for n in range(1, DEFAULT_ARITY_CAP + 1)})
+    return EvalMorphism({n: comp(n) for n in range(1, ARITY_CAP + 1)})
 
 
 def _ghost_of(a, ghosts_of_source):

@@ -26,15 +26,18 @@ of phi0.  The solvers therefore need even ghosts.  So do the on-shell
 functions that take mhat tables alone (reconstruction and the mhat reports):
 H is the Milnor ring, which sits in ghost number 0, and `mhat_dimension`
 rejects a table with an odd ghost.
+
+Khat = K - h Delta is second order, so its descendant brackets ell_n vanish
+for n >= 3: `build_M0` evaluates ell_2 only, and no sum here enumerates set
+partitions.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import permutations as _permutations
+from itertools import combinations
 
 from .hspace import HVector, PairSymMap, SymMap, tuples_with_repetition
-from .partitions import signed_partitions, sub_multisets
+from .partitions import sub_multisets
 from .polyalg import DescendantFamily, PolyElement, classical_K
 from .retract import QuantizedRetract, nabla
 from .report import Report
@@ -346,10 +349,13 @@ def level_one_report(o: LevelOneSolution) -> Report:
                 top = -top
             if m != top:
                 rep.add(n, where, "mhat differs from the top pi0 part")
-        # full symmetry of mhat across the front/pair split
+        # full symmetry of mhat across the front/pair split; `get` sorts the
+        # front and the pair, so the permutations of key read only its splits
         for key in tuples_with_repetition(o.dim, n):
             rep.checks += 1
-            seen = [o.mhat[n].get(perm) for perm in set(_permutations(key))]
+            splits = {key[:i] + key[i + 1:j] + key[j + 1:] + (key[i], key[j])
+                      for i, j in combinations(range(n), 2)}
+            seen = [o.mhat[n].get(split) for split in splits]
             base = seen[0]
             if any(v != base for v in seen[1:]):
                 rep.add(n, key, "mhat is not fully symmetric")
@@ -396,7 +402,8 @@ def build_M0(o: LevelOneSolution, n: int, key, fam: DescendantFamily) -> PolyEle
 
     `key` is a key of the pair tables: ascending within the front and within
     the pair, its last two entries.  The ghosts are even, as the solvers
-    require, so every partition sign is +1.
+    require, so every partition sign is +1.  Khat is second order, so its
+    brackets ell_n vanish for n >= 3: only the two-block terms ell_2 enter.
     """
     z = o.z
     nv = o.q.n_vars
@@ -410,19 +417,14 @@ def build_M0(o: LevelOneSolution, n: int, key, fam: DescendantFamily) -> PolyEle
     acc = acc - _mhat_sum(o.mhat, phi0, key, PolyElement.zero(nv),
                           weight=lambda k, mult: HPoly.neg_h(0, mult))
     # the bracket correction must enter with a minus sign for
-    # M0 = fhat mhat + Khat phim1 to hold; ell is symmetric in the even
-    # phi0 slots, so the partitions with the same blocks share one call, and
-    # a zero argument makes the bracket zero by multilinearity
-    groups = Counter(
-        (tuple(sorted(tuple(key[j - 1] for j in blk) for blk in p[:-1])),
-         tuple(key[j - 1] for j in p[-1]))
-        for p, _ in signed_partitions(n, [0] * n, pair=True) if len(p) > 1
-    )
-    for (blocks, last), count in groups.items():
-        args = [phi0[len(blk)].values[blk] for blk in blocks]
-        args.append(o.phim1[len(last)].values[last])
-        if not any(arg.is_zero() for arg in args):
-            acc = acc - fam.ell(len(args), args).scale(count)
+    # M0 = fhat mhat + Khat phim1 to hold: ell_2(phi0(k), phim1(front - k|a b))
+    # per nonempty sub-multiset k of the front; a zero argument gives zero
+    for k, rest, mult in sub_multisets(front, False):
+        if not k:
+            continue
+        u, w = phi0[len(k)].values[k], o.phim1[len(rest) + 2].values[rest + (a, b)]
+        if not (u.is_zero() or w.is_zero()):
+            acc = acc - fam.ell(2, [u, w]).scale(mult)
     return acc
 
 

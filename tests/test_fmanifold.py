@@ -1,6 +1,7 @@
 import contextlib
 import io
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,26 @@ def test_theta_mc(a3_run):
     theta = theta_series(z, 3)
     d0 = theta.derivative(0)
     assert d0.coeff((0, 0, 0)) == PolyElement.one(1)
+
+
+def test_ell_3_vanishes_on_theta_monomials(a3_run):
+    # theta_mc_report sums ell_2 only: ell_3 on Theta is zero for Khat
+    q, z, o, ms = a3_run
+    fam = DescendantFamily(q.pot)
+    theta = theta_series(z, 3)
+    assert len(theta.terms) > 1
+    for triple in combinations_with_replacement(sorted(theta.terms), 3):
+        assert fam.ell(3, [theta.terms[e] for e in triple]).is_zero(), triple
+
+
+def test_theta_mc_fails_on_a_corrupted_phi0(a3_run, monkeypatch):
+    q, z, o, ms = a3_run
+    fam = DescendantFamily(q.pot)
+    bad = z.phi0[2].get((1, 1)) + PolyElement.x(0, 1) * PolyElement.eta(0, 1)
+    monkeypatch.setitem(z.phi0[2].values, (1, 1), bad)
+    rep = theta_mc_report(z, fam, 3)
+    assert [v.residual for v in rep.violations] == [
+        "Maurer-Cartan residual is nonzero"]
 
 
 def test_flat_coords_laurent_bounds(a3_run):

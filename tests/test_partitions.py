@@ -125,24 +125,16 @@ def test_signed_partitions_against_brute_force(n, data):
     assert [p for p, _ in table] == list(set_partitions(n))
     for p, signs in table:
         assert list(signs) == _brute_signs(p, degrees)
-    paired = signed_partitions(n, degrees, pair=True)
-    want = [
-        p for p in set_partitions(n)
-        if n > 1 and any(n - 1 in b and n in b for b in p)
-    ]
-    assert [p for p, _ in paired] == want
-    assert dict(paired) == {p: s for p, s in table if p in want}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.data())
 def test_insertions_against_brute_force(n, data):
     degrees = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    pair = data.draw(st.booleans())
-    table = signed_partitions(n, degrees, pair=pair)
+    table = signed_partitions(n, degrees)
     want = [(p, i, signs[i]) for p, signs in table
             for i, _ in distinguished_blocks(p, n)]
-    assert list(insertions(n, degrees, pair=pair)) == want
+    assert list(insertions(n, degrees)) == want
 
 
 def test_kernel_sign_table_depends_on_parity_only():
@@ -153,8 +145,7 @@ def test_kernel_arity_cap():
     with pytest.raises(ArityCapError):
         signed_partitions(8, [0] * 8)
     with pytest.raises(ArityCapError):
-        insertions(5, [0] * 5, cap=4)
-    assert len(signed_partitions(8, [0] * 8, cap=8)) == bell_number(8)
+        insertions(8, [0] * 8)
 
 
 def _insertion_sort_sign(indices, degrees):

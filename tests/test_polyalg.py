@@ -186,9 +186,9 @@ def test_descendant_unital_relations():
 
 
 def test_arity_cap():
-    fam = DescendantFamily(A2, arity_cap=3)
+    fam = DescendantFamily(A2)
     with pytest.raises(ArityCapError):
-        fam.ell(4, [X, X, X, X])
+        fam.ell(7, [X] * 7)
 
 
 def test_jacobian():

@@ -1,27 +1,22 @@
 import contextlib
 import io
+import json
 import random
 import sys
 from collections import Counter
 from fractions import Fraction
 from math import prod
-from pathlib import Path
 
 import pytest
 
 import bvcorr.cli as cli
+import bvcorr.partitions as partitions
 import bvcorr.slinf as slinf
 import bvcorr.solver as solver
-from bvcorr.fmanifold import (
-    FlatCoords,
-    flat_coordinate_report,
-    generating_function,
-    structure_constants,
-    wdvv_report,
-)
 from bvcorr.groebner import MilnorData
 from bvcorr.hspace import HVector, tuples_with_repetition
-from bvcorr.partitions import koszul_sign, set_partitions, signed_partitions
+from bvcorr.partitions import (
+    koszul_sign, set_partitions, signed_partitions, sub_multisets)
 from bvcorr.polyalg import DescendantFamily, PolyElement, Potential
 from bvcorr.retract import build_retract, quantize_retract, spanning_monomials
 from bvcorr.scalars import HPoly
@@ -288,8 +283,8 @@ def _pair_partition_sums(o, key):
     phi0(v_B1)..phim1(v_Blast)], and pi0 - the same mhat sum on pi0."""
     z, n = o.z, len(key)
     om, vp = z.eta1[n].get(key), z.pi0[n].get(key)
-    for p, signs in signed_partitions(n, [o.ghosts[k] for k in key], pair=True):
-        if len(p) == 1:
+    for p, signs in signed_partitions(n, [o.ghosts[k] for k in key]):
+        if len(p) == 1 or not _holds_the_pair(p, n):
             continue
         blocks = _blocks(key, p)
         w = HPoly.neg_h(n - len(p) - 1, signs[0])
@@ -323,15 +318,21 @@ def test_level_one_sums_equal_the_pair_partition_sums(a4_deep):
             assert o.varpi0[n].get(key) == vp, key
 
 
+def _holds_the_pair(p, n):
+    """Whether n - 1 and n share a block of the partition p of [n]."""
+    return any(n - 1 in b and n in b for b in p)
+
+
 def _m0_partition_sum(o, key, fam):
-    """build_M0 written out over the set partitions of key."""
+    """build_M0 written out over the set partitions of key, with a bracket
+    ell_|p| for every pair partition p."""
     z, n = o.z, len(key)
     acc = z.phi0[n].get(key).scale(HPoly.neg_h(1))
     for p, _ in signed_partitions(n, [0] * n):
         if len(p) == 2 and n - 1 not in p[1]:  # two blocks that split the pair
             acc = acc + _product([z.phi0[len(b)].get(b) for b in _blocks(key, p)])
-    for p, _ in signed_partitions(n, [0] * n, pair=True):
-        if len(p) == 1:
+    for p, _ in signed_partitions(n, [0] * n):
+        if len(p) == 1 or not _holds_the_pair(p, n):
             continue
         blocks = _blocks(key, p)
         if len(blocks[-1]) == n - len(p) + 1:
@@ -380,32 +381,80 @@ def test_level_zero_makes_one_product_per_sub_multiset(monkeypatch):
     assert 0 < len(calls) <= bound  # the set-partition sums made 664,616
 
 
-def test_solvers_enumerate_no_partitions_on_ghost_zero_data(monkeypatch, tmp_path):
-    def refuse(*args, **kwargs):
-        raise AssertionError("signed_partitions called on ghost-0 data")
+def test_ell_3_vanishes_on_the_M_identity_arguments():
+    # build_M0 evaluates ell_2 only: the three-block pair partitions it
+    # leaves out give ell_3 on (phi0, phi0, phim1), zero for Khat
+    q, z, o = _solve(Potential.a_k(3), 6, 6)
+    fam = DescendantFamily(q.pot)
+    triples = set()
+    for n in range(4, 7):
+        for key in o.mhat[n].keys():
+            front, pair = key[:-2], key[-2:]
+            for k1, rest1, _ in sub_multisets(front, False):
+                for k2, rest2, _ in sub_multisets(rest1, False):
+                    if k1 and k2 and k1 <= k2:
+                        triples.add((k1, k2, rest2 + pair))
+    nonzero = 0
+    for k1, k2, last in triples:
+        args = [z.phi0[len(k1)].get(k1), z.phi0[len(k2)].get(k2),
+                o.phim1[len(last)].get(last)]
+        if not any(a.is_zero() for a in args):
+            nonzero += 1
+            assert fam.ell(3, args).is_zero(), (k1, k2, last)
+    assert nonzero > 0
 
-    monkeypatch.setattr(solver, "signed_partitions", refuse)
-    _solve(Potential.single_variable({4: Fraction(1, 4), 2: -Fraction(1, 2)}), 5, 5)
-    # the on-shell layer: reconstruction, both mhat reports, an F-manifold
+
+def test_M_identity_needs_the_ell_2_term():
     q, z, o = _solve(Potential.a_k(3), 5, 5)
-    ms = mhat_symmetric(o)
-    pi = reconstruct_pi(ms, 5)
-    assert all(pi[n].get(k) == z.pi0[n].get(k) for n in pi for k in z.pi0[n].keys())
-    assert mhat_unity_report(ms, 5).ok
-    assert generalized_associativity_report(ms, 2).ok
-    A = structure_constants(ms, 3)
-    assert wdvv_report(A, 3).ok
-    fc = FlatCoords(z, 3)
-    assert flat_coordinate_report(fc, A, 3)[0].ok
-    assert generating_function(Expectation(q, [1, 0, 0]).apply_iota, fc)[2].ok
+    fam = DescendantFamily(q.pot)
+    fam.ell = lambda n, args: PolyElement.zero(1)
+    rep = verify_M_identity(q, z, o, 5, fam)
+    assert "M0 identity fails" in [v.residual for v in rep.violations]
+
+
+def test_level_one_report_flags_an_asymmetric_mhat(a3, monkeypatch):
+    _, _, o = a3
+    rep = level_one_report(o)
+    # 274 is the count of the permutation reads the split reads replaced
+    assert rep.ok and rep.checks == 274
+    # (0, 1 | 2, 2) now differs from (1, 2 | 0, 2), another split of the key
+    key = (0, 1, 2, 2)
+    monkeypatch.setitem(o.mhat[4].values, key, o.mhat[4].values[key] + HVector.basis(1))
+    rep = level_one_report(o)
+    assert (4, key, "mhat is not fully symmetric") in [
+        (v.arity, v.where, v.residual) for v in rep.violations]
+    assert rep.checks == 274
+
+
+def test_solvers_enumerate_no_partitions_on_ghost_zero_data(monkeypatch, tmp_path):
+    # ell_2's own recursion reads the arity-2 table; every other sum of the
+    # solve and fmanifold commands runs over sub-multisets
+    arities = []
+    enumerate_ = partitions.set_partitions
+    monkeypatch.setattr(partitions, "set_partitions",
+                        lambda *args: arities.append(args[0]) or enumerate_(*args))
+    partitions._signed.cache_clear()
+    partitions._insertions.cache_clear()
+    job = tmp_path / "a3.job.json"
+    job.write_text(json.dumps({
+        "schema": 1, "potential": {"n_vars": 1, "terms": [[[4], "1/4"]]},
+        "n_max": 6, "h_order": 6, "t_order": 3,
+    }))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["solve", "--input", str(job)]) == 0
+    assert arities and max(arities) <= 2, sorted(set(arities))
     # and the fmanifold command reads no correlators: Z comes from z.E
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("correlators called by the fmanifold command")
+
     original = slinf.correlators
     for mod in [m for name, m in sys.modules.items() if name.startswith("bvcorr")]:
         if getattr(mod, "correlators", None) is original:
             monkeypatch.setattr(mod, "correlators", refuse)
-    golden = Path(__file__).parent / "golden" / "a2.job.json"
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["fmanifold", "--input", str(golden)]) == 0
+        assert cli.main(["fmanifold", "--input", str(job)]) == 0
+    assert max(arities) <= 2, sorted(set(arities))
 
 
 def test_solver_rejects_an_odd_ghost(monkeypatch):
