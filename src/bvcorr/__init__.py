@@ -9,6 +9,7 @@ bytecode is cached.
 import importlib
 
 _EXPORTS = {
+    "errors": ("MasterEquationError", "RetractError"),
     "groebner": ("MilnorData", "NonIsolatedError"),
     "polyalg": (
         "DescendantFamily",
@@ -23,7 +24,6 @@ _EXPORTS = {
         "PerturbedRetract",
         "QuantizedRetract",
         "Retract",
-        "RetractError",
         "build_retract",
         "compare_retracts",
         "nabla",
@@ -46,7 +46,6 @@ _EXPORTS = {
     "solver": (
         "LevelOneSolution",
         "LevelZeroSolution",
-        "MasterEquationError",
         "mhat_symmetric",
         "reconstruct_pi",
         "solve_level_one",

@@ -16,25 +16,12 @@ import json
 import sys
 from fractions import Fraction
 
+from .errors import MasterEquationError, RetractError
 from .groebner import MilnorData, NonIsolatedError
 from .hspace import HVector
 from .partitions import ArityCapError
 from .polyalg import DescendantFamily, Potential
-from .retract import RetractError, build_retract, quantize_retract
 from .scalars import rat_str
-from .solver import (
-    MasterEquationError,
-    build_M0,
-    generalized_associativity_report,
-    level_one_report,
-    level_zero_report,
-    mhat_symmetric,
-    mhat_unity_report,
-    reconstruct_pi,
-    solve_level_one,
-    solve_level_zero,
-    verify_M_identity,
-)
 
 EXIT_OK = 0
 EXIT_REJECTED = 2
@@ -193,26 +180,30 @@ def cmd_basis(job: JobSpec, sink: list) -> tuple[int, dict]:
 
 
 def _run_solve(job: JobSpec, fault: bool = False):
+    # imported here so that `basis` loads neither module
+    from . import solver
+    from .retract import build_retract, quantize_retract
+
     mil = MilnorData(job.potential)
     r = build_retract(mil)
     q = quantize_retract(r, order=job.h_order)
-    z = solve_level_zero(q, job.n_max)
-    o = solve_level_one(q, z, job.n_max)
+    z = solver.solve_level_zero(q, job.n_max)
+    o = solver.solve_level_one(q, z, job.n_max)
     if fault:
         # test hook: corrupt one solver value, then re-verify
         n = min(3, job.n_max)
         key = next(iter(sorted(o.mhat[n].values)))
         o.mhat[n].values[key] = o.mhat[n].values[key] + HVector({0: 1})
     reports = {
-        "level-zero": level_zero_report(z),
-        "level-one": level_one_report(o),
-        "M-identity": verify_M_identity(q, z, o, job.n_max),
+        "level-zero": solver.level_zero_report(z),
+        "level-one": solver.level_one_report(o),
+        "M-identity": solver.verify_M_identity(q, z, o, job.n_max),
     }
-    ms = mhat_symmetric(o)
-    reports["unity"] = mhat_unity_report(ms, job.n_max)
+    ms = solver.mhat_symmetric(o)
+    reports["unity"] = solver.mhat_unity_report(ms, job.n_max)
     spect = max(0, min(3, job.n_max - 3))
-    reports["associativity"] = generalized_associativity_report(ms, spect)
-    pi = reconstruct_pi(ms, job.n_max)
+    reports["associativity"] = solver.generalized_associativity_report(ms, spect)
+    pi = solver.reconstruct_pi(ms, job.n_max)
     recon_ok = all(
         pi[n].get(key) == z.pi0[n].get(key)
         for n in range(1, job.n_max + 1)
@@ -286,6 +277,8 @@ def cmd_solve(job: JobSpec, sink: list, audit: bool, fault: bool = False):
         },
     }
     if audit:
+        from .solver import build_M0
+
         fam = DescendantFamily(job.potential)
         m_family = {}
         for n in range(2, job.n_max + 1):
@@ -334,15 +327,10 @@ def _json_family(family, labels, value=None):
 
 def cmd_fmanifold(job: JobSpec, sink: list):
     # imported here so that the other commands do not load these modules
-    from .fmanifold import (
-        FlatCoords,
-        flat_coordinate_report,
-        generating_function,
-        structure_constants,
-        theta_mc_report,
-        wdvv_report,
-    )
+    from . import fmanifold
+    from .retract import build_retract, quantize_retract
     from .slinf import Expectation
+    from .solver import mhat_symmetric, solve_level_one, solve_level_zero
 
     need = job.t_order + 2
     job_n = max(job.n_max, need)
@@ -353,7 +341,7 @@ def cmd_fmanifold(job: JobSpec, sink: list):
     o = solve_level_one(q, z, job_n)
     ms = mhat_symmetric(o)
     labels = [monomial_label(e, mil.n_vars) for e in mil.basis]
-    A = structure_constants(ms, job.t_order)
+    A = fmanifold.structure_constants(ms, job.t_order)
     _emit("structure constants A[a,b]^c:", sink)
     for a in range(z.dim):
         for b in range(z.dim):
@@ -362,15 +350,15 @@ def cmd_fmanifold(job: JobSpec, sink: list):
                 if s.is_zero():
                     continue
                 _emit(f"  A[{labels[a]},{labels[b]}]^[{labels[c]}] = {s}", sink)
-    w = wdvv_report(A, job.t_order)
+    w = fmanifold.wdvv_report(A, job.t_order)
     _emit(
         f"check wdvv: {'pass' if w.ok else 'FAIL'} ({w.checks} instances)", sink
     )
     if not w.ok:
         v = w.violations[0]
         _emit(f"  witness: {v.where}: {v.residual}", sink)
-    fc = FlatCoords(z, job.t_order)
-    frep, sign = flat_coordinate_report(fc, A, job.t_order)
+    fc = fmanifold.FlatCoords(z, job.t_order)
+    frep, sign = fmanifold.flat_coordinate_report(fc, A, job.t_order)
     _emit("flat coordinates That^c:", sink)
     for c in range(z.dim):
         _emit(f"  That^[{labels[c]}] = {fc.T[c]}", sink)
@@ -386,7 +374,7 @@ def cmd_fmanifold(job: JobSpec, sink: list):
             f"iota must list {z.dim} values for this potential"
         )
     expect = Expectation(q, iota)
-    zc, zt, zrep = generating_function(expect.apply_iota, fc)
+    zc, zt, zrep = fmanifold.generating_function(expect.apply_iota, fc)
     _emit(f"Z = {zc}", sink)
     _emit(
         f"check generating-function: {'pass' if zrep.ok else 'FAIL'} "
@@ -394,7 +382,7 @@ def cmd_fmanifold(job: JobSpec, sink: list):
         sink,
     )
     fam = DescendantFamily(job.potential)
-    mc = theta_mc_report(z, fam, min(job.t_order, 3))
+    mc = fmanifold.theta_mc_report(z, fam, min(job.t_order, 3))
     _emit(
         f"check maurer-cartan: {'pass' if mc.ok else 'FAIL'} "
         f"({mc.checks} instances)",

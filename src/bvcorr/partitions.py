@@ -8,10 +8,11 @@ partitions p of [n], the Koszul sign eps(p), times the J-signs of the blocks
 before a distinguished block, times (-h)^(n-|p|).  This module is the single
 home of that sum.  `signed_partitions` lists each partition with its signs
 and `insertions` its distinguished blocks, both in `set_partitions` order,
-so every computation downstream is reproducible.  `polyalg` iterates over
-them for the descendant brackets, `slinf` for the sL-infinity relations and
-transfer, the correlators and the moment/cumulant identity; the
-master-equation solvers sum over sub-multisets (`sub_multisets`) instead.
+so every computation downstream is reproducible.  `slinf` iterates over
+them for the sL-infinity relations and transfer, the correlators and the
+moment/cumulant identity.  The descendant brackets of `polyalg` use Koszul's
+closed formula, a sum over subsets, and the master-equation solvers sum over
+sub-multisets (`sub_multisets`) instead.
 """
 
 from __future__ import annotations

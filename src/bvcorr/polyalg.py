@@ -4,7 +4,8 @@ C = Q[x_1..x_N] (x) Lambda[eta_1..eta_N] with ghost number -1 on each eta.
 The differential is quantum: Khat = K_cl - h*Delta, where K_cl contracts
 eta_i against dS/dx_i and Delta is the odd second-order operator pairing
 eta_i with x_i.  The descendant family ell_n measures iterated failures of
-Khat to be a derivation, divided by powers of (-h).
+Khat to be a derivation, divided by powers of (-h), in Koszul's closed form
+(Koszul 1985; Bering, Damgaard, Alfaro, hep-th/9604027).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from types import MappingProxyType
 
-from .partitions import ArityCapError, insertions, sort_sign
+from .partitions import ArityCapError
 from .scalars import HPoly, NotDivisibleError, _rat
 
 POLY_ARITY_CAP = 6
@@ -358,11 +359,17 @@ def bv_bracket(a: PolyElement, b: PolyElement) -> PolyElement:
 class DescendantFamily:
     """The descendant brackets ell_n of a square-zero differential on C.
 
-    ell_1 is the differential (Khat of the potential unless another
-    square-zero pointed differential is supplied); higher ell_n are defined
-    by the partition recursion and an exact division by (-h)^(n-1).  Values
-    on monomial tuples are memoized on canonical order; general inputs
-    expand by multilinearity.  Arities above POLY_ARITY_CAP are refused.
+    ell_1 is the differential D, Khat of the potential unless another
+    pointed, square-zero D of ghost number 1 is supplied.  For n >= 2,
+    ell_n is Koszul's closed formula divided by (-h)^(n-1):
+
+        Phi_n(a_1..a_n) = sum over nonempty I of (-1)^(n-|I|) eps(I|I^c)
+                          D(a_I) a_(I^c),
+
+    with eps the Koszul sign of the unshuffle that moves I ahead of its
+    complement.  ell(n) divides the arity-n sum it returns and evaluates no
+    lower arity, so an undivisible Phi_k at some k < n does not stop it.
+    Arities above POLY_ARITY_CAP are refused.
     """
 
     def __init__(self, pot: Potential, differential=None):
@@ -370,7 +377,6 @@ class DescendantFamily:
         self._K = differential if differential is not None else (
             lambda a: quantum_K(pot, a)
         )
-        self._memo = {}
 
     def ell(self, n: int, args) -> PolyElement:
         args = list(args)
@@ -384,65 +390,32 @@ class DescendantFamily:
             if not a.is_homogeneous():
                 raise ValueError("descendant arguments must be homogeneous")
         nv = self.pot.n_vars
-        out = PolyElement.zero(nv)
-        # multilinear expansion into monomials
-        for combo, coef in _monomial_combos([a.terms for a in args]):
-            val = self._ell_monomials(n, combo)
-            out = out + val.scale(coef)
-        return out
-
-    def _ell_monomials(self, n: int, monos) -> PolyElement:
-        # canonical order with Koszul sign so permuted calls share the memo
-        canon, csign = sort_sign(monos, [-len(m[1]) for m in monos])
-        if csign == 0:
-            return PolyElement.zero(self.pot.n_vars)
-        if csign < 0:
-            return -self._ell_monomials(n, canon)
-        monos = canon
-        key = (n, monos)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        nv = self.pot.n_vars
-        elems = [PolyElement(nv, {m: 1}) for m in monos]
-        degs = [-len(m[1]) for m in monos]
-        prod = elems[0]
-        for e in elems[1:]:
-            prod = prod * e
-        acc = self._K(prod)
-        # the kernel sign carries J of the blocks before i: each is a single
-        # monomial, so e.J() = (-1)^gh(e) e
-        for p, i, sign in insertions(n, degs):
-            if len(p) == 1:
+        odd = sum(1 << i for i, a in enumerate(args) if a.ghost() % 2)
+        # the product a_I of every subset I, in argument order, by bitmask
+        prods = [PolyElement.one(nv)]
+        for a in args:
+            prods += [a] + [p * a for p in prods[1:]]
+        full = (1 << n) - 1
+        acc = PolyElement.zero(nv)
+        for mask in range(1, full + 1):
+            inner, outer = prods[mask], prods[full ^ mask]
+            # skip a product that repeats an eta, and ghost 0: D raises the
+            # ghost number and C has none above 0
+            if inner.is_zero() or outer.is_zero() or not next(iter(inner.terms))[1]:
                 continue
-            term = None
-            for bi, b in enumerate(p):
-                if bi == i:
-                    factor = self.ell(len(b), [elems[j - 1] for j in b])
-                else:
-                    factor = elems[b[0] - 1]
-                term = factor if term is None else term * factor
-            acc = acc - term.scale(HPoly.neg_h(n - len(p), sign))
+            # eps(I|I^c): a flip for each odd a_i of I^c before an odd a_j of I
+            flips = sum((odd & ~mask & ((1 << j) - 1)).bit_count()
+                        for j in range(n) if (odd & mask) >> j & 1)
+            sign = -1 if (n - mask.bit_count() + flips) % 2 else 1
+            term = self._K(inner)
+            if mask != full:
+                term = term * outer
+            acc = acc + term if sign > 0 else acc - term
         try:
-            val = acc.neg_h_divide(n - 1)
+            return acc.neg_h_divide(n - 1)
         except NotDivisibleError as e:
             raise NotDivisibleError(
                 e.offending_exponent,
-                f"descendant recursion not h-divisible at arity {n}: "
+                f"descendant bracket not h-divisible at arity {n}: "
                 "the algebra is not a binary QFT algebra",
             ) from e
-        self._memo[key] = val
-        return val
-
-
-def _monomial_combos(term_dicts):
-    """Expand a product of sparse sums, each a dict of key -> HPoly
-    coefficient, into (key-tuple, coefficient) pairs."""
-    combos = [((), HPoly.const(1))]
-    for terms in term_dicts:
-        combos = [
-            (key + (mono,), coef * c)
-            for key, coef in combos
-            for mono, c in terms.items()
-        ]
-    return combos

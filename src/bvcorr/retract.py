@@ -21,14 +21,11 @@ correction terms.
 
 from __future__ import annotations
 
+from .errors import RetractError
 from .groebner import MilnorData, p_is_zero
 from .hspace import HVector
 from .polyalg import PolyElement, classical_K, delta_op, quantum_K
 from .scalars import DEFAULT_H_ORDER, HPoly
-
-
-class RetractError(RuntimeError):
-    """A retract identity failed verification."""
 
 
 SPAN_DEGREE = 8  # x-degree of the monomials the retract identities are checked on

@@ -9,20 +9,52 @@ correlators, the moment/cumulant identity, and minimal-model transfer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .hspace import HVector, SymMap, tuples_with_repetition
 from .partitions import ARITY_CAP, insertions, signed_partitions, sort_sign
-from .polyalg import PolyElement, _monomial_combos
+from .polyalg import PolyElement
 from .report import Report
 from .scalars import HPoly, NotDivisibleError
 
 
-@dataclass(frozen=True)
 class GradedBasisElement:
-    label: str
-    ghost: int
+    """A labelled basis vector of ghost number `ghost`; immutable."""
+
+    __slots__ = ("label", "ghost")
+
+    def __init__(self, label: str, ghost: int):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "ghost", ghost)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label, self.ghost) == (other.label, other.ghost)
+
+    def __hash__(self):
+        return hash((self.label, self.ghost))
+
+    def __repr__(self):
+        return f"GradedBasisElement(label={self.label!r}, ghost={self.ghost!r})"
+
+
+def _monomial_combos(term_dicts):
+    """Expand a product of sparse sums, each a dict of key -> HPoly
+    coefficient, into (key-tuple, coefficient) pairs."""
+    combos = [((), HPoly.const(1))]
+    for terms in term_dicts:
+        combos = [
+            (key + (mono,), coef * c)
+            for key, coef in combos
+            for mono, c in terms.items()
+        ]
+    return combos
 
 
 class SLInfStructure:
@@ -213,12 +245,12 @@ class EvalMorphism:
         return comp(tuple(args))
 
 
-@dataclass
 class DescendantResult:
-    ok: bool
-    morphism: object = None
-    failure_arity: int | None = None
-    residue: object = None
+    __slots__ = ("ok", "morphism", "failure_arity", "residue")
+
+    def __init__(self, ok: bool, morphism=None, failure_arity=None, residue=None):
+        self.ok, self.morphism = ok, morphism
+        self.failure_arity, self.residue = failure_arity, residue
 
 
 class DescendantDivisibilityError(NotDivisibleError):

@@ -36,16 +36,13 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .errors import MasterEquationError
 from .hspace import HVector, PairSymMap, SymMap, tuples_with_repetition
 from .partitions import sub_multisets
 from .polyalg import DescendantFamily, PolyElement, classical_K
 from .retract import QuantizedRetract, nabla
 from .report import Report
 from .scalars import HPoly, NotDivisibleError
-
-
-class MasterEquationError(RuntimeError):
-    """A defining identity of a master equation failed after solving."""
 
 
 class LevelZeroSolution:

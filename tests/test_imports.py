@@ -1,9 +1,10 @@
 """The import contract: each job loads only the bvcorr modules it runs.
 
 `bvcorr` resolves its public names on first access (PEP 562), report types
-live in `bvcorr.report`, and `bvcorr fmanifold` imports its own layer.  Each
-check runs in a fresh interpreter with src/ on the path, so no module loaded
-by another test leaks in.
+live in `bvcorr.report`, the CLI's failure types in `bvcorr.errors`, and
+`bvcorr fmanifold` imports its own layer.  Each check runs in a fresh
+interpreter with src/ on the path, so no module loaded by another test
+leaks in.
 """
 
 import json
@@ -61,6 +62,28 @@ def test_solve_leaves_the_series_and_sl_infinity_layers_unloaded():
     assert "bvcorr.solver" in loaded
     for name in ("bvcorr.fmanifold", "bvcorr.slinf", "bvcorr.acceptance"):
         assert name not in loaded
+
+
+def test_basis_loads_neither_retract_nor_solver():
+    # the CLI's failure types live in bvcorr.errors
+    loaded = _run(
+        "import contextlib, io\n"
+        "from bvcorr import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['basis', '--input', 'tests/golden/two_var.job.json'])\n"
+        "assert code == 0, code\n"
+        f"{LOADED}"
+    )
+    assert "bvcorr.errors" in loaded
+    for name in ("bvcorr.retract", "bvcorr.solver", "bvcorr.report"):
+        assert name not in loaded
+
+
+def test_slinf_does_not_load_dataclasses():
+    assert _run(
+        "from bvcorr import slinf\n"
+        "print(json.dumps('dataclasses' in sys.modules))"
+    ) is False
 
 
 def test_every_public_name_resolves():

@@ -3,7 +3,7 @@
 The differential h^2 d^3/(dx^2 d eta) is third order, squares to zero, and
 kills the unit, so its iterated product failures are h-divisible; the
 resulting descendant family has h-dependent ell_2 and nonvanishing ell_3,
-exercising the generic recursion beyond the second-order collapse.
+exercising Koszul's closed formula beyond the second-order collapse.
 """
 
 import random

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvcorr.groebner import MilnorData
-from bvcorr.partitions import ArityCapError
+from bvcorr.partitions import ArityCapError, insertions, sort_sign
 from bvcorr.polyalg import (
     DescendantFamily,
     PolyElement,
@@ -16,7 +16,9 @@ from bvcorr.polyalg import (
     quantum_K,
 )
 from bvcorr.retract import spanning_monomials
-from bvcorr.scalars import HPoly
+from bvcorr.scalars import HPoly, NotDivisibleError
+from bvcorr.slinf import _monomial_combos
+from test_nonbv import third_order
 
 A2 = Potential.a_k(2)
 X = PolyElement.x(0, 1)
@@ -329,3 +331,137 @@ def test_jacobian_is_computed_once_and_read_only():
         gens.append({})
     MilnorData(pot)
     assert pot.jacobian() == ({(2, 0): 3, (0, 2): Fraction(1, 2)}, {(1, 1): 1, (0, 3): 8})
+
+
+# -- the closed form against the partition recursion -------------
+
+
+class _RecursiveFamily:
+    """ell_n by the partition recursion, a test-only reference.
+
+    K of the product minus every insertion of a lower-arity bracket into a
+    distinguished block, divided by (-h)^(n-1); values on monomial tuples
+    are memoized on canonical order and general inputs expand by
+    multilinearity.
+    """
+
+    def __init__(self, pot, differential=None):
+        self.pot = pot
+        self._K = differential if differential is not None else (
+            lambda a: quantum_K(pot, a)
+        )
+        self._memo = {}
+
+    def ell(self, n, args):
+        args = list(args)
+        if n == 1:
+            return self._K(args[0])
+        out = PolyElement.zero(self.pot.n_vars)
+        for combo, coef in _monomial_combos([a.terms for a in args]):
+            out = out + self._ell_monomials(n, combo).scale(coef)
+        return out
+
+    def _ell_monomials(self, n, monos):
+        canon, csign = sort_sign(monos, [-len(m[1]) for m in monos])
+        if csign == 0:
+            return PolyElement.zero(self.pot.n_vars)
+        if csign < 0:
+            return -self._ell_monomials(n, canon)
+        monos = canon
+        key = (n, monos)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        nv = self.pot.n_vars
+        elems = [PolyElement(nv, {m: 1}) for m in monos]
+        degs = [-len(m[1]) for m in monos]
+        prod = elems[0]
+        for e in elems[1:]:
+            prod = prod * e
+        acc = self._K(prod)
+        for p, i, sign in insertions(n, degs):
+            if len(p) == 1:
+                continue
+            term = None
+            for bi, b in enumerate(p):
+                if bi == i:
+                    factor = self.ell(len(b), [elems[j - 1] for j in b])
+                else:
+                    factor = elems[b[0] - 1]
+                term = factor if term is None else term * factor
+            acc = acc - term.scale(HPoly.neg_h(n - len(p), sign))
+        try:
+            val = acc.neg_h_divide(n - 1)
+        except NotDivisibleError as e:
+            raise NotDivisibleError(
+                e.offending_exponent,
+                f"descendant recursion not h-divisible at arity {n}: "
+                "the algebra is not a binary QFT algebra",
+            ) from e
+        self._memo[key] = val
+        return val
+
+
+TWO_VAR = Potential(2, {(3, 0): Fraction(1, 3), (0, 3): Fraction(1, 3), (1, 1): Fraction(1, 2)})
+
+
+def _random_arg(rng, n_vars):
+    """A homogeneous element of 1-3 terms, each with |etas| = g."""
+    g = rng.randrange(n_vars + 1)
+    words = [w for w in ((), (0,), (1,), (0, 1)) if len(w) == g and max(w, default=0) < n_vars]
+    out = PolyElement.zero(n_vars)
+    while out.is_zero():
+        for _ in range(rng.randint(1, 3)):
+            exp = tuple(rng.randrange(4) for _ in range(n_vars))
+            out = out + PolyElement.monomial(n_vars, exp, rng.choice(words), rng.choice((-2, -1, 1, 3)))
+    return out
+
+
+@pytest.mark.parametrize("pot, differential, seed", [
+    (A2, None, 41),
+    (TWO_VAR, None, 42),
+    (A2, third_order, 43),
+])
+def test_closed_form_matches_the_partition_recursion(pot, differential, seed):
+    fam = DescendantFamily(pot, differential=differential)
+    ref = _RecursiveFamily(pot, differential=differential)
+    rng = random.Random(seed)
+    live = set()
+    for n in range(1, 7):
+        for _ in range(12 if n < 5 else 4):
+            args = [_random_arg(rng, pot.n_vars) for _ in range(n)]
+            got = fam.ell(n, args)
+            assert got == ref.ell(n, args), (n, args)
+            if not got.is_zero():
+                live.add(n)
+            # a transposition of a_i and a_j costs the Koszul sign of moving
+            # each past the other and past everything between them
+            i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+            if i == j:
+                continue
+            odd = [a.ghost() % 2 for a in args]
+            flips = odd[i] * odd[j] + (odd[i] + odd[j]) * sum(odd[i + 1:j])
+            swapped = list(args)
+            swapped[i], swapped[j] = args[j], args[i]
+            assert fam.ell(n, swapped) == got.scale(Fraction((-1) ** flips))
+    # Khat is second order and the non-BV differential third order
+    assert live == ({1, 2, 3} if differential else {1, 2})
+
+
+def test_divisibility_is_checked_at_the_arity_asked_for():
+    # d^3/(dx^2 deta): third_order without its h^2, so Phi_2 and Phi_3 are
+    # not h-divisible; the closed form names the arity it divides
+    def undivided(c):
+        return third_order(c).h_divide(2)
+
+    fam = DescendantFamily(A2, differential=undivided)
+    with pytest.raises(NotDivisibleError, match="at arity 2"):
+        fam.ell(2, [X * X, ETA])
+    with pytest.raises(NotDivisibleError, match="at arity 3"):
+        fam.ell(3, [X, X, ETA])
+    # Phi_4 of a third-order operator vanishes: ell_4 is 0 although the
+    # recursion through lower arities stops at the undivisible ell_2
+    args = [X, X, X * X, ETA]
+    assert fam.ell(4, args).is_zero()
+    with pytest.raises(NotDivisibleError, match="at arity 2"):
+        _RecursiveFamily(A2, differential=undivided).ell(4, args)

@@ -10,6 +10,7 @@ from bvcorr.polyalg import DescendantFamily, PolyElement, Potential, quantum_K
 from bvcorr.retract import build_retract, quantize_retract, spanning_monomials
 from bvcorr.scalars import HPoly
 from bvcorr.slinf import (
+    DescendantResult,
     EvalMorphism,
     Expectation,
     GradedBasisElement,
@@ -379,3 +380,20 @@ def test_minimal_model_of_classical_a2():
     for n in lhat:
         for key in lhat[n].keys():
             assert lhat[n].get(key).is_zero()
+
+
+def test_plain_record_types():
+    # GradedBasisElement: value equality, hashing, repr and no assignment
+    a = GradedBasisElement("x", -1)
+    assert a == GradedBasisElement("x", -1) and hash(a) == hash(GradedBasisElement("x", -1))
+    assert a != GradedBasisElement("x", 0) and a != ("x", -1)
+    assert len({a, GradedBasisElement("x", -1), GradedBasisElement("y", -1)}) == 2
+    assert repr(a) == "GradedBasisElement(label='x', ghost=-1)"
+    with pytest.raises(AttributeError):
+        a.ghost = 0
+    with pytest.raises(AttributeError):
+        del a.label
+    r = DescendantResult(ok=True)
+    assert (r.ok, r.morphism, r.failure_arity, r.residue) == (True, None, None, None)
+    r = DescendantResult(False, failure_arity=3, residue="res")
+    assert (r.ok, r.morphism, r.failure_arity, r.residue) == (False, None, 3, "res")

@@ -427,8 +427,8 @@ def test_level_one_report_flags_an_asymmetric_mhat(a3, monkeypatch):
 
 
 def test_solvers_enumerate_no_partitions_on_ghost_zero_data(monkeypatch, tmp_path):
-    # ell_2's own recursion reads the arity-2 table; every other sum of the
-    # solve and fmanifold commands runs over sub-multisets
+    # ell_2 is Koszul's closed formula and every other sum of the solve and
+    # fmanifold commands runs over sub-multisets: no partition table is built
     arities = []
     enumerate_ = partitions.set_partitions
     monkeypatch.setattr(partitions, "set_partitions",
@@ -442,7 +442,7 @@ def test_solvers_enumerate_no_partitions_on_ghost_zero_data(monkeypatch, tmp_pat
     }))
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["solve", "--input", str(job)]) == 0
-    assert arities and max(arities) <= 2, sorted(set(arities))
+    assert arities == [], sorted(set(arities))
     # and the fmanifold command reads no correlators: Z comes from z.E
 
     def refuse(*args, **kwargs):
@@ -454,7 +454,7 @@ def test_solvers_enumerate_no_partitions_on_ghost_zero_data(monkeypatch, tmp_pat
             monkeypatch.setattr(mod, "correlators", refuse)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["fmanifold", "--input", str(job)]) == 0
-    assert max(arities) <= 2, sorted(set(arities))
+    assert arities == [], sorted(set(arities))
 
 
 def test_solver_rejects_an_odd_ghost(monkeypatch):
