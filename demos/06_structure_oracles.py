@@ -1,7 +1,7 @@
 """Verifying homotopy Lie structures two ways, and transferring them.
 
 A finite table of graded-symmetric brackets either satisfies the coherence
-relations or it does not; we check with direct partition sums and,
+relations or it does not; we check with direct sums over unshuffles and,
 independently, by squaring the coderivation the table induces on symmetric
 words.  The two oracles agree, including on where a corrupted table first
 breaks.  Homotopy transfer then moves a structure onto its cohomology.

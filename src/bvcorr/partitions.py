@@ -1,24 +1,24 @@
-"""Set partitions, Koszul signs, and the one partition-sum kernel.
+"""Set partitions, unshuffles, Koszul signs, and the partition-sum kernels.
 
 A partition of [n] = {1, ..., n} is stored as a tuple of blocks; each block
 is an ascending tuple of indices and blocks are ordered by their maximum.
 
-Every structure in the library is a sum of one shape: over the set
-partitions p of [n], the Koszul sign eps(p), times the J-signs of the blocks
-before a distinguished block, times (-h)^(n-|p|).  This module is the single
-home of that sum.  `signed_partitions` lists each partition with its signs
-and `insertions` its distinguished blocks, both in `set_partitions` order,
-so every computation downstream is reproducible.  `slinf` iterates over
-them for the sL-infinity relations and transfer, the correlators and the
-moment/cumulant identity.  The descendant brackets of `polyalg` use Koszul's
-closed formula, a sum over subsets, and the master-equation solvers sum over
-sub-multisets (`sub_multisets`) instead.
+The morphism-side structures are sums of one shape: over the set partitions
+p of [n], the Koszul sign eps(p) times (-h)^(n-|p|).  `signed_partitions`
+lists each partition with its signs, in `set_partitions` order, so every
+computation downstream is reproducible; `slinf` sums the correlators,
+the moment/cumulant identity, composition and minimal-model transfer over it.
+The sL-infinity relations and the bar coderivation are sums over unshuffles
+(I | I^c) instead (Lada-Stasheff 1993): `subsets` lists the subsets I of the
+sizes a structure has brackets for, with eps(I|I^c) from `unshuffle_sign`,
+which Koszul's closed formula for the descendant brackets of `polyalg` uses
+too.  The master-equation solvers sum over sub-multisets (`sub_multisets`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import combinations, groupby, product
 from math import comb, prod
 
 ARITY_CAP = 7
@@ -109,16 +109,41 @@ def sort_sign(indices, degrees) -> tuple:
     return tuple(x for x, _ in items), sign
 
 
-def distinguished_blocks(partition, n: int):
-    """Yield (index i, block) pairs with |B_i| = n - |p| + 1.
+def unshuffle_sign(odd: int, mask: int) -> int:
+    """eps(I|I^c): the Koszul sign of moving I, in order, ahead of I^c.
 
-    These are the admissible insertion points in the partition sums: every
-    other block is then a singleton.
+    Both are bitmasks over positions: `mask` holds I and `odd` the
+    positions of odd degree.  Each odd element of I^c before an odd
+    element of I is one transposition.
     """
-    size = n - len(partition) + 1
-    for i, block in enumerate(partition):
-        if len(block) == size:
-            yield i, block
+    flips = sum((odd & ~mask & ((1 << j) - 1)).bit_count()
+                for j in range(odd.bit_length()) if (odd & mask) >> j & 1)
+    return -1 if flips % 2 else 1
+
+
+@lru_cache(maxsize=None)
+def _subsets(n: int, parities: tuple, sizes: tuple) -> tuple:
+    if n > ARITY_CAP:
+        raise ArityCapError(f"arity {n} exceeds cap {ARITY_CAP}")
+    odd = sum(1 << j for j, d in enumerate(parities) if d)
+    out = []
+    for m in sizes:
+        for I in combinations(range(n), m):
+            mask = sum(1 << j for j in I)
+            rest = tuple(j for j in range(n) if not mask >> j & 1)
+            out.append((I, rest, unshuffle_sign(odd, mask)))
+    return tuple(out)
+
+
+def subsets(n: int, degrees, sizes) -> tuple:
+    """(I, I^c, eps(I|I^c)) for each I of the positions 0..n-1, |I| in `sizes`.
+
+    `degrees[j]` is the ghost number of the element at position j; I and
+    I^c are ascending tuples of positions.  The subsets come by ascending
+    size, each size in `itertools.combinations` order.  The table is cached
+    on the degree parities and the sizes.
+    """
+    return _subsets(n, tuple(d % 2 for d in degrees), tuple(sorted(set(sizes))))
 
 
 @lru_cache(maxsize=None)
@@ -159,15 +184,6 @@ def _signed(n: int, parities: tuple) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _insertions(n: int, parities: tuple) -> tuple:
-    return tuple(
-        (p, i, signs[i])
-        for p, signs in _signed(n, parities)
-        for i, _ in distinguished_blocks(p, n)
-    )
-
-
 def signed_partitions(n: int, degrees) -> tuple:
     """The partitions of [n] in `set_partitions` order, as (p, signs) pairs.
 
@@ -177,12 +193,3 @@ def signed_partitions(n: int, degrees) -> tuple:
     data of one arity shares a single table.
     """
     return _signed(n, tuple(d % 2 for d in degrees))
-
-
-def insertions(n: int, degrees) -> tuple:
-    """(p, i, sign) for each distinguished block B_i of each partition p.
-
-    B_i is distinguished when |B_i| = n - |p| + 1, so every other block is
-    a singleton; sign is signs[i] of `signed_partitions`.
-    """
-    return _insertions(n, tuple(d % 2 for d in degrees))

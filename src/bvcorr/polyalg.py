@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from types import MappingProxyType
 
-from .partitions import ArityCapError
+from .partitions import ArityCapError, unshuffle_sign
 from .scalars import HPoly, NotDivisibleError, _rat
 
 POLY_ARITY_CAP = 6
@@ -403,10 +403,9 @@ class DescendantFamily:
             # ghost number and C has none above 0
             if inner.is_zero() or outer.is_zero() or not next(iter(inner.terms))[1]:
                 continue
-            # eps(I|I^c): a flip for each odd a_i of I^c before an odd a_j of I
-            flips = sum((odd & ~mask & ((1 << j) - 1)).bit_count()
-                        for j in range(n) if (odd & mask) >> j & 1)
-            sign = -1 if (n - mask.bit_count() + flips) % 2 else 1
+            sign = unshuffle_sign(odd, mask)
+            if (n - mask.bit_count()) % 2:
+                sign = -sign
             term = self._K(inner)
             if mask != full:
                 term = term * outer

@@ -1,8 +1,8 @@
 """Finite-basis sL-infinity structures, morphisms, and their verification.
 
 Structures are tables of structure constants over a graded basis; the
-relations are checked two independent ways: directly (partition sums) and
-through the square of the bar-construction coderivation.  Morphism-side
+relations are checked two independent ways: directly (sums over unshuffles)
+and through the square of the bar-construction coderivation.  Morphism-side
 machinery covers descendants of pointed cochain maps, composition,
 correlators, the moment/cumulant identity, and minimal-model transfer.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .hspace import HVector, SymMap, tuples_with_repetition
-from .partitions import ARITY_CAP, insertions, signed_partitions, sort_sign
+from .partitions import ARITY_CAP, signed_partitions, sort_sign, subsets
 from .polyalg import PolyElement
 from .report import Report
 from .scalars import HPoly, NotDivisibleError
@@ -91,28 +91,23 @@ class SLInfStructure:
             return HVector.zero()
         return table.get(tuple(idxs))
 
-    def op_on_vectors(self, args) -> HVector:
-        """Evaluate the bracket multilinearly on HVector / index arguments."""
-        vecs = [a if isinstance(a, HVector) else HVector.basis(a) for a in args]
-        out = HVector.zero()
-        for key, coef in _monomial_combos([v.c for v in vecs]):
-            out = out + self.op(key).scale(coef)
-        return out
-
     def relation_residual(self, idxs) -> HVector:
-        """The arity-n Jacobi-type sum on a basis tuple; zero iff satisfied."""
+        """The arity-n relation on a basis tuple x; zero iff it holds.
+
+        The sum over unshuffles (I | I^c) of eps(I|I^c) ell(ell(x_I), x_(I^c))
+        (Lada-Stasheff 1993), over the sizes m = |I| for which both ell_m and
+        ell_(n-m+1) have a table; each coordinate k of the inner bracket is
+        read as the outer word (k, x_(I^c)).
+        """
         n = len(idxs)
-        degs = [self.ghosts[i] for i in idxs]
+        sizes = [m for m in self.ops if n - m + 1 in self.ops]
         acc = HVector.zero()
-        for p, i, sign in insertions(n, degs):
-            inner = self.op(tuple(idxs[j - 1] for j in p[i]))
-            if inner.is_zero():
-                continue
-            outer_args = [
-                inner if bi == i else idxs[b[0] - 1] for bi, b in enumerate(p)
-            ]
-            val = self.op_on_vectors(outer_args)
-            acc = acc + val if sign > 0 else acc - val
+        for I, rest, sign in subsets(n, [self.ghosts[i] for i in idxs], sizes):
+            inner = self.op(tuple(idxs[j] for j in I))
+            outer = tuple(idxs[j] for j in rest)
+            for k, coef in inner.c.items():
+                val = self.op((k,) + outer).scale(coef)
+                acc = acc + val if sign > 0 else acc - val
         return acc
 
 
@@ -147,53 +142,41 @@ def _word_canon(idxs, ghosts):
     return sort_sign(tuple(idxs), [ghosts[i] for i in idxs])
 
 
-class _WordSum:
-    """Finite sum of symmetric words with HPoly coefficients."""
-
-    def __init__(self, ghosts):
-        self.ghosts = ghosts
-        self.c = {}
-
-    def add(self, idxs, coef) -> None:
-        coef = HPoly.promote(coef)
-        if coef.is_zero():
-            return
-        key, sign = _word_canon(idxs, self.ghosts)
-        if sign == 0:
-            return
-        if sign < 0:
-            coef = -coef
-        cur = self.c.get(key)
-        new = coef if cur is None else cur + coef
-        if new.is_zero():
-            self.c.pop(key, None)
-        else:
-            self.c[key] = new
-
-    def is_zero(self) -> bool:
-        return not self.c
+def _accumulate(terms: dict, key, coef: HPoly) -> None:
+    # coef is nonzero, so a sum can only vanish on a key already present
+    coef = terms[key] + coef if key in terms else coef
+    if coef.is_zero():
+        del terms[key]
+    else:
+        terms[key] = coef
 
 
-def _delta_on_word(S: SLInfStructure, idxs) -> _WordSum:
-    """The coderivation of the descendant weights on one symmetric word."""
-    n = len(idxs)
-    degs = [S.ghosts[i] for i in idxs]
-    out = _WordSum(S.ghosts)
-    for p, i, sign in insertions(n, degs):
-        inner = S.op(tuple(idxs[j - 1] for j in p[i]))
+def _delta_on_word(S: SLInfStructure, idxs) -> dict:
+    """The coderivation of the descendant weights on one symmetric word x.
+
+    The sum over unshuffles (I | I^c) with |I| = m an arity of S of
+    eps(I|I^c) (-h)^(m-1) ell_m(x_I) x_(I^c), each coordinate k of the
+    bracket giving the word (k, x_(I^c)); returned as {canonical word: coef}.
+    """
+    out = {}
+    for I, rest, sign in subsets(len(idxs), [S.ghosts[i] for i in idxs], S.ops):
+        inner = S.op(tuple(idxs[j] for j in I))
         if inner.is_zero():
             continue
-        w = HPoly.neg_h(n - len(p), sign)
+        w = HPoly.neg_h(len(I) - 1, sign)
+        outer = tuple(idxs[j] for j in rest)
         for k, coef in inner.c.items():
-            word = tuple(k if bi == i else idxs[b[0] - 1] for bi, b in enumerate(p))
-            out.add(word, coef * w)
+            word, wsign = _word_canon((k,) + outer, S.ghosts)
+            if wsign:
+                _accumulate(out, word, coef * w if wsign > 0 else -(coef * w))
     return out
 
 
 def coderivation_square(S: SLInfStructure, n_max: int) -> Report:
     """Check that the bar coderivation squares to zero on words up to n_max.
 
-    The coderivation is evaluated once per canonical word within one call.
+    The coderivation is evaluated once per canonical word within one call;
+    the words it returns are canonical, so D(D(w)) sums in a plain dict.
     """
     rep = Report()
     dim = len(S.basis)
@@ -212,13 +195,12 @@ def coderivation_square(S: SLInfStructure, n_max: int) -> Report:
                 continue
             rep.checks += 1
             first = delta(key)
-            total = _WordSum(S.ghosts)
-            for word, coef in first.c.items():
-                second = delta(word)
-                for w2, c2 in second.c.items():
-                    total.add(w2, coef * c2)
-            if not total.is_zero():
-                rep.add(n, key, total.c)
+            total = {}
+            for word, coef in first.items():
+                for w2, c2 in delta(word).items():
+                    _accumulate(total, w2, coef * c2)
+            if total:
+                rep.add(n, key, total)
     rep.violations.sort(key=lambda v: (v.arity, v.where))
     return rep
 
@@ -583,14 +565,10 @@ def minimal_model(ell_eval, retract_f, retract_h, retract_s, ghosts, n_max: int)
                     acc = acc + _scale_target(
                         ell_eval(tuple(vals)), HPoly.const(signs[0])
                     )
-            for p, i, sign in insertions(n, degs):
-                if len(p) in (1, n):
-                    continue
-                inner = lhat_block(tuple(key[j - 1] for j in p[i]))
+            for I, rest, sign in subsets(n, degs, range(2, n)):
+                inner = lhat_block(tuple(key[j] for j in I))
                 for k, coef in inner.c.items():
-                    args = tuple(
-                        k if bi == i else key[b[0] - 1] for bi, b in enumerate(p)
-                    )
+                    args = (k,) + tuple(key[j] for j in rest)
                     skey, ssign = sort_sign(args, [ghosts[a] for a in args])
                     if ssign == 0:
                         continue

@@ -9,7 +9,7 @@ exercising Koszul's closed formula beyond the second-order collapse.
 import random
 from fractions import Fraction
 
-from bvcorr.partitions import distinguished_blocks, koszul_sign, set_partitions
+from bvcorr.partitions import koszul_sign, set_partitions
 from bvcorr.polyalg import (
     DescendantFamily,
     PolyElement,
@@ -35,6 +35,12 @@ def third_order(c: PolyElement) -> PolyElement:
             HPoly({2: Fraction(sgn * d * (d - 1))})
         )
     return out
+
+
+def distinguished_blocks(partition, n):
+    """(i, B_i) for each block with |B_i| = n - |p| + 1: every other block
+    is then a singleton, so B_i is where a bracket is inserted."""
+    return [(i, b) for i, b in enumerate(partition) if len(b) == n - len(partition) + 1]
 
 
 def _family():

@@ -4,13 +4,13 @@ from hypothesis import given, settings, strategies as st
 from bvcorr.partitions import (
     ArityCapError,
     bell_number,
-    distinguished_blocks,
-    insertions,
     koszul_sign,
     set_partitions,
     signed_partitions,
     sort_sign,
     sub_multisets,
+    subsets,
+    unshuffle_sign,
 )
 
 
@@ -127,14 +127,45 @@ def test_signed_partitions_against_brute_force(n, data):
         assert list(signs) == _brute_signs(p, degrees)
 
 
+def _insertions(n, degrees):
+    # (p, i, signs[i]) for each block B_i of p with |B_i| = n - |p| + 1, so
+    # that every other block is a singleton: the partition form of an unshuffle
+    return [(p, i, signs[i]) for p, signs in signed_partitions(n, degrees)
+            for i, b in enumerate(p) if len(b) == n - len(p) + 1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.data())
 def test_insertions_against_brute_force(n, data):
+    # the partition form's sign, eps(p) times the J-signs of the singletons
+    # before B_i, turns into eps(I|I^c) once the inner bracket (ghost
+    # |x_I| + 1) moves ahead of those singletons
     degrees = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    table = signed_partitions(n, degrees)
-    want = [(p, i, signs[i]) for p, signs in table
-            for i, _ in distinguished_blocks(p, n)]
-    assert list(insertions(n, degrees)) == want
+    want = {}
+    for p, i, sign in _insertions(n, degrees):
+        before = sum(degrees[b[0] - 1] for b in p[:i])
+        inner = sum(degrees[j - 1] for j in p[i]) + 1
+        want[tuple(j - 1 for j in p[i])] = sign * (-1) ** (inner * before % 2)
+    got = {I: sign for I, _, sign in subsets(n, degrees, range(1, n + 1))}
+    assert got == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_subsets_against_brute_force(n, data):
+    degrees = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    sizes = data.draw(st.sets(st.integers(1, n)))
+    table = subsets(n, degrees, sizes)
+    want = [I for mask in range(1 << n)
+            for I in [tuple(j for j in range(n) if mask >> j & 1)] if len(I) in sizes]
+    assert sorted(I for I, _, _ in table) == sorted(want)  # each exactly once
+    for I, rest, sign in table:
+        assert rest == tuple(j for j in range(n) if j not in I)
+        assert sign == _bubble_oracle([j + 1 for j in I + rest], degrees)
+        odd = sum(1 << j for j, d in enumerate(degrees) if d % 2)
+        assert sign == unshuffle_sign(odd, sum(1 << j for j in I))
+    flipped = [d + 2 for d in degrees]  # other degrees, the same parities
+    assert subsets(n, flipped, sorted(sizes, reverse=True)) is table
 
 
 def test_kernel_sign_table_depends_on_parity_only():
@@ -145,7 +176,7 @@ def test_kernel_arity_cap():
     with pytest.raises(ArityCapError):
         signed_partitions(8, [0] * 8)
     with pytest.raises(ArityCapError):
-        insertions(8, [0] * 8)
+        subsets(8, [0] * 8, range(1, 9))
 
 
 def _insertion_sort_sign(indices, degrees):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvcorr.groebner import MilnorData
-from bvcorr.partitions import ArityCapError, insertions, sort_sign
+from bvcorr.partitions import ArityCapError, signed_partitions, sort_sign
 from bvcorr.polyalg import (
     DescendantFamily,
     PolyElement,
@@ -18,7 +18,7 @@ from bvcorr.polyalg import (
 from bvcorr.retract import spanning_monomials
 from bvcorr.scalars import HPoly, NotDivisibleError
 from bvcorr.slinf import _monomial_combos
-from test_nonbv import third_order
+from test_nonbv import distinguished_blocks, third_order
 
 A2 = Potential.a_k(2)
 X = PolyElement.x(0, 1)
@@ -150,7 +150,7 @@ def test_bracket_is_derivation():
 
 def test_descendant_unital_relations():
     # the family kills a unit slot and satisfies the Jacobi-type sums
-    from bvcorr.partitions import distinguished_blocks, koszul_sign, set_partitions
+    from bvcorr.partitions import koszul_sign, set_partitions
 
     fam = DescendantFamily(A2)
     rng = random.Random(15)
@@ -336,6 +336,13 @@ def test_jacobian_is_computed_once_and_read_only():
 # -- the closed form against the partition recursion -------------
 
 
+def _insertions(n, degs):
+    # (p, i, sign) per distinguished block B_i, sign = eps(p) times the
+    # J-signs of the blocks before B_i
+    return [(p, i, signs[i]) for p, signs in signed_partitions(n, degs)
+            for i, _ in distinguished_blocks(p, n)]
+
+
 class _RecursiveFamily:
     """ell_n by the partition recursion, a test-only reference.
 
@@ -379,7 +386,7 @@ class _RecursiveFamily:
         for e in elems[1:]:
             prod = prod * e
         acc = self._K(prod)
-        for p, i, sign in insertions(n, degs):
+        for p, i, sign in _insertions(n, degs):
             if len(p) == 1:
                 continue
             term = None

@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import bvcorr.slinf
+from bvcorr import partitions
 from bvcorr.acceptance import _corruptions
 from bvcorr.groebner import MilnorData
 from bvcorr.hspace import HVector, tuples_with_repetition
 from bvcorr.polyalg import DescendantFamily, PolyElement, Potential, quantum_K
+from bvcorr.partitions import signed_partitions, sort_sign
 from bvcorr.retract import build_retract, quantize_retract, spanning_monomials
 from bvcorr.scalars import HPoly
 from bvcorr.slinf import (
@@ -136,6 +140,126 @@ def test_coderivation_square_evaluates_each_word_once(monkeypatch):
         r1 = verify_sl_infinity(bad, 4)
         assert not r2.ok
         assert r1.first_failure_arity(kind="relation") == r2.first_failure_arity()
+
+
+# -- the partition form of both oracles, kept as a reference -------------
+
+
+def _insertions(n, degs):
+    # (p, i, sign) per block B_i of p with |B_i| = n - |p| + 1, sign = eps(p)
+    # times the J-signs of the blocks before B_i
+    return [(p, i, signs[i]) for p, signs in signed_partitions(n, degs)
+            for i, b in enumerate(p) if len(b) == n - len(p) + 1]
+
+
+def _partition_residual(S, idxs):
+    # every distinguished block of every partition, inner bracket in place
+    acc = HVector.zero()
+    for p, i, sign in _insertions(len(idxs), [S.ghosts[j] for j in idxs]):
+        for k, coef in S.op(tuple(idxs[j - 1] for j in p[i])).c.items():
+            word = tuple(k if bi == i else idxs[b[0] - 1] for bi, b in enumerate(p))
+            val = S.op(word).scale(coef)
+            acc = acc + val if sign > 0 else acc - val
+    return acc
+
+
+def _partition_delta(S, idxs):
+    out = {}
+    for p, i, sign in _insertions(len(idxs), [S.ghosts[j] for j in idxs]):
+        w = HPoly.neg_h(len(idxs) - len(p), sign)
+        for k, coef in S.op(tuple(idxs[j - 1] for j in p[i])).c.items():
+            word = tuple(k if bi == i else idxs[b[0] - 1] for bi, b in enumerate(p))
+            key, ksign = sort_sign(word, [S.ghosts[a] for a in word])
+            if ksign:
+                c = out.pop(key, HPoly.zero()) + (coef * w if ksign > 0 else -(coef * w))
+                if not c.is_zero():
+                    out[key] = c
+    return out
+
+
+def _random_structure(rng):
+    # random h-dependent tables at arities 1-3 over 3-4 mixed-parity elements
+    ghosts = [rng.choice((-2, -1, -1, 0, 0, 1)) for _ in range(rng.randint(3, 4))]
+    S = SLInfStructure([GradedBasisElement(f"e{i}", g) for i, g in enumerate(ghosts)])
+    for n in (1, 2, 3):
+        for idxs in tuples_with_repetition(len(ghosts), n):
+            want = sum(ghosts[i] for i in idxs) + 1
+            S.set_op(n, idxs, HVector({
+                t: HPoly({0: rng.randint(-2, 2), 1: Fraction(rng.randint(-2, 2), 3)})
+                for t, g in enumerate(ghosts) if g == want and rng.random() < 0.5
+            }))
+    return S
+
+
+def _three_bracket(rng):
+    # d(u) = v, and a random ell_3 on (a, b, c) that never sees u or v and
+    # never lands on u: valid through arity 4 (ell_3 ell_3 starts at arity 5)
+    ghosts = [-1, 0, -1, 0, 0]  # u, v, a, b, c
+    S = SLInfStructure([GradedBasisElement(s, g) for s, g in zip("uvabc", ghosts)])
+    S.set_op(1, (0,), HVector.basis(1))
+    for idxs in tuples_with_repetition(5, 3):
+        if min(idxs) >= 2 and idxs.count(2) < 2:
+            want = sum(ghosts[i] for i in idxs) + 1
+            S.set_op(3, idxs, HVector({t: rng.randint(-3, 3) for t in (1, 3, 4)
+                                       if ghosts[t] == want}))
+    return S
+
+
+def _rows(rep):
+    return rep.checks, [(v.arity, v.where, v.kind, v.residual) for v in rep.violations]
+
+
+def test_unshuffle_oracles_match_their_partition_form(monkeypatch):
+    # tables at arities 1-3 make the size filter skip sizes at arity 4
+    rng = random.Random(41)
+    line = _linear_sub_structure([Fraction(3, 2)])  # basis 1, x, eta, x eta
+    valid = [_a2_sub(), _sl2_odd(), line, _three_bracket(rng), _three_bracket(rng)]
+    bad = [_sl2_odd(he=3)] + list(_corruptions(valid[3], 2))
+    for idxs, target in (((2,), 0), ((2, 3), 2)):  # ell_1(eta), ell_2(eta, x eta)
+        broken = _linear_sub_structure([Fraction(3, 2)])
+        broken.set_op(len(idxs), idxs, broken.op(idxs) + HVector({target: Fraction(2, 7)}))
+        bad.append(broken)
+    noise = [_random_structure(rng) for _ in range(6)]
+    new = [(verify_sl_infinity(S, 4), coderivation_square(S, 4)) for S in valid + bad + noise]
+    assert all(r1.ok and r2.ok for r1, r2 in new[:len(valid)])
+    assert not any(r1.ok or r2.ok for r1, r2 in new[len(valid):len(valid) + len(bad)])
+    assert sum(not r1.ok for r1, _ in new[len(valid) + len(bad):]) >= 4
+    monkeypatch.setattr(SLInfStructure, "relation_residual", _partition_residual)
+    monkeypatch.setattr(bvcorr.slinf, "_delta_on_word", _partition_delta)
+    for S, (r1, r2) in zip(valid + bad + noise, new):
+        assert _rows(verify_sl_infinity(S, 4)) == _rows(r1)
+        assert _rows(coderivation_square(S, 4)) == _rows(r2)
+
+
+def _linear_sub_structure(coeffs):
+    # the descendant sub-structure of S = sum c_i x_i on x-degree <= 1: the
+    # monomials 1, x_i times every eta word are closed under ell_1 and ell_2
+    nv = len(coeffs)
+    xs = [(0,) * nv] + [tuple(int(j == i) for j in range(nv)) for i in range(nv)]
+    keys = [(x, w) for r in range(nv + 1) for w in combinations(range(nv), r) for x in xs]
+    index = {k: i for i, k in enumerate(keys)}
+    fam = DescendantFamily(Potential(nv, {xs[i + 1]: c for i, c in enumerate(coeffs)}))
+    elems = [PolyElement(nv, {k: 1}) for k in keys]
+    S = SLInfStructure([GradedBasisElement(str(k), -len(k[1])) for k in keys], unit=0)
+    for n in (1, 2):
+        for idxs in tuples_with_repetition(len(keys), n):
+            val = fam.ell(n, [elems[i] for i in idxs])
+            S.set_op(n, idxs, HVector({index[k]: c for k, c in val.terms.items()}))
+    return S
+
+
+def test_oracles_enumerate_no_partitions(monkeypatch):
+    arities = []
+    enumerate_ = partitions.set_partitions
+    monkeypatch.setattr(partitions, "set_partitions",
+                        lambda *args: arities.append(args[0]) or enumerate_(*args))
+    partitions._signed.cache_clear()
+    S = _linear_sub_structure([Fraction(2), Fraction(-1, 3)])
+    r1, r2 = verify_sl_infinity(S, 3), coderivation_square(S, 3)
+    assert r1.ok and r2.ok and r1.checks > 0 and r2.checks > 0
+    S.set_op(1, (len(S.basis) - 1,), S.op((len(S.basis) - 1,)) + HVector.basis(7))
+    assert not verify_sl_infinity(S, 3).ok and not coderivation_square(S, 3).ok
+    assert arities == []
 
 
 def test_descendant_of_identity():

@@ -434,7 +434,7 @@ def test_solvers_enumerate_no_partitions_on_ghost_zero_data(monkeypatch, tmp_pat
     monkeypatch.setattr(partitions, "set_partitions",
                         lambda *args: arities.append(args[0]) or enumerate_(*args))
     partitions._signed.cache_clear()
-    partitions._insertions.cache_clear()
+    partitions._subsets.cache_clear()
     job = tmp_path / "a3.job.json"
     job.write_text(json.dumps({
         "schema": 1, "potential": {"n_vars": 1, "terms": [[[4], "1/4"]]},
