@@ -6,7 +6,8 @@ PairSymMap stores maps on S^(n-2)H (x) S^2H, the carrier shape of the
 level-one families.  Every table takes one flat index tuple; a PairSymMap
 key carries the pair as its last two entries.  Keys are stored in canonical
 form (sorted, for a PairSymMap sorted within the front and within the pair);
-lookups on other orderings canonicalize with the Koszul sign.
+lookups on other orderings canonicalize with the Koszul sign, or by a plain
+sort on a table whose ghosts are all even.
 """
 
 from __future__ import annotations
@@ -129,10 +130,13 @@ class SymMap:
         self.ghosts = ghosts
         self.zero_value = zero_value
         self.values = {}
+        # even ghosts (every solver and on-shell table): sort, no sign
+        self.odd = any(g % 2 for g in ghosts)
 
     def canon(self, idxs):
-        degs = [self.ghosts[i] for i in idxs]
-        return sort_sign(tuple(idxs), degs)
+        if not self.odd:
+            return tuple(sorted(idxs)), 1
+        return sort_sign(tuple(idxs), [self.ghosts[i] for i in idxs])
 
     def set(self, idxs, value) -> None:
         key, sign = self.canon(idxs)
@@ -173,6 +177,8 @@ class PairSymMap(SymMap):
 
     def canon(self, idxs):
         idxs = tuple(idxs)
+        if not self.odd:
+            return tuple(sorted(idxs[:-2])) + tuple(sorted(idxs[-2:])), 1
         fkey, fsign = sort_sign(idxs[:-2], [self.ghosts[i] for i in idxs[:-2]])
         pkey, psign = sort_sign(idxs[-2:], [self.ghosts[i] for i in idxs[-2:]])
         return fkey + pkey, fsign * psign

@@ -5,7 +5,7 @@ is an ascending tuple of indices and blocks are ordered by their maximum.
 
 The morphism-side structures are sums of one shape: over the set partitions
 p of [n], the Koszul sign eps(p) times (-h)^(n-|p|).  `signed_partitions`
-lists each partition with its signs, in `set_partitions` order, so every
+lists each partition with its sign, in `set_partitions` order, so every
 computation downstream is reproducible; `slinf` sums the correlators,
 the moment/cumulant identity, composition and minimal-model transfer over it.
 The sL-infinity relations and the bar coderivation are sums over unshuffles
@@ -172,24 +172,14 @@ def sub_multisets(key: tuple, anchored: bool) -> tuple:
 
 @lru_cache(maxsize=None)
 def _signed(n: int, parities: tuple) -> tuple:
-    out = []
-    for p in set_partitions(n):
-        sign = koszul_sign(p, parities)
-        signs = []
-        for b in p:
-            signs.append(sign)
-            if sum(parities[j - 1] for j in b) % 2:
-                sign = -sign
-        out.append((p, tuple(signs)))
-    return tuple(out)
+    return tuple((p, koszul_sign(p, parities)) for p in set_partitions(n))
 
 
 def signed_partitions(n: int, degrees) -> tuple:
-    """The partitions of [n] in `set_partitions` order, as (p, signs) pairs.
+    """The partitions p of [n] in `set_partitions` order, as (p, eps(p)).
 
-    `degrees[j-1]` is the ghost number of v_j.  signs[i] is the Koszul sign
-    eps(p) times the J-sign (-1)^|v_B| of every block B before block i, so
-    signs[0] = eps(p).  The table is cached on the degree parities: all-even
-    data of one arity shares a single table.
+    `degrees[j-1]` is the ghost number of v_j and eps(p) the Koszul sign of
+    reordering v_1 .. v_n into block order.  The table is cached on the
+    degree parities: all-even data of one arity shares a single table.
     """
     return _signed(n, tuple(d % 2 for d in degrees))

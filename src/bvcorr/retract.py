@@ -15,8 +15,7 @@ fhat = 0.  Quantization is restricted to retracts with Delta f_i = 0 for
 every representative, which `QuantizedRetract` checks: then the anomaly
 vanishes and fhat = f.  In one variable this always holds, since every
 Milnor class has an eta-free representative.  The operator `nabla`
-implements division of symmetric-map families by (-h) up to homotopy
-correction terms.
+divides symmetric-map families by (-h) up to homotopy correction terms.
 """
 
 from __future__ import annotations
@@ -377,22 +376,20 @@ def nabla(q: QuantizedRetract, omega):
     """One application of the division-by-(-h) homotopy operator.
 
     (-h) nabla W = W - fhat(h W0) - Khat(s W0) - s(K W0), where W0 is the
-    classical limit of W.  Raises NotDivisibleError when the combination is
-    not h-divisible (an input violating the divisibility hypothesis).
+    classical limit of W.  With Khat = K - h Delta and the retract identity
+    f h + K s + s K = 1 on W0 (which `Retract._verify` checks, and which a
+    `PerturbedRetract` keeps since h K = 0), the right side is
+    W - W0 + h Delta(s W0), so nabla W = (W - W0) / (-h) - Delta(s W0) and
+    every value divides.  The exact correction h Delta(s W0) - W0 is added
+    to W in one step, so each coefficient keeps the window of W's.
     """
     r = q.retract
     cl = omega.classical_part(0).values
     out = type(omega)(omega.arity, omega.ghosts, PolyElement.zero(q.n_vars))
+    h = HPoly.h()
     # stored keys are canonical: read and write the tables directly
     for key in omega.keys():
         w0 = cl[key]
-        val = omega.values[key]
-        hvec = r.h(w0)
-        if not hvec.is_zero():
-            val = val - q.fhat(hvec)
-        val = val - q.Khat(r.s(w0))
-        kw = classical_K(q.pot, w0)
-        if not kw.is_zero():
-            val = val - r.s(kw)
-        out.values[key] = val.neg_h_divide(1)
+        corr = delta_op(r.s(w0)).scale(h) - w0
+        out.values[key] = (omega.values[key] + corr).neg_h_divide(1)
     return out

@@ -81,8 +81,9 @@ class SLInfStructure:
                     f"structure constant at {idxs} lands in ghost "
                     f"{self.ghosts[k]}, expected {want}"
                 )
-        table = self.ops.setdefault(n, SymMap(n, self.ghosts, HVector.zero()))
-        table.set(idxs, value)
+        if n not in self.ops:
+            self.ops[n] = SymMap(n, self.ghosts, HVector.zero())
+        self.ops[n].set(idxs, value)
 
     def op(self, idxs) -> HVector:
         n = len(idxs)
@@ -320,7 +321,7 @@ def descendant_morphism(
             prod = prod * e
         acc = F(prod)
         if n > 1:
-            for p, signs in signed_partitions(n, degs):
+            for p, eps in signed_partitions(n, degs):
                 if len(p) == 1:
                     continue
                 term = None
@@ -328,7 +329,7 @@ def descendant_morphism(
                     v = psi(len(b), [elems[j - 1] for j in b])
                     term = v if term is None else target.product(term, v)
                 acc = acc - _scale_target(
-                    term, HPoly.neg_h(n - len(p), signs[0])
+                    term, HPoly.neg_h(n - len(p), eps)
                 )
             try:
                 acc = acc.neg_h_divide(n - 1)
@@ -393,12 +394,12 @@ def compose_morphisms(outer, inner, ghosts_of_source):
         def ev_n(args):
             degs = [_ghost_of(a, ghosts_of_source) for a in args]
             acc = None
-            for p, signs in signed_partitions(n, degs):
+            for p, eps in signed_partitions(n, degs):
                 vals = [inner.ev(tuple(args[j - 1] for j in b)) for b in p]
                 v = outer.ev(tuple(vals))
                 if v is None:
                     continue
-                v = _scale_target(v, HPoly.const(signs[0]))
+                v = _scale_target(v, HPoly.const(eps))
                 acc = v if acc is None else acc + v
             return acc
 
@@ -435,12 +436,12 @@ def correlators(phi_ev, ghosts, n_max: int, n_vars: int, K_check=None):
         for key in tuples_with_repetition(dim, n):
             degs = [ghosts[i] for i in key]
             acc = PolyElement.zero(n_vars)
-            for p, signs in signed_partitions(n, degs):
+            for p, eps in signed_partitions(n, degs):
                 term = None
                 for b in p:
                     v = phi_ev(tuple(key[j - 1] for j in b))
                     term = v if term is None else term * v
-                acc = acc + term.scale(HPoly.neg_h(n - len(p), signs[0]))
+                acc = acc + term.scale(HPoly.neg_h(n - len(p), eps))
             if K_check is not None and not K_check(acc).is_zero():
                 raise CorrelatorClosureError(
                     f"correlator at arity {n}, {key} is not closed"
@@ -464,11 +465,11 @@ def moment_cumulant_report(expect, chi_on_H, ghosts, correlator_tables, n_max: i
             mu = expect(correlator_tables[n].get(key))
             degs = [ghosts[i] for i in key]
             acc = HPoly.zero()
-            for p, signs in signed_partitions(n, degs):
+            for p, eps in signed_partitions(n, degs):
                 term = HPoly.const(1)
                 for b in p:
                     term = term * chi_on_H(tuple(key[j - 1] for j in b))
-                acc = acc + term * HPoly.neg_h(n - len(p), signs[0])
+                acc = acc + term * HPoly.neg_h(n - len(p), eps)
             if mu != acc:
                 rep.add(n, key, mu - acc)
     return rep
@@ -559,11 +560,11 @@ def minimal_model(ell_eval, retract_f, retract_h, retract_s, ghosts, n_max: int)
         for key in tuples_with_repetition(dim, n):
             degs = [ghosts[i] for i in key]
             acc = zero_src
-            for p, signs in signed_partitions(n, degs):
+            for p, eps in signed_partitions(n, degs):
                 if len(p) != 1:
                     vals = [phi_block(tuple(key[j - 1] for j in b)) for b in p]
                     acc = acc + _scale_target(
-                        ell_eval(tuple(vals)), HPoly.const(signs[0])
+                        ell_eval(tuple(vals)), HPoly.const(eps)
                     )
             for I, rest, sign in subsets(n, degs, range(2, n)):
                 inner = lhat_block(tuple(key[j] for j in I))

@@ -86,7 +86,9 @@ def _transfer(q: QuantizedRetract, omega, varpi, steps: int):
     pi = sum_k (-h)^k h(Omega_k^cl), eta = sum_k (-h)^k s(Omega_k^cl), the
     last Omega_steps and varpi / (-h)^steps, all on the table type and keys
     of Omega.  The keys are canonical, so the tables are read and written
-    directly.  An undivisible varpi entry is a failed products identity
+    directly.  nabla divides every value by construction, so a broken retract
+    identity shows in the solvers' correlator checks, not here.  An
+    undivisible varpi entry is a failed products identity
     varpi = (-h)^steps mhat and raises MasterEquationError.
     """
     nv = q.n_vars
@@ -475,33 +477,37 @@ def generalized_associativity_report(mhat_sym, n_spectators_max: int) -> Report:
     """mhat(v_S, mhat(v_Sc, w1, w2), w3) summed over splits is symmetric.
 
     Checks the generalized associativity identity with up to the given
-    number of spectator arguments over all basis tuples.  The splits S | Sc
-    of the spectators with the same sub-multiset Sc give equal terms, so
-    each sub-multiset enters once, weighted by its multiplicity.
+    number of spectator arguments over all basis tuples: the sum
+    A(w1, w2, w3) over the splits S | Sc of the spectators must equal its
+    mirror A(w3, w2, w1), which is the sum mhat(v_S, w1, mhat(v_Sc, w2, w3))
+    since the tables are symmetric with even ghosts.  The splits with the
+    same sub-multiset Sc give equal terms, so each sub-multiset enters once,
+    weighted by its multiplicity.  A is symmetric in (w1, w2), so it is
+    summed once per spectator multiset, unordered (w1, w2) and w3, and
+    then compared for every ordered triple.
     """
     rep = Report()
     dim = mhat_dimension(mhat_sym)
     for n in range(n_spectators_max + 1):
         for spect in tuples_with_repetition(dim, n) if n else [()]:
             splits = sub_multisets(spect, False)
+            A = {}
+            for w1, w2 in tuples_with_repetition(dim, 2):
+                for w3 in range(dim):
+                    acc = HVector.zero()
+                    for vc, vs, mult in splits:
+                        inner = mhat_sym[len(vc) + 2].get(vc + (w1, w2))
+                        for k, coef in inner.c.items():
+                            acc = acc + mhat_sym[len(vs) + 2].get(
+                                vs + (k, w3)
+                            ).scale(coef * mult)
+                    A[w1, w2, w3] = acc
             for w1 in range(dim):
                 for w2 in range(dim):
                     for w3 in range(dim):
                         rep.checks += 1
-                        lhs = HVector.zero()
-                        rhs = HVector.zero()
-                        for vc, vs, mult in splits:
-                            inner = mhat_sym[len(vc) + 2].get(vc + (w1, w2))
-                            for k, coef in inner.c.items():
-                                lhs = lhs + mhat_sym[len(vs) + 2].get(
-                                    vs + (k, w3)
-                                ).scale(coef * mult)
-                            inner2 = mhat_sym[len(vc) + 2].get(vc + (w2, w3))
-                            for k, coef in inner2.c.items():
-                                rhs = rhs + mhat_sym[len(vs) + 2].get(
-                                    vs + (w1, k)
-                                ).scale(coef * mult)
-                        if lhs != rhs:
+                        mirror = A[min(w2, w3), max(w2, w3), w1]
+                        if A[min(w1, w2), max(w1, w2), w3] != mirror:
                             rep.add(
                                 n + 3,
                                 spect + (w1, w2, w3),

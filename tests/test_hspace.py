@@ -1,9 +1,12 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvcorr.hspace import HVector, PairSymMap
+import bvcorr.hspace as hspace
+from bvcorr.hspace import HVector, PairSymMap, SymMap
+from bvcorr.partitions import sort_sign
 from bvcorr.scalars import HPoly
 
 coefs = st.builds(
@@ -138,3 +141,38 @@ def test_pair_symmap_map_values_and_classical_part_keep_the_type():
         # the pair canon still applies: a swap inside the odd pair flips the sign
         assert out.get((0, 2, 1)) == -out.get((0, 1, 2))
     assert t.h_degree() == 1
+
+
+def _refuse(*args):
+    raise AssertionError("sort_sign called on an all-even table")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=2, max_size=7),
+       st.lists(st.sampled_from([0, 2, -2]), min_size=6, max_size=6))
+def test_even_tables_canonicalize_as_sort_sign(idxs, ghosts):
+    # the plain sort of an all-even table is sort_sign's result, sign included
+    idxs = tuple(idxs)
+    front, pair = idxs[:-2], idxs[-2:]
+    want = sort_sign(idxs, [ghosts[i] for i in idxs])
+    fkey, fsign = sort_sign(front, [ghosts[i] for i in front])
+    pkey, psign = sort_sign(pair, [ghosts[i] for i in pair])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hspace, "sort_sign", _refuse)
+        assert SymMap(len(idxs), ghosts, HVector.zero()).canon(idxs) == want
+        got = PairSymMap(len(idxs), ghosts, HVector.zero()).canon(idxs)
+    assert got == (fkey + pkey, fsign * psign)
+
+
+def test_odd_tables_keep_the_koszul_sign():
+    t = SymMap(3, [0, -1, 1, 2], HVector.zero())
+    assert t.canon((2, 0, 1)) == ((0, 1, 2), -1)
+    assert t.canon((1, 3, 1)) == ((1, 1, 3), 0)
+    assert t.canon((3, 0, 2)) == ((0, 2, 3), 1)
+    p = PairSymMap(4, [0, -1, 1, 2], HVector.zero())
+    assert p.canon((3, 0, 2, 1)) == ((0, 3, 1, 2), -1)
+    assert p.canon((0, 3, 2, 2)) == ((0, 3, 2, 2), 0)
+    # one odd ghost anywhere in the table keeps the signed path for every key
+    t = SymMap(2, [0, 2, 1], HVector.zero())
+    t.set((1, 0), HVector.basis(0))
+    assert t.get((0, 1)) == HVector.basis(0) and t.canon((2, 2)) == ((2, 2), 0)

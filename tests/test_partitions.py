@@ -123,14 +123,15 @@ def test_signed_partitions_against_brute_force(n, data):
     degrees = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     table = signed_partitions(n, degrees)
     assert [p for p, _ in table] == list(set_partitions(n))
-    for p, signs in table:
-        assert list(signs) == _brute_signs(p, degrees)
+    for p, eps in table:
+        assert eps == _brute_signs(p, degrees)[0]
 
 
 def _insertions(n, degrees):
-    # (p, i, signs[i]) for each block B_i of p with |B_i| = n - |p| + 1, so
-    # that every other block is a singleton: the partition form of an unshuffle
-    return [(p, i, signs[i]) for p, signs in signed_partitions(n, degrees)
+    # (p, i, sign) for each block B_i of p with |B_i| = n - |p| + 1, so that
+    # every other block is a singleton: the partition form of an unshuffle;
+    # sign = eps(p) times the J-signs of the blocks before B_i
+    return [(p, i, _brute_signs(p, degrees)[i]) for p, _ in signed_partitions(n, degrees)
             for i, b in enumerate(p) if len(b) == n - len(p) + 1]
 
 

@@ -339,8 +339,13 @@ def test_jacobian_is_computed_once_and_read_only():
 def _insertions(n, degs):
     # (p, i, sign) per distinguished block B_i, sign = eps(p) times the
     # J-signs of the blocks before B_i
-    return [(p, i, signs[i]) for p, signs in signed_partitions(n, degs)
-            for i, _ in distinguished_blocks(p, n)]
+    out = []
+    for p, sign in signed_partitions(n, degs):
+        for i, b in enumerate(p):
+            if len(b) == n - len(p) + 1:  # distinguished: the rest singletons
+                out.append((p, i, sign))
+            sign *= (-1) ** sum(degs[j - 1] for j in b)
+    return out
 
 
 class _RecursiveFamily:

@@ -1,11 +1,12 @@
 from fractions import Fraction
 from functools import cache
+import random
 
 import pytest
 
 import bvcorr.retract
 from bvcorr.groebner import MilnorData
-from bvcorr.hspace import HVector, SymMap
+from bvcorr.hspace import HVector, SymMap, tuples_with_repetition
 from bvcorr.polyalg import PolyElement, Potential, classical_K, delta_op, quantum_K
 from bvcorr.retract import (
     PerturbedRetract,
@@ -17,7 +18,7 @@ from bvcorr.retract import (
     quantize_retract,
     spanning_monomials,
 )
-from bvcorr.scalars import HPoly
+from bvcorr.scalars import INF_TRUNC, HPoly
 
 X = PolyElement.x(0, 1)
 ETA = PolyElement.eta(0, 1)
@@ -275,6 +276,84 @@ def test_nabla_always_divides_c_valued_input(a2):
         om = SymMap(1, q.ghosts, PolyElement.zero(1))
         om.set((1,), value)
         nabla(q, om)
+
+
+def _four_term_nabla(q, omega):
+    # nabla by its definition, a test-only reference:
+    # (-h) nabla W = W - fhat(h W0) - Khat(s W0) - s(K W0)
+    r = q.retract
+    cl = omega.classical_part(0).values
+    out = type(omega)(omega.arity, omega.ghosts, PolyElement.zero(q.n_vars))
+    for key in omega.keys():
+        w0 = cl[key]
+        val = omega.values[key]
+        hvec = r.h(w0)
+        if not hvec.is_zero():
+            val = val - q.fhat(hvec)
+        val = val - q.Khat(r.s(w0))
+        kw = classical_K(q.pot, w0)
+        if not kw.is_zero():
+            val = val - r.s(kw)
+        out.values[key] = val.neg_h_divide(1)
+    return out
+
+
+def _random_family(rng, q, arity, etas, h_terms, trunc=None):
+    # 1-4 monomials of x-degree < 7 per key; `etas` lists the eta words a
+    # value may carry, so one word gives a homogeneous value
+    om = SymMap(arity, q.ghosts, PolyElement.zero(1))
+    for key in tuples_with_repetition(q.dim, arity):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            coef = {0: rng.randint(-3, 3)}
+            for k in range(1, h_terms + 1):
+                coef[k] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            terms[(rng.randrange(7),), rng.choice(etas)] = HPoly(coef, trunc)
+        om.set(key, PolyElement(1, terms))
+    return om
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda k=k: build_retract(MilnorData(Potential.a_k(k))) for k in (2, 3, 4, 5)]
+    + [lambda: build_retract(MilnorData(_quartic_with_lower_terms())),
+       lambda: PerturbedRetract(build_retract(MilnorData(Potential.a_k(3))), _gauge_lam(3))],
+    ids=["A2", "A3", "A4", "A5", "quartic", "perturbed-A3"],
+)
+def test_nabla_equals_its_four_term_definition(make):
+    q = quantize_retract(make())
+    rng = random.Random(q.dim)
+    families = [
+        _random_family(rng, q, 1, [()], 0),  # ghost 0, h-independent
+        _random_family(rng, q, 2, [(0,)], 0),  # ghost -1
+        _random_family(rng, q, 2, [(), (0,)], 2),  # mixed, h-dependent
+        _random_family(rng, q, 2, [(), (0,)], 2, trunc=2),  # a finite window
+    ]
+    finite = 0
+    for om in families:
+        new, ref = nabla(q, om), _four_term_nabla(q, om)
+        assert new.keys() == ref.keys() == om.keys()
+        for key in om.keys():
+            a, b = new.values[key], ref.values[key]
+            assert a == b and a.terms.keys() == b.terms.keys()
+            for mono, coef in a.terms.items():
+                assert coef.trunc == b.terms[mono].trunc
+                finite += coef.trunc < INF_TRUNC
+    assert finite > 0
+
+
+def test_nabla_keeps_a_window_the_definition_cancels(a3):
+    # W = -2 x^2 + x^6, known through h^2, on A3: f h W0 cancels W's x^2
+    # coefficient, so the four-term reference reads its x^2 coefficient
+    # 3 h / (-h) = -3 as exact; nabla adds the exact correction in one step
+    # and keeps the window W's coefficient had, less the division
+    _, q = a3
+    om = SymMap(1, q.ghosts, PolyElement.zero(1))
+    om.set((0,), PolyElement(1, {((2,), ()): HPoly({0: -2}, 2), ((6,), ()): HPoly({0: 1}, 2)}))
+    new, ref = nabla(q, om).get((0,)), _four_term_nabla(q, om).get((0,))
+    assert new == ref == PolyElement.x(0, 1, 2).scale(-3)
+    ((mono, coef),) = new.terms.items()
+    assert coef.trunc == 1 and ref.terms[mono].trunc == INF_TRUNC
 
 
 def test_homotopy_divisibility_iterates(a3):

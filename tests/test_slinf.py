@@ -132,8 +132,11 @@ def test_coderivation_square_evaluates_each_word_once(monkeypatch):
     assert calls and len(calls) == len(set(calls))
     for word in calls:  # one entry per canonical word
         assert tuple(sorted(word)) == word
-    # a corrupted structure fails at the arity verify_sl_infinity reports
-    for bad in list(_corruptions(S, 3)) + [_sl2_odd(he=3)]:
+    # a corrupted structure fails at the arity verify_sl_infinity reports;
+    # _a2_sub() has no corruption that fails by arity 4, _three_bracket has
+    bad_structures = list(_corruptions(_three_bracket(random.Random(41)), 2))
+    assert len(bad_structures) == 2
+    for bad in bad_structures + [_sl2_odd(he=3)]:
         calls.clear()
         r2 = coderivation_square(bad, 4)
         assert len(calls) == len(set(calls))
@@ -148,8 +151,13 @@ def test_coderivation_square_evaluates_each_word_once(monkeypatch):
 def _insertions(n, degs):
     # (p, i, sign) per block B_i of p with |B_i| = n - |p| + 1, sign = eps(p)
     # times the J-signs of the blocks before B_i
-    return [(p, i, signs[i]) for p, signs in signed_partitions(n, degs)
-            for i, b in enumerate(p) if len(b) == n - len(p) + 1]
+    out = []
+    for p, sign in signed_partitions(n, degs):
+        for i, b in enumerate(p):
+            if len(b) == n - len(p) + 1:
+                out.append((p, i, sign))
+            sign *= (-1) ** sum(degs[j - 1] for j in b)
+    return out
 
 
 def _partition_residual(S, idxs):

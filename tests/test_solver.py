@@ -11,6 +11,7 @@ import pytest
 
 import bvcorr.cli as cli
 import bvcorr.partitions as partitions
+import bvcorr.retract
 import bvcorr.slinf as slinf
 import bvcorr.solver as solver
 from bvcorr.groebner import MilnorData
@@ -270,10 +271,10 @@ def _partition_sum(z, key):
     (-h)^(n-|p|) eps(p) prod phi0(blocks)."""
     n = len(key)
     acc = PolyElement.zero(z.q.n_vars)
-    for p, signs in signed_partitions(n, [z.ghosts[k] for k in key]):
+    for p, eps in signed_partitions(n, [z.ghosts[k] for k in key]):
         vals = [z.phi0[len(b)].get(b) for b in _blocks(key, p)]
         if not any(v.is_zero() for v in vals):
-            acc = acc + _product(vals).scale(HPoly.neg_h(n - len(p), signs[0]))
+            acc = acc + _product(vals).scale(HPoly.neg_h(n - len(p), eps))
     return acc
 
 
@@ -283,11 +284,11 @@ def _pair_partition_sums(o, key):
     phi0(v_B1)..phim1(v_Blast)], and pi0 - the same mhat sum on pi0."""
     z, n = o.z, len(key)
     om, vp = z.eta1[n].get(key), z.pi0[n].get(key)
-    for p, signs in signed_partitions(n, [o.ghosts[k] for k in key]):
+    for p, eps in signed_partitions(n, [o.ghosts[k] for k in key]):
         if len(p) == 1 or not _holds_the_pair(p, n):
             continue
         blocks = _blocks(key, p)
-        w = HPoly.neg_h(n - len(p) - 1, signs[0])
+        w = HPoly.neg_h(n - len(p) - 1, eps)
         if len(blocks[-1]) == n - len(p) + 1:  # every other block a singleton
             for j, c in o.mhat[len(blocks[-1])].get(blocks[-1]).c.items():
                 args = tuple(b[0] for b in blocks[:-1]) + (j,)
@@ -475,3 +476,83 @@ def test_undivisible_varpi_fails_the_products_identity(a3, monkeypatch):
     assert str(exc.value).startswith("products identity fails at arity 3, (")
     assert ")|(" in str(exc.value)
     assert str(exc.value).endswith("(nonzero coefficient at h^0)")
+
+
+
+def test_a_broken_homotopy_fails_the_level_zero_check(monkeypatch, tmp_path):
+    # nabla divides by the retract identity f h + K s + s K = 1, so it no
+    # longer checks that identity itself: the correlator check must see a
+    # retract that passed its own verification and then broke
+    r = build_retract(MilnorData(Potential.a_k(3)))
+    q = quantize_retract(r)
+    s = r.s
+    monkeypatch.setattr(r, "s", lambda c: s(c).scale(2))
+    with pytest.raises(solver.MasterEquationError,
+                       match=r"level-zero identity \(correlator\) fails at arity 2, \("):
+        solve_level_zero(q, 4)
+    # the command reports it as a violated identity, without a traceback
+    monkeypatch.setattr(bvcorr.retract, "build_retract", lambda mil: r)
+    monkeypatch.setattr(bvcorr.retract, "quantize_retract", lambda r, order: q)
+    job = tmp_path / "a3.job.json"
+    job.write_text(json.dumps({
+        "schema": 1, "potential": {"n_vars": 1, "terms": [[[4], "1/4"]]}, "n_max": 4,
+    }))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(["solve", "--input", str(job)]) == cli.EXIT_VIOLATION
+    assert err.getvalue().startswith("identity violated: level-zero identity")
+
+
+def _two_sided_associativity(mhat_sym, n_spectators_max):
+    # the report summing both sides for every ordered triple, a test-only
+    # reference: lhs = mhat(v_S, mhat(v_Sc, w1, w2), w3) and
+    # rhs = mhat(v_S, w1, mhat(v_Sc, w2, w3)) over the splits
+    rep = solver.Report()
+    dim = solver.mhat_dimension(mhat_sym)
+    for n in range(n_spectators_max + 1):
+        for spect in tuples_with_repetition(dim, n) if n else [()]:
+            splits = sub_multisets(spect, False)
+            for w1 in range(dim):
+                for w2 in range(dim):
+                    for w3 in range(dim):
+                        rep.checks += 1
+                        lhs = HVector.zero()
+                        rhs = HVector.zero()
+                        for vc, vs, mult in splits:
+                            inner = mhat_sym[len(vc) + 2].get(vc + (w1, w2))
+                            for k, coef in inner.c.items():
+                                lhs = lhs + mhat_sym[len(vs) + 2].get(
+                                    vs + (k, w3)
+                                ).scale(coef * mult)
+                            inner2 = mhat_sym[len(vc) + 2].get(vc + (w2, w3))
+                            for k, coef in inner2.c.items():
+                                rhs = rhs + mhat_sym[len(vs) + 2].get(
+                                    vs + (w1, k)
+                                ).scale(coef * mult)
+                        if lhs != rhs:
+                            rep.add(
+                                n + 3,
+                                spect + (w1, w2, w3),
+                                "generalized associativity fails",
+                            )
+    return rep
+
+
+def test_associativity_report_matches_the_two_sided_sum(a2, a3, a4_deep):
+    def rows(rep):
+        return rep.checks, [(v.arity, v.where, v.kind) for v in rep.violations]
+
+    failed = 0
+    for _, _, o in (a2, a3, a4_deep):
+        ms = mhat_symmetric(o)
+        assert rows(generalized_associativity_report(ms, 2)) == rows(
+            _two_sided_associativity(ms, 2))
+        # one mhat_3 entry shifted at a time
+        for key in ms[3].keys()[::3]:
+            for j in (0, o.dim - 1):
+                bad = mhat_symmetric(o)
+                bad[3].values[key] = bad[3].values[key] + HVector.basis(j)
+                got = generalized_associativity_report(bad, 2)
+                assert rows(got) == rows(_two_sided_associativity(bad, 2))
+                failed += not got.ok
+    assert failed >= 10
