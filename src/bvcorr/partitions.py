@@ -12,11 +12,14 @@ The sL-infinity relations and the bar coderivation are sums over unshuffles
 (I | I^c) instead (Lada-Stasheff 1993): `subsets` lists the subsets I of the
 sizes a structure has brackets for, with eps(I|I^c) from `unshuffle_sign`,
 which Koszul's closed formula for the descendant brackets of `polyalg` uses
-too.  The master-equation solvers sum over sub-multisets (`sub_multisets`).
+too; `insert_sign` puts the bracket's output letter into the rest of a
+canonical word.  The master-equation solvers sum over sub-multisets
+(`sub_multisets`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations, groupby, product
 from math import comb, prod
@@ -107,6 +110,25 @@ def sort_sign(indices, degrees) -> tuple:
         if items[i - 1][0] == items[i][0] and items[i][1] % 2 != 0:
             return tuple(x for x, _ in items), 0
     return tuple(x for x, _ in items), sign
+
+
+def insert_sign(k: int, word: tuple, ghosts) -> tuple:
+    """Insert the letter k into a canonical word, tracking the Koszul sign.
+
+    `word` is ascending with no repeated odd letter and `ghosts[i]` is the
+    ghost number of letter i.  Returns the canonical form of (k,) + word
+    and its sign: (-1)^(odd letters k passes) when k is odd, 1 when k is
+    even, and 0 when an odd k is already in the word.  This is what
+    `sort_sign` gives on (k,) + word, without sorting it.
+    """
+    pos = bisect_left(word, k)
+    out = word[:pos] + (k,) + word[pos:]
+    if not ghosts[k] % 2:
+        return out, 1
+    if pos < len(word) and word[pos] == k:
+        return out, 0
+    passed = sum(ghosts[x] % 2 for x in word[:pos])
+    return out, -1 if passed % 2 else 1
 
 
 def unshuffle_sign(odd: int, mask: int) -> int:

@@ -161,16 +161,11 @@ class HPoly:
         else:
             v = _rat(other)
             b, tb = ({0: v} if v else {}), INF_TRUNC
-        a = self.c
-        # each finite window grows by the other factor's h-adic valuation
-        # (min key; a zero factor has maximal valuation); an exact factor
-        # leaves no finite window of its own
-        ta = self.trunc
-        t = min(
-            ta + (min(b) if b else INF_TRUNC) if ta < INF_TRUNC else INF_TRUNC,
-            tb + (min(a) if a else INF_TRUNC) if tb < INF_TRUNC else INF_TRUNC,
-            INF_TRUNC,
-        )
+        a, ta = self.c, self.trunc
+        if ta < INF_TRUNC or tb < INF_TRUNC:
+            t = _product_window(a, ta, b, tb)
+        else:
+            t = INF_TRUNC
         if len(a) == 1 and len(b) != 1:
             a, b = b, a
         if len(b) == 1:
@@ -198,6 +193,48 @@ class HPoly:
         return HPoly._of(c, t)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def dot(pairs) -> "HPoly":
+        """The sum of a * b over an iterable of (a, b) HPoly pairs.
+
+        Equal, in every coefficient and in `trunc`, to the left fold
+        acc + a * b from an exact zero, but summed in one coefficient dict:
+        the window is the least of the products' windows, and zeros are
+        dropped once at the end.  The empty sum is an exact zero.
+        """
+        c = {}
+        t = INF_TRUNC
+        for x, y in pairs:
+            a, ta, b, tb = x.c, x.trunc, y.c, y.trunc
+            if ta < INF_TRUNC or tb < INF_TRUNC:
+                w = _product_window(a, ta, b, tb)
+                if w < t:
+                    t = w
+            if len(a) == 1 and len(b) != 1:
+                a, b = b, a
+            if len(b) == 1:
+                # a one-term factor shifts its partner's terms; +-1 needs
+                # no multiply
+                ((j, s),) = b.items()
+                if s == 1:
+                    for i, v in a.items():
+                        k = i + j
+                        c[k] = c[k] + v if k in c else v
+                elif s == -1:
+                    for i, v in a.items():
+                        k = i + j
+                        c[k] = c[k] - v if k in c else -v
+                else:
+                    for i, v in a.items():
+                        k = i + j
+                        c[k] = c[k] + v * s if k in c else v * s
+            else:
+                for i, u in a.items():
+                    for j, v in b.items():
+                        k = i + j
+                        c[k] = c[k] + u * v if k in c else u * v
+        return HPoly._of({k: v for k, v in c.items() if v and k <= t}, t)
 
     def __eq__(self, other):
         if not isinstance(other, HPoly):
@@ -242,6 +279,21 @@ class HPoly:
 
     def __str__(self):
         return _fmt_coeffs(self.c)
+
+
+def _product_window(a: dict, ta: int, b: dict, tb: int) -> int:
+    """The known window of the product of coefficients a and b, known
+    through orders ta and tb.
+
+    Each finite window grows by the other factor's h-adic valuation (min
+    key; a zero factor has maximal valuation); an exact factor leaves no
+    finite window of its own.
+    """
+    return min(
+        ta + (min(b) if b else INF_TRUNC) if ta < INF_TRUNC else INF_TRUNC,
+        tb + (min(a) if a else INF_TRUNC) if tb < INF_TRUNC else INF_TRUNC,
+        INF_TRUNC,
+    )
 
 
 def _fmt_coeffs(c: dict) -> str:

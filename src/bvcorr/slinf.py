@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .hspace import HVector, SymMap, tuples_with_repetition
-from .partitions import ARITY_CAP, signed_partitions, sort_sign, subsets
+from .partitions import ARITY_CAP, insert_sign, signed_partitions, sort_sign, subsets
 from .polyalg import PolyElement
 from .report import Report
 from .scalars import HPoly, NotDivisibleError
@@ -98,18 +98,48 @@ class SLInfStructure:
         The sum over unshuffles (I | I^c) of eps(I|I^c) ell(ell(x_I), x_(I^c))
         (Lada-Stasheff 1993), over the sizes m = |I| for which both ell_m and
         ell_(n-m+1) have a table; each coordinate k of the inner bracket is
-        read as the outer word (k, x_(I^c)).
+        read as the outer word (k, x_(I^c)).  x may come in any order: it is
+        sorted once, with its Koszul sign, and the sub-words of a canonical
+        word are canonical, so both brackets read their tables directly.
         """
-        n = len(idxs)
-        sizes = [m for m in self.ops if n - m + 1 in self.ops]
-        acc = HVector.zero()
-        for I, rest, sign in subsets(n, [self.ghosts[i] for i in idxs], sizes):
-            inner = self.op(tuple(idxs[j] for j in I))
-            outer = tuple(idxs[j] for j in rest)
+        ghosts, ops = self.ghosts, self.ops
+        key, sign = sort_sign(tuple(idxs), [ghosts[i] for i in idxs])
+        if not sign:
+            return HVector.zero()
+        n = len(key)
+        sizes = [m for m in ops if n - m + 1 in ops]
+        terms = {}  # coordinate -> [(inner coefficient, outer coefficient)]
+        for I, rest, eps in subsets(n, [ghosts[i] for i in key], sizes):
+            inner = ops[len(I)].values.get(tuple(key[j] for j in I))
+            if inner is None:
+                continue
+            table = ops[n - len(I) + 1].values
+            outer = tuple(key[j] for j in rest)
             for k, coef in inner.c.items():
-                val = self.op((k,) + outer).scale(coef)
-                acc = acc + val if sign > 0 else acc - val
-        return acc
+                word, wsign = insert_sign(k, outer, ghosts)
+                val = table.get(word) if wsign else None
+                if val is None:
+                    continue
+                if eps * wsign * sign < 0:
+                    coef = -coef
+                for t, v in val.c.items():
+                    terms.setdefault(t, []).append((coef, v))
+        return HVector._of(_sum_pairs(terms))
+
+
+def _sum_pairs(terms: dict) -> dict:
+    """Close each {key: [(a, b), ...]} entry by one HPoly.dot; zeros drop."""
+    out = {}
+    for key, pairs in terms.items():
+        total = HPoly.dot(pairs)
+        if total.c:
+            out[key] = total
+    return out
+
+
+def _repeats_odd(ghosts, idxs) -> bool:
+    """Whether the word repeats an odd letter, so that it vanishes."""
+    return any(ghosts[i] % 2 and idxs.count(i) > 1 for i in idxs)
 
 
 def verify_sl_infinity(S: SLInfStructure, n_max: int) -> Report:
@@ -118,10 +148,8 @@ def verify_sl_infinity(S: SLInfStructure, n_max: int) -> Report:
     dim = len(S.basis)
     for n in range(1, n_max + 1):
         for idxs in tuples_with_repetition(dim, n):
-            if any(
-                S.ghosts[i] % 2 and idxs.count(i) > 1 for i in idxs
-            ):
-                continue  # repeated odd element: the symmetric word vanishes
+            if _repeats_odd(S.ghosts, idxs):
+                continue
             rep.checks += 1
             res = S.relation_residual(idxs)
             if not res.is_zero():
@@ -139,45 +167,34 @@ def verify_sl_infinity(S: SLInfStructure, n_max: int) -> Report:
 # -- bar construction oracle -------------
 
 
-def _word_canon(idxs, ghosts):
-    return sort_sign(tuple(idxs), [ghosts[i] for i in idxs])
-
-
-def _accumulate(terms: dict, key, coef: HPoly) -> None:
-    # coef is nonzero, so a sum can only vanish on a key already present
-    coef = terms[key] + coef if key in terms else coef
-    if coef.is_zero():
-        del terms[key]
-    else:
-        terms[key] = coef
-
-
 def _delta_on_word(S: SLInfStructure, idxs) -> dict:
-    """The coderivation of the descendant weights on one symmetric word x.
+    """The coderivation of the descendant weights on one canonical word x.
 
     The sum over unshuffles (I | I^c) with |I| = m an arity of S of
     eps(I|I^c) (-h)^(m-1) ell_m(x_I) x_(I^c), each coordinate k of the
     bracket giving the word (k, x_(I^c)); returned as {canonical word: coef}.
     """
-    out = {}
-    for I, rest, sign in subsets(len(idxs), [S.ghosts[i] for i in idxs], S.ops):
-        inner = S.op(tuple(idxs[j] for j in I))
-        if inner.is_zero():
+    ghosts, ops = S.ghosts, S.ops
+    terms = {}  # word -> [(bracket coefficient, signed weight)]
+    for I, rest, sign in subsets(len(idxs), [ghosts[i] for i in idxs], ops):
+        inner = ops[len(I)].values.get(tuple(idxs[j] for j in I))
+        if inner is None or not inner.c:
             continue
-        w = HPoly.neg_h(len(I) - 1, sign)
+        w, neg_w = HPoly.neg_h(len(I) - 1, sign), HPoly.neg_h(len(I) - 1, -sign)
         outer = tuple(idxs[j] for j in rest)
         for k, coef in inner.c.items():
-            word, wsign = _word_canon((k,) + outer, S.ghosts)
+            word, wsign = insert_sign(k, outer, ghosts)
             if wsign:
-                _accumulate(out, word, coef * w if wsign > 0 else -(coef * w))
-    return out
+                terms.setdefault(word, []).append((coef, w if wsign > 0 else neg_w))
+    return _sum_pairs(terms)
 
 
 def coderivation_square(S: SLInfStructure, n_max: int) -> Report:
     """Check that the bar coderivation squares to zero on words up to n_max.
 
     The coderivation is evaluated once per canonical word within one call;
-    the words it returns are canonical, so D(D(w)) sums in a plain dict.
+    the words it returns are canonical, so each coefficient of D(D(w)) is
+    one HPoly.dot over the words of D(w).
     """
     rep = Report()
     dim = len(S.basis)
@@ -191,17 +208,16 @@ def coderivation_square(S: SLInfStructure, n_max: int) -> Report:
 
     for n in range(1, n_max + 1):
         for idxs in tuples_with_repetition(dim, n):
-            key, sign = _word_canon(idxs, S.ghosts)
-            if sign == 0:
+            if _repeats_odd(S.ghosts, idxs):
                 continue
             rep.checks += 1
-            first = delta(key)
-            total = {}
-            for word, coef in first.items():
+            terms = {}  # w2 -> [(D(w)[w1], D(w1)[w2])]
+            for word, coef in delta(idxs).items():
                 for w2, c2 in delta(word).items():
-                    _accumulate(total, w2, coef * c2)
+                    terms.setdefault(w2, []).append((coef, c2))
+            total = _sum_pairs(terms)
             if total:
-                rep.add(n, key, total)
+                rep.add(n, idxs, total)
     rep.violations.sort(key=lambda v: (v.arity, v.where))
     return rep
 

@@ -1,9 +1,12 @@
+from itertools import combinations_with_replacement, product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvcorr.partitions import (
     ArityCapError,
     bell_number,
+    insert_sign,
     koszul_sign,
     set_partitions,
     signed_partitions,
@@ -203,6 +206,25 @@ def test_sort_sign_against_insertion_sort(n, even, data):
     pool = st.sampled_from([-4, -2, 0, 2]) if even else st.integers(-3, 3)
     degrees = data.draw(st.lists(pool, min_size=n, max_size=n))
     assert sort_sign(tuple(indices), degrees) == _insertion_sort_sign(indices, degrees)
+
+
+def test_insert_sign_against_sort_sign():
+    # every parity pattern on five letters (odd ghosts of either sign, even
+    # ghosts 0 and 2), every ascending word of length <= 4 with no repeated
+    # odd letter and every letter k, odd collisions (sign 0) included
+    collisions = 0
+    for bits in product((0, 1), repeat=5):
+        ghosts = [(-1) ** i if b else 2 * (i % 2) for i, b in enumerate(bits)]
+        for n in range(5):
+            for word in combinations_with_replacement(range(5), n):
+                if any(bits[x] and word.count(x) > 1 for x in word):
+                    continue
+                for k in range(5):
+                    full = (k,) + word
+                    got = insert_sign(k, word, ghosts)
+                    assert got == sort_sign(full, [ghosts[x] for x in full])
+                    collisions += got[1] == 0
+    assert collisions > 0
 
 
 @settings(max_examples=60, deadline=None)

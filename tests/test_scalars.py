@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bvcorr.scalars import HPoly, NotDivisibleError
 
@@ -180,3 +180,43 @@ def test_exact_times_negative_power_stays_exact():
     # a finite window still shifts by the valuation of the exact factor
     f = HPoly({2: 1}, trunc=4) * HPoly.neg_h(-1)
     assert (f.trunc, f.c) == (3, {1: Fraction(-1)})
+
+
+# -- the fused sum of products against the fold -------------
+
+factor = st.builds(
+    lambda d, t, j: _shift(HPoly(d, trunc=t), -j),
+    st.one_of(
+        st.dictionaries(st.integers(0, 6), st.fractions(max_denominator=6), max_size=4),
+        st.builds(lambda k, v: {k: v}, st.integers(0, 5), st.one_of(
+            st.sampled_from([Fraction(1), Fraction(-1)]),
+            st.integers(-3, 3).filter(lambda v: v not in (-1, 0, 1)).map(Fraction),
+            st.fractions(max_denominator=6).filter(lambda v: v != 0),
+        )),
+    ),
+    truncs,
+    st.integers(0, 3),
+)
+
+
+def _fold(pairs):
+    acc = HPoly.zero()
+    for a, b in pairs:
+        acc = acc + a * b
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(factor, factor), max_size=5), st.integers(0, 6))
+@example([], 0)  # the empty sum: an exact zero
+@example([(HPoly({0: 1, 2: Fraction(1, 2)}, trunc=3), HPoly.neg_h(1))], 1)
+def test_dot_matches_the_fold(pairs, cancel):
+    # finite and exact windows, negative exponents, one-term +-1 and +-k
+    # factors; negated copies of the first products cancel them to zero,
+    # and a cancelled sum keeps its window
+    pairs = pairs + [(-a, b) for a, b in pairs[:cancel]]
+    for order in (pairs, pairs[::-1]):
+        got, want = HPoly.dot(iter(order)), _fold(order)
+        assert (got.trunc, got.c) == (want.trunc, want.c)
+        assert all(v != 0 for v in got.c.values())
+

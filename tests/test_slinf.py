@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -185,15 +185,17 @@ def _partition_delta(S, idxs):
     return out
 
 
-def _random_structure(rng):
-    # random h-dependent tables at arities 1-3 over 3-4 mixed-parity elements
+def _random_structure(rng, truncs=(None,)):
+    # random h-dependent tables at arities 1-3 over 3-4 mixed-parity elements;
+    # each constant is known through an order drawn from `truncs`
     ghosts = [rng.choice((-2, -1, -1, 0, 0, 1)) for _ in range(rng.randint(3, 4))]
     S = SLInfStructure([GradedBasisElement(f"e{i}", g) for i, g in enumerate(ghosts)])
     for n in (1, 2, 3):
         for idxs in tuples_with_repetition(len(ghosts), n):
             want = sum(ghosts[i] for i in idxs) + 1
             S.set_op(n, idxs, HVector({
-                t: HPoly({0: rng.randint(-2, 2), 1: Fraction(rng.randint(-2, 2), 3)})
+                t: HPoly({0: rng.randint(-2, 2), 1: Fraction(rng.randint(-2, 2), 3)},
+                         trunc=rng.choice(truncs))
                 for t, g in enumerate(ghosts) if g == want and rng.random() < 0.5
             }))
     return S
@@ -213,8 +215,15 @@ def _three_bracket(rng):
     return S
 
 
+def _exact(residual):
+    # {coordinate or word: (coefficients, trunc)}: no windowed equality
+    items = residual.c.items() if isinstance(residual, HVector) else residual.items()
+    return {key: (v.c, v.trunc) for key, v in items}
+
+
 def _rows(rep):
-    return rep.checks, [(v.arity, v.where, v.kind, v.residual) for v in rep.violations]
+    return rep.checks, [(v.arity, v.where, v.kind, _exact(v.residual))
+                        for v in rep.violations]
 
 
 def test_unshuffle_oracles_match_their_partition_form(monkeypatch):
@@ -228,6 +237,7 @@ def test_unshuffle_oracles_match_their_partition_form(monkeypatch):
         broken.set_op(len(idxs), idxs, broken.op(idxs) + HVector({target: Fraction(2, 7)}))
         bad.append(broken)
     noise = [_random_structure(rng) for _ in range(6)]
+    noise += [_random_structure(rng, (None, 0, 1, 2)) for _ in range(6)]
     new = [(verify_sl_infinity(S, 4), coderivation_square(S, 4)) for S in valid + bad + noise]
     assert all(r1.ok and r2.ok for r1, r2 in new[:len(valid)])
     assert not any(r1.ok or r2.ok for r1, r2 in new[len(valid):len(valid) + len(bad)])
@@ -237,6 +247,31 @@ def test_unshuffle_oracles_match_their_partition_form(monkeypatch):
     for S, (r1, r2) in zip(valid + bad + noise, new):
         assert _rows(verify_sl_infinity(S, 4)) == _rows(r1)
         assert _rows(coderivation_square(S, 4)) == _rows(r2)
+
+
+def test_relation_residual_takes_any_order():
+    # a permuted word gives the Koszul-signed residual of the sorted one,
+    # coefficients and windows exactly; a repeated odd letter gives zero.
+    # On exact tables the partition form, which reads its argument in place,
+    # agrees too (on windowed ones its HVector sums drop a partial sum that
+    # cancels inside a finite window, and with it the window)
+    rng = random.Random(5)
+    exact = [_sl2_odd(he=3)] + [_random_structure(rng) for _ in range(2)]
+    windowed = [_random_structure(rng, (None, 0, 1, 2)) for _ in range(2)]
+    flipped = 0
+    for S in exact + windowed:
+        for n in (2, 3, 4):
+            for key in tuples_with_repetition(len(S.basis), n):
+                want = S.relation_residual(key)
+                for perm in sorted(set(permutations(key))):
+                    got = S.relation_residual(perm)
+                    _, sign = sort_sign(perm, [S.ghosts[i] for i in perm])
+                    assert _exact(got) == _exact(
+                        HVector.zero() if sign == 0 else want if sign > 0 else -want)
+                    if S in exact:
+                        assert got == _partition_residual(S, perm)
+                    flipped += sign < 0 and not got.is_zero()
+    assert flipped > 0
 
 
 def _linear_sub_structure(coeffs):
