@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .partitions import sort_sign
-from .scalars import HPoly
+from .scalars import HPoly, collect_pairs
 
 
 class HVector:
@@ -75,6 +75,10 @@ class HVector:
 
     def __neg__(self):
         return HVector._of({i: -v for i, v in self.c.items()})
+
+    def collect(self, terms: dict, weight: HPoly) -> None:
+        """Add weight * self to the linear combination `terms` (scalars.sum_pairs)."""
+        collect_pairs(terms, self.c, weight)
 
     def scale(self, coef) -> "HVector":
         coef = HPoly.promote(coef)

@@ -11,10 +11,11 @@ Khat to be a derivation, divided by powers of (-h), in Koszul's closed form
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from types import MappingProxyType
 
 from .partitions import ArityCapError, unshuffle_sign
-from .scalars import HPoly, NotDivisibleError, _rat
+from .scalars import INF_TRUNC, HPoly, NotDivisibleError, _rat, collect_pairs, sum_pairs
 
 POLY_ARITY_CAP = 6
 
@@ -175,19 +176,11 @@ class PolyElement:
 
     def classical_part(self, j: int) -> "PolyElement":
         """Coefficient of h^j, as an h-independent element."""
-        out = PolyElement(self.n_vars)
-        for (exp, etas), coef in self.terms.items():
-            c = coef.coeff(j)
-            if c != 0:
-                out._add_term(exp, etas, HPoly.const(c))
-        return out
+        return PolyElement._of(self.n_vars, {
+            key: HPoly.const(c.c[j]) for key, c in self.terms.items() if j in c.c})
 
     def h_degree(self) -> int:
         return max((coef.degree() for coef in self.terms.values()), default=-1)
-
-    def ghost_zero_x_poly(self) -> dict:
-        """The eta-free part as {exponent: HPoly}."""
-        return {exp: coef for (exp, etas), coef in self.terms.items() if not etas}
 
     # -- linear algebra -------------
     def _merge(self, other, sign: int) -> "PolyElement":
@@ -219,6 +212,10 @@ class PolyElement:
         return PolyElement._of(
             self.n_vars, {key: -coef for key, coef in self.terms.items()}
         )
+
+    def collect(self, terms: dict, weight: HPoly) -> None:
+        """Add weight * self to the linear combination `terms` (scalars.sum_pairs)."""
+        collect_pairs(terms, self.terms, weight)
 
     def scale(self, coef) -> "PolyElement":
         coef = HPoly.promote(coef)
@@ -308,6 +305,16 @@ class PolyElement:
         return " + ".join(bits)
 
 
+def collect_product(terms: dict, a: PolyElement, b: PolyElement, weight: HPoly) -> None:
+    """Add weight * a * b to the linear combination `terms` for an eta-free b
+    (all ghost-0 data is): exponents add and a's eta words stay canonical, so
+    no term needs `_add_term`.  The weight must be exact; it scales b once."""
+    right = [(e2, c2 * weight) for (e2, _), c2 in b.terms.items()]
+    for (e1, t1), c1 in a.terms.items():
+        for e2, c2 in right:
+            terms.setdefault((tuple(map(add, e1, e2)), t1), []).append((c1, c2))
+
+
 def _eta_derivative_sign(etas, i):
     """Left derivative d/deta_i on the sorted eta word; None when absent."""
     if i not in etas:
@@ -317,36 +324,38 @@ def _eta_derivative_sign(etas, i):
     return rest, (-1) ** pos
 
 
-def delta_op(a: PolyElement) -> PolyElement:
-    """The odd Laplacian: sum over i of d^2/(deta_i dx_i)."""
-    out = PolyElement(a.n_vars)
-    for (exp, etas), coef in a.terms.items():
-        for i in etas:
-            if exp[i] == 0:
-                continue
-            rest, sgn = _eta_derivative_sign(etas, i)
-            de = list(exp)
-            de[i] -= 1
-            out._add_term(tuple(de), rest, coef * Fraction(sgn * exp[i]))
-    return out
-
-
-def classical_K(pot: Potential, a: PolyElement) -> PolyElement:
-    """K = sum_i (dS/dx_i) d/deta_i."""
-    gens = pot.jacobian()
-    out = PolyElement(a.n_vars)
+def _contract(a: PolyElement, gens, power) -> PolyElement:
+    """sum_i d/deta_i of a against dS/dx_i (gens[i]) and, unless power is
+    None, (-h)^power d/dx_i: every term lands in one dict."""
+    terms = {}
     for (exp, etas), coef in a.terms.items():
         for i in etas:
             rest, sgn = _eta_derivative_sign(etas, i)
             for gexp, gc in gens[i].items():
-                nexp = tuple(x + y for x, y in zip(exp, gexp))
-                out._add_term(nexp, rest, coef * (sgn * gc))
-    return out
+                terms.setdefault((tuple(map(add, exp, gexp)), rest), []).append(
+                    (coef, HPoly._of({0: sgn * gc}, INF_TRUNC)))
+            if power is not None and exp[i]:
+                de = list(exp)
+                de[i] -= 1
+                # the integer exp[i] enters as a one-term weight
+                terms.setdefault((tuple(de), rest), []).append(
+                    (coef, HPoly.neg_h(power, sgn * exp[i])))
+    return PolyElement._of(a.n_vars, sum_pairs(terms))
+
+
+def delta_op(a: PolyElement) -> PolyElement:
+    """The odd Laplacian: sum over i of d^2/(deta_i dx_i)."""
+    return _contract(a, ({},) * a.n_vars, 0)
+
+
+def classical_K(pot: Potential, a: PolyElement) -> PolyElement:
+    """K = sum_i (dS/dx_i) d/deta_i."""
+    return _contract(a, pot.jacobian(), None)
 
 
 def quantum_K(pot: Potential, a: PolyElement) -> PolyElement:
-    """Khat = K - h*Delta."""
-    return classical_K(pot, a) - delta_op(a).scale(HPoly.h())
+    """Khat = K - h*Delta, summed in one pass."""
+    return _contract(a, pot.jacobian(), 1)
 
 
 def bv_bracket(a: PolyElement, b: PolyElement) -> PolyElement:

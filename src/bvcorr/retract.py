@@ -21,10 +21,10 @@ divides symmetric-map families by (-h) up to homotopy correction terms.
 from __future__ import annotations
 
 from .errors import RetractError
-from .groebner import MilnorData, p_is_zero
+from .groebner import MilnorData
 from .hspace import HVector
 from .polyalg import PolyElement, classical_K, delta_op, quantum_K
-from .scalars import DEFAULT_H_ORDER, HPoly
+from .scalars import DEFAULT_H_ORDER, HPoly, collect_pairs, sum_pairs
 
 
 SPAN_DEGREE = 8  # x-degree of the monomials the retract identities are checked on
@@ -66,37 +66,44 @@ class Retract:
         self.basis_elements = [
             PolyElement.monomial(self.n_vars, exp) for exp in milnor.basis
         ]
+        self._rows: dict = {}
         if verify:
             self._verify()
 
     # -- the three maps -------------
     def f(self, v: HVector) -> PolyElement:
-        out = PolyElement.zero(self.n_vars)
+        terms = {}
         for i, coef in v.c.items():
-            out = out + self.basis_elements[i].scale(coef)
-        return out
+            self.basis_elements[i].collect(terms, coef)
+        return PolyElement._of(self.n_vars, sum_pairs(terms))
 
     def h(self, c: PolyElement) -> HVector:
-        out = HVector.zero()
-        for exp, coef in c.ghost_zero_x_poly().items():
-            nf = self.milnor.normal_form_monomial(exp)
-            for i, val in self.milnor.coords(nf).items():
-                out = out + HVector({i: coef * val})
-        return out
+        terms = {}
+        for (exp, etas), coef in c.terms.items():
+            if not etas:
+                collect_pairs(terms, self._rows_of(exp)[0], coef)
+        return HVector._of(sum_pairs(terms))
 
     def s(self, c: PolyElement) -> PolyElement:
-        out = PolyElement.zero(self.n_vars)
+        terms = {}
         for (exp, etas), coef in c.terms.items():
-            if etas:
-                continue  # zero on ghost < 0 (Koszul splitting for one variable)
-            for i, w in enumerate(self.milnor.witness_monomial(exp)):
-                if p_is_zero(w):
-                    continue
-                lifted = PolyElement(
-                    self.n_vars, {(we, (i,)): wc for we, wc in w.items()}
-                )
-                out = out + lifted.scale(coef)
-        return out
+            if not etas:  # zero on ghost < 0 (Koszul splitting for one variable)
+                collect_pairs(terms, self._rows_of(exp)[1], coef)
+        return PolyElement._of(self.n_vars, sum_pairs(terms))
+
+    def _rows_of(self, exp):
+        """h and s of x^exp, memoized: its Milnor coordinates and w_i eta_i."""
+        hit = self._rows.get(exp)
+        if hit is None:
+            mil = self.milnor
+            nf = mil.coords(mil.normal_form_monomial(exp))
+            hit = self._rows[exp] = (
+                {i: HPoly.const(v) for i, v in nf.items() if v},
+                {(we, (i,)): HPoly.const(wc)
+                 for i, w in enumerate(mil.witness_monomial(exp))
+                 for we, wc in w.items() if wc},
+            )
+        return hit
 
     def unit(self) -> HVector:
         return HVector.basis(0)
@@ -138,18 +145,19 @@ def build_retract(milnor: MilnorData) -> Retract:
     return Retract(milnor, verify=True)
 
 
-def _by_linearity(entry, coords: dict, zero, order: int):
+def _by_linearity(entry, coords: dict, wrap, order: int):
     """Extend a map given on basis keys by linearity: sum_k coords[k] entry(k).
 
-    `coords` maps keys (H indices or C monomials) to HPoly coefficients.  The
-    result is a truncated series, known through `order` and further capped by
-    the precision of the coefficients.
+    `coords` maps keys (H indices or C monomials) to HPoly coefficients, and
+    `wrap` makes the value type from summed coordinates.  The result is a
+    truncated series, known through `order` and further capped by the
+    precision of the coefficients.
     """
     cap = min([order, *(c.trunc for c in coords.values())])
-    out = zero
+    terms = {}
     for key, coef in coords.items():
-        out = out + entry(key).scale(coef)
-    return out.cap_trunc(cap)
+        entry(key).collect(terms, coef)
+    return wrap(sum_pairs(terms)).cap_trunc(cap)
 
 
 class QuantizedRetract:
@@ -181,16 +189,17 @@ class QuantizedRetract:
         if hit is None:
             r = self.retract
             x = PolyElement(self.n_vars, {key: 1})
-            hv, sv = HVector.zero(), PolyElement.zero(self.n_vars)
+            hv, sv = {}, {}
             for k in range(self.order + 1):
                 hk = HPoly.h(k)
                 sx = r.s(x)
-                hv = hv + r.h(x).scale(hk)
-                sv = sv + sx.scale(hk)
+                r.h(x).collect(hv, hk)
+                sx.collect(sv, hk)
                 if k == self.order or sx.is_zero():
                     break
                 x = delta_op(sx)
-            hit = self._chains[key] = (hv, sv)
+            hit = self._chains[key] = (
+                HVector._of(sum_pairs(hv)), PolyElement._of(self.n_vars, sum_pairs(sv)))
         return hit
 
     # -- assembled quantum maps -------------
@@ -198,12 +207,11 @@ class QuantizedRetract:
         return self.retract.f(v)  # h shat(Delta f_i) = 0: no quantum correction
 
     def hhat(self, c: PolyElement) -> HVector:
-        return _by_linearity(lambda m: self._chain(m)[0], c.terms, HVector.zero(), self.order)
+        return _by_linearity(lambda m: self._chain(m)[0], c.terms, HVector._of, self.order)
 
     def shat(self, c: PolyElement) -> PolyElement:
-        return _by_linearity(
-            lambda m: self._chain(m)[1], c.terms, PolyElement.zero(self.n_vars), self.order
-        )
+        return _by_linearity(lambda m: self._chain(m)[1], c.terms,
+                             lambda t: PolyElement._of(self.n_vars, t), self.order)
 
     def Khat(self, c: PolyElement) -> PolyElement:
         return quantum_K(self.pot, c)
@@ -332,7 +340,6 @@ def compare_retracts(q: QuantizedRetract, qp: QuantizedRetract, verify: bool = T
 
 def _verify_gauge(q, qp, xi_orders, lam_orders, N) -> None:
     basis = range(q.dim)
-    pzero = PolyElement.zero(q.n_vars)
 
     def series(orders, zero):
         return [
@@ -341,13 +348,14 @@ def _verify_gauge(q, qp, xi_orders, lam_orders, N) -> None:
         ]
 
     xi_table = series(xi_orders, HVector.zero())
-    lam_table = series(lam_orders, pzero)
+    lam_table = series(lam_orders, PolyElement.zero(q.n_vars))
 
     def xi(v: HVector) -> HVector:
-        return _by_linearity(xi_table.__getitem__, v.c, HVector.zero(), N)
+        return _by_linearity(xi_table.__getitem__, v.c, HVector._of, N)
 
     def lam(v: HVector) -> PolyElement:
-        return _by_linearity(lam_table.__getitem__, v.c, pzero, N)
+        return _by_linearity(lam_table.__getitem__, v.c,
+                             lambda t: PolyElement._of(q.n_vars, t), N)
 
     # xi^-1 = sum_k (1 - xi)^k; the k-th term has h-valuation at least k
     inv_table = []
@@ -359,7 +367,7 @@ def _verify_gauge(q, qp, xi_orders, lam_orders, N) -> None:
         inv_table.append(acc)
 
     def xi_inverse(v: HVector) -> HVector:
-        return _by_linearity(inv_table.__getitem__, v.c, HVector.zero(), N)
+        return _by_linearity(inv_table.__getitem__, v.c, HVector._of, N)
 
     for b in basis:
         v = HVector.basis(b)
@@ -372,7 +380,7 @@ def _verify_gauge(q, qp, xi_orders, lam_orders, N) -> None:
 # -- homotopy h-divisibility -------------
 
 
-def nabla(q: QuantizedRetract, omega):
+def nabla(q: QuantizedRetract, omega, classical=None, s_classical=None):
     """One application of the division-by-(-h) homotopy operator.
 
     (-h) nabla W = W - fhat(h W0) - Khat(s W0) - s(K W0), where W0 is the
@@ -381,15 +389,17 @@ def nabla(q: QuantizedRetract, omega):
     `PerturbedRetract` keeps since h K = 0), the right side is
     W - W0 + h Delta(s W0), so nabla W = (W - W0) / (-h) - Delta(s W0) and
     every value divides.  The exact correction h Delta(s W0) - W0 is added
-    to W in one step, so each coefficient keeps the window of W's.
+    to W in one step, so each coefficient keeps the window of W's.  A caller
+    holding W0 or s(W0) per key may pass them as `classical`, `s_classical`.
     """
     r = q.retract
-    cl = omega.classical_part(0).values
+    cl = omega.classical_part(0).values if classical is None else classical
     out = type(omega)(omega.arity, omega.ghosts, PolyElement.zero(q.n_vars))
     h = HPoly.h()
     # stored keys are canonical: read and write the tables directly
     for key in omega.keys():
         w0 = cl[key]
-        corr = delta_op(r.s(w0)).scale(h) - w0
+        sw0 = r.s(w0) if s_classical is None else s_classical[key]
+        corr = delta_op(sw0).scale(h) - w0
         out.values[key] = (omega.values[key] + corr).neg_h_divide(1)
     return out

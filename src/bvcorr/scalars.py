@@ -18,7 +18,7 @@ from fractions import Fraction
 DEFAULT_H_ORDER = 6
 INF_TRUNC = 10**9
 
-_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
 def _rat(c) -> Fraction:
@@ -128,18 +128,9 @@ class HPoly:
 
     # -- arithmetic -------------
     def _combine(self, other, sign: int) -> "HPoly":
+        # a sum of two is a two-pair dot with exact +-1 weights
         other = HPoly.promote(other)
-        t = min(self.trunc, other.trunc)
-        c = {k: v for k, v in self.c.items() if k <= t}
-        for k, v in other.c.items():
-            if k > t:
-                continue
-            w = c.get(k, Fraction(0)) + sign * v
-            if w == 0:
-                c.pop(k, None)
-            else:
-                c[k] = w
-        return HPoly._of(c, t)
+        return HPoly.dot(((self, _ONE_H), (other, _ONE_H if sign > 0 else _MINUS_ONE_H)))
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -156,41 +147,11 @@ class HPoly:
         return HPoly._of({k: -v for k, v in self.c.items()}, self.trunc)
 
     def __mul__(self, other):
-        if isinstance(other, HPoly):
-            b, tb = other.c, other.trunc
-        else:
+        # one product is a one-pair dot: the window formula has one home
+        if not isinstance(other, HPoly):
             v = _rat(other)
-            b, tb = ({0: v} if v else {}), INF_TRUNC
-        a, ta = self.c, self.trunc
-        if ta < INF_TRUNC or tb < INF_TRUNC:
-            t = _product_window(a, ta, b, tb)
-        else:
-            t = INF_TRUNC
-        if len(a) == 1 and len(b) != 1:
-            a, b = b, a
-        if len(b) == 1:
-            # a one-term factor shifts and rescales; nonzero lowest terms
-            # multiply, so nothing cancels and no zero is stored
-            ((j, s),) = b.items()
-            if s == 1:
-                c = {i + j: v for i, v in a.items() if i + j <= t}
-            elif s == -1:
-                c = {i + j: -v for i, v in a.items() if i + j <= t}
-            else:
-                c = {i + j: v * s for i, v in a.items() if i + j <= t}
-        else:
-            c = {}
-            for i, u in a.items():
-                for j, v in b.items():
-                    k = i + j
-                    if k > t:
-                        continue
-                    w = c.get(k, _ZERO) + u * v
-                    if w == 0:
-                        c.pop(k, None)
-                    else:
-                        c[k] = w
-        return HPoly._of(c, t)
+            other = HPoly._of({0: v} if v else {}, INF_TRUNC)
+        return HPoly.dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -198,10 +159,10 @@ class HPoly:
     def dot(pairs) -> "HPoly":
         """The sum of a * b over an iterable of (a, b) HPoly pairs.
 
-        Equal, in every coefficient and in `trunc`, to the left fold
-        acc + a * b from an exact zero, but summed in one coefficient dict:
-        the window is the least of the products' windows, and zeros are
-        dropped once at the end.  The empty sum is an exact zero.
+        `*` is its one-pair case and `+`, `-` its two-pair case.  The sum
+        fills one coefficient dict: the window is the least of the products'
+        windows, and zeros are dropped once at the end, so a cancelled sum
+        keeps its window.  The empty sum is an exact zero.
         """
         c = {}
         t = INF_TRUNC
@@ -281,6 +242,9 @@ class HPoly:
         return _fmt_coeffs(self.c)
 
 
+_ONE_H, _MINUS_ONE_H = HPoly.neg_h(0), HPoly.neg_h(0, -1)
+
+
 def _product_window(a: dict, ta: int, b: dict, tb: int) -> int:
     """The known window of the product of coefficients a and b, known
     through orders ta and tb.
@@ -294,6 +258,27 @@ def _product_window(a: dict, ta: int, b: dict, tb: int) -> int:
         tb + (min(a) if a else INF_TRUNC) if tb < INF_TRUNC else INF_TRUNC,
         INF_TRUNC,
     )
+
+
+def collect_pairs(terms: dict, coords: dict, weight: HPoly) -> None:
+    """Add weight * coords to `terms`, a linear combination kept as
+    {key: [(coefficient, weight), ...]} until `sum_pairs` closes it."""
+    for key, c in coords.items():
+        terms.setdefault(key, []).append((c, weight))
+
+
+def sum_pairs(terms: dict) -> dict:
+    """Close each {key: [(a, b), ...]} entry by one HPoly.dot; zeros drop.
+
+    Equal to the left fold of the terms unless a partial sum of a key
+    cancels: the fold drops that key's window, this keeps the least one.
+    """
+    out = {}
+    for key, pairs in terms.items():
+        total = HPoly.dot(pairs)
+        if total.c:
+            out[key] = total
+    return out
 
 
 def _fmt_coeffs(c: dict) -> str:

@@ -15,7 +15,7 @@ from .hspace import HVector, SymMap, tuples_with_repetition
 from .partitions import ARITY_CAP, insert_sign, signed_partitions, sort_sign, subsets
 from .polyalg import PolyElement
 from .report import Report
-from .scalars import HPoly, NotDivisibleError
+from .scalars import HPoly, NotDivisibleError, sum_pairs
 
 
 class GradedBasisElement:
@@ -124,17 +124,7 @@ class SLInfStructure:
                     coef = -coef
                 for t, v in val.c.items():
                     terms.setdefault(t, []).append((coef, v))
-        return HVector._of(_sum_pairs(terms))
-
-
-def _sum_pairs(terms: dict) -> dict:
-    """Close each {key: [(a, b), ...]} entry by one HPoly.dot; zeros drop."""
-    out = {}
-    for key, pairs in terms.items():
-        total = HPoly.dot(pairs)
-        if total.c:
-            out[key] = total
-    return out
+        return HVector._of(sum_pairs(terms))
 
 
 def _repeats_odd(ghosts, idxs) -> bool:
@@ -186,7 +176,7 @@ def _delta_on_word(S: SLInfStructure, idxs) -> dict:
             word, wsign = insert_sign(k, outer, ghosts)
             if wsign:
                 terms.setdefault(word, []).append((coef, w if wsign > 0 else neg_w))
-    return _sum_pairs(terms)
+    return sum_pairs(terms)
 
 
 def coderivation_square(S: SLInfStructure, n_max: int) -> Report:
@@ -215,7 +205,7 @@ def coderivation_square(S: SLInfStructure, n_max: int) -> Report:
             for word, coef in delta(idxs).items():
                 for w2, c2 in delta(word).items():
                     terms.setdefault(w2, []).append((coef, c2))
-            total = _sum_pairs(terms)
+            total = sum_pairs(terms)
             if total:
                 rep.add(n, idxs, total)
     rep.violations.sort(key=lambda v: (v.arity, v.where))

@@ -39,10 +39,10 @@ from itertools import combinations
 from .errors import MasterEquationError
 from .hspace import HVector, PairSymMap, SymMap, tuples_with_repetition
 from .partitions import sub_multisets
-from .polyalg import DescendantFamily, PolyElement, classical_K
+from .polyalg import DescendantFamily, PolyElement, classical_K, collect_product
 from .retract import QuantizedRetract, nabla
 from .report import Report
-from .scalars import HPoly, NotDivisibleError
+from .scalars import HPoly, NotDivisibleError, sum_pairs
 
 
 class LevelZeroSolution:
@@ -65,18 +65,17 @@ class LevelZeroSolution:
         self.E = {}
 
 
-def _split_sum(key, block, E, anchored) -> PolyElement:
-    """sum over sub-multisets k of key, k != key, of mult block(k) E[key - k]
-    (-h)^(|k|-1) when `anchored` (the block holds key[0], level zero), else
-    (-h)^|k| (the block holds the pair besides k, level one)."""
-    acc = PolyElement.zero(E[()].n_vars)
+def _split_sum(terms, key, block, E, anchored, sign=1) -> None:
+    """Add to the linear combination `terms` the sum over sub-multisets k of
+    key, k != key, of sign mult block(k) E[key - k] (-h)^(|k|-1) when
+    `anchored` (the block holds key[0], level zero), else (-h)^|k| (the block
+    holds the pair besides k, level one)."""
     for k, rest, mult in sub_multisets(key, anchored):
         if not rest:
             continue
         v = block(k)
-        if not v.is_zero():
-            acc = acc + (v * E[rest]).scale(HPoly.neg_h(len(k) - anchored, mult))
-    return acc
+        if v.terms:
+            collect_product(terms, v, E[rest], HPoly.neg_h(len(k) - anchored, sign * mult))
 
 
 def _transfer(q: QuantizedRetract, omega, varpi, steps: int):
@@ -86,27 +85,28 @@ def _transfer(q: QuantizedRetract, omega, varpi, steps: int):
     pi = sum_k (-h)^k h(Omega_k^cl), eta = sum_k (-h)^k s(Omega_k^cl), the
     last Omega_steps and varpi / (-h)^steps, all on the table type and keys
     of Omega.  The keys are canonical, so the tables are read and written
-    directly.  nabla divides every value by construction, so a broken retract
-    identity shows in the solvers' correlator checks, not here.  An
-    undivisible varpi entry is a failed products identity
-    varpi = (-h)^steps mhat and raises MasterEquationError.
+    directly; pi and eta are summed once, after the last step, and nabla
+    reuses Omega_k^cl and s(Omega_k^cl).  nabla divides every value by
+    construction, so a broken retract identity shows in the solvers'
+    correlator checks, not here.  An undivisible varpi entry is a failed
+    products identity varpi = (-h)^steps mhat and raises MasterEquationError.
     """
-    nv = q.n_vars
+    r = q.retract
     keys = omega.keys()
-    pi_acc = type(omega)(omega.arity, omega.ghosts, HVector.zero())
-    eta_acc = type(omega)(omega.arity, omega.ghosts, PolyElement.zero(nv))
-    pis, etas = pi_acc.values, eta_acc.values
-    for key in keys:
-        pis[key] = HVector.zero()
-        etas[key] = PolyElement.zero(nv)
+    pis, etas = {key: {} for key in keys}, {key: {} for key in keys}
     om_iter = omega
     for step in range(steps):
+        w = HPoly.neg_h(step)
         cl = om_iter.classical_part(0).values
+        s_cl = {key: r.s(cl[key]) for key in keys}
         for key in keys:
-            w0 = cl[key]
-            pis[key] = pis[key] + q.retract.h(w0).scale(HPoly.neg_h(step))
-            etas[key] = etas[key] + q.retract.s(w0).scale(HPoly.neg_h(step))
-        om_iter = nabla(q, om_iter)
+            r.h(cl[key]).collect(pis[key], w)
+            s_cl[key].collect(etas[key], w)
+        om_iter = nabla(q, om_iter, cl, s_cl)
+    pi_acc = type(omega)(omega.arity, omega.ghosts, HVector.zero())
+    pi_acc.values = {key: HVector._of(sum_pairs(pis[key])) for key in keys}
+    eta_acc = type(omega)(omega.arity, omega.ghosts, PolyElement.zero(q.n_vars))
+    eta_acc.values = {key: PolyElement._of(q.n_vars, sum_pairs(etas[key])) for key in keys}
     top = type(varpi)(varpi.arity, varpi.ghosts, varpi.zero_value)
     for key, v in varpi.values.items():
         try:
@@ -150,8 +150,9 @@ def solve_level_zero(
     for n in range(2, n_max + 1):
         omega = SymMap(n, ghosts, PolyElement.zero(nv))
         for key in tuples_with_repetition(dim, n):
-            om = _split_sum(key, lambda k: sol.phi0[len(k)].values[k], E, True)
-            E[key] = om  # completed by the one-block term below
+            terms = {}
+            _split_sum(terms, key, lambda k: sol.phi0[len(k)].values[k], E, True)
+            E[key] = om = PolyElement._of(nv, sum_pairs(terms))  # completed below
             omega.set(key, om)
         sol.omega0[n] = omega
         sol.varpi1[n] = omega.map_values(lambda _: HVector.zero())
@@ -236,16 +237,16 @@ class LevelOneSolution:
         self.varpi0 = {}
 
 
-def _mhat_sum(mhat, family, key, zero, weight=HPoly.neg_h, trivial=False):
-    """sum over sub-multisets k of the front of mult weight(|k|, mult)
-    sum_j mhat(k + pair)_j F(front - k, j), with even ghosts.
+def _mhat_sum(terms, mhat, family, key, weight=HPoly.neg_h, trivial=False) -> None:
+    """Add to the linear combination `terms` the sum over sub-multisets k of
+    the front of weight(|k|, mult) sum_j mhat(k + pair)_j F(front - k, j),
+    with even ghosts.
 
     This is the sum over the pair partitions of key (a pair-table key) whose
     block of the pair is distinguished; k = front, the one-block partition,
     enters only when `trivial` is set.
     """
     front, pair = key[:-2], key[-2:]
-    acc = zero
     for k, rest, mult in sub_multisets(front, False):
         if not rest and not trivial:
             continue
@@ -255,8 +256,7 @@ def _mhat_sum(mhat, family, key, zero, weight=HPoly.neg_h, trivial=False):
         w = weight(len(k), mult)
         for j, coef in inner.c.items():
             args = tuple(sorted(rest + (j,)))
-            acc = acc + family[len(args)].values[args].scale(coef * w)
-    return acc
+            family[len(args)].values[args].collect(terms, coef * w)
 
 
 def solve_level_one(
@@ -287,15 +287,16 @@ def solve_level_one(
         for front in tuples_with_repetition(dim, n - 2):
             for pair in tuples_with_repetition(dim, 2):
                 key = front + pair
-                om = z.eta1[n].get(key)
-                om = om - _mhat_sum(o.mhat, z.eta1, key, PolyElement.zero(nv))
-                om = om - _split_sum(
-                    front, lambda k: o.phim1[len(k) + 2].values[k + pair], z.E, False)
-                omega.set(key, om)
-                vp = z.pi0[n].get(key) - _mhat_sum(
-                    o.mhat, z.pi0, key, HVector.zero()
-                )
-                varpi.set(key, vp)
+                # omega = eta1 - sum mhat - sum split, varpi = pi0 - sum mhat
+                om, vp = {}, {}
+                z.eta1[n].get(key).collect(om, HPoly.neg_h(0))
+                _mhat_sum(om, o.mhat, z.eta1, key, lambda k, m: HPoly.neg_h(k, -m))
+                _split_sum(om, front, lambda k: o.phim1[len(k) + 2].values[k + pair],
+                           z.E, False, -1)
+                omega.set(key, PolyElement._of(nv, sum_pairs(om)))
+                z.pi0[n].get(key).collect(vp, HPoly.neg_h(0))
+                _mhat_sum(vp, o.mhat, z.pi0, key, lambda k, m: HPoly.neg_h(k, -m))
+                varpi.set(key, HVector._of(sum_pairs(vp)))
         o.omega1[n] = omega
         o.varpi0[n] = varpi
         o.pi1[n], o.eta2[n], o.phim1[n], o.mhat[n] = _transfer(
@@ -390,8 +391,9 @@ def reconstruct_pi(mhat_sym, n_max: int):
     for n in range(2, n_max + 1):
         table = SymMap(n, ghosts, HVector.zero())
         for key in tuples_with_repetition(dim, n):
-            table.set(key, _mhat_sum(mhat_sym, pi, key, HVector.zero(),
-                                     trivial=True))
+            terms = {}
+            _mhat_sum(terms, mhat_sym, pi, key, trivial=True)
+            table.set(key, HVector._of(sum_pairs(terms)))
         pi[n] = table
     return pi
 
@@ -404,17 +406,16 @@ def build_M0(o: LevelOneSolution, n: int, key, fam: DescendantFamily) -> PolyEle
     require, so every partition sign is +1.  Khat is second order, so its
     brackets ell_n vanish for n >= 3: only the two-block terms ell_2 enter.
     """
-    z = o.z
-    nv = o.q.n_vars
     front, (a, b) = key[:-2], key[-2:]
-    phi0 = z.phi0
-    acc = phi0[n].get(key).scale(HPoly.neg_h(1))
+    phi0 = o.z.phi0
+    terms = {}
+    phi0[n].get(key).collect(terms, HPoly.neg_h(1))
     # two blocks that split the pair: a with k, b with the rest of the front
     for k, rest, mult in sub_multisets(front, False):
         ka, rb = tuple(sorted(k + (a,))), tuple(sorted(rest + (b,)))
-        acc = acc + (phi0[len(ka)].values[ka] * phi0[len(rb)].values[rb]).scale(mult)
-    acc = acc - _mhat_sum(o.mhat, phi0, key, PolyElement.zero(nv),
-                          weight=lambda k, mult: HPoly.neg_h(0, mult))
+        collect_product(terms, phi0[len(ka)].values[ka], phi0[len(rb)].values[rb],
+                        HPoly.neg_h(0, mult))
+    _mhat_sum(terms, o.mhat, phi0, key, weight=lambda k, mult: HPoly.neg_h(0, -mult))
     # the bracket correction must enter with a minus sign for
     # M0 = fhat mhat + Khat phim1 to hold: ell_2(phi0(k), phim1(front - k|a b))
     # per nonempty sub-multiset k of the front; a zero argument gives zero
@@ -423,8 +424,8 @@ def build_M0(o: LevelOneSolution, n: int, key, fam: DescendantFamily) -> PolyEle
             continue
         u, w = phi0[len(k)].values[k], o.phim1[len(rest) + 2].values[rest + (a, b)]
         if not (u.is_zero() or w.is_zero()):
-            acc = acc - fam.ell(2, [u, w]).scale(mult)
-    return acc
+            fam.ell(2, [u, w]).collect(terms, HPoly.neg_h(0, -mult))
+    return PolyElement._of(o.q.n_vars, sum_pairs(terms))
 
 
 def verify_M_identity(
@@ -494,14 +495,13 @@ def generalized_associativity_report(mhat_sym, n_spectators_max: int) -> Report:
             A = {}
             for w1, w2 in tuples_with_repetition(dim, 2):
                 for w3 in range(dim):
-                    acc = HVector.zero()
+                    terms = {}
                     for vc, vs, mult in splits:
                         inner = mhat_sym[len(vc) + 2].get(vc + (w1, w2))
+                        w = HPoly.neg_h(0, mult)
                         for k, coef in inner.c.items():
-                            acc = acc + mhat_sym[len(vs) + 2].get(
-                                vs + (k, w3)
-                            ).scale(coef * mult)
-                    A[w1, w2, w3] = acc
+                            mhat_sym[len(vs) + 2].get(vs + (k, w3)).collect(terms, coef * w)
+                    A[w1, w2, w3] = HVector._of(sum_pairs(terms))
             for w1 in range(dim):
                 for w2 in range(dim):
                     for w3 in range(dim):

@@ -342,6 +342,36 @@ def test_nabla_equals_its_four_term_definition(make):
     assert finite > 0
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: build_retract(MilnorData(Potential.a_k(3))),
+     lambda: PerturbedRetract(build_retract(MilnorData(Potential.a_k(3))), _gauge_lam(3))],
+    ids=["A3", "perturbed-A3"],
+)
+def test_nabla_reuses_the_classical_parts_it_is_given(make, monkeypatch):
+    # the solver's transfer passes W0 and s(W0), which it has just computed,
+    # so nabla must give the same table from them, and call no s of its own
+    q = quantize_retract(make())
+    rng = random.Random(7)
+    families = [
+        _random_family(rng, q, 2, [(), (0,)], 2),
+        _random_family(rng, q, 2, [(), (0,)], 2, trunc=2),
+    ]
+    for om in families:
+        cl = om.classical_part(0).values
+        s_cl = {key: q.retract.s(cl[key]) for key in om.keys()}
+        want = nabla(q, om)
+        with monkeypatch.context() as m:
+            m.setattr(q.retract, "s", lambda c: pytest.fail("nabla recomputed s(W0)"))
+            given = nabla(q, om, cl, s_cl)
+        for got in (given, nabla(q, om, cl)):
+            assert got.keys() == want.keys()
+            for key in want.keys():
+                a, b = got.values[key], want.values[key]
+                assert {k: (c.trunc, c.c) for k, c in a.terms.items()} == {
+                    k: (c.trunc, c.c) for k, c in b.terms.items()}
+
+
 def test_nabla_keeps_a_window_the_definition_cancels(a3):
     # W = -2 x^2 + x^6, known through h^2, on A3: f h W0 cancels W's x^2
     # coefficient, so the four-term reference reads its x^2 coefficient

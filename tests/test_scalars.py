@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from bvcorr.scalars import HPoly, NotDivisibleError
+from bvcorr.hspace import HVector
+from bvcorr.polyalg import PolyElement, collect_product
+from bvcorr.scalars import HPoly, NotDivisibleError, sum_pairs
 
 
 def hp(d):
@@ -200,9 +202,11 @@ factor = st.builds(
 
 
 def _fold(pairs):
+    # products by the reference double loop: HPoly.__mul__ is a one-pair dot
     acc = HPoly.zero()
     for a, b in pairs:
-        acc = acc + a * b
+        t, c = _reference_product(a, b)
+        acc = acc + HPoly(c, trunc=t)
     return acc
 
 
@@ -220,3 +224,91 @@ def test_dot_matches_the_fold(pairs, cancel):
         assert (got.trunc, got.c) == (want.trunc, want.c)
         assert all(v != 0 for v in got.c.values())
 
+
+
+# -- the linear-combination kernel against the fold -------------
+
+# stored coefficients are nonzero: terms at or below the lowest window
+coef = st.builds(
+    lambda d, t, j: _shift(HPoly(d, trunc=t), -j),
+    st.dictionaries(st.integers(0, 3), st.builds(
+        Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3)),
+        min_size=1, max_size=3),
+    st.one_of(st.none(), st.integers(3, 6)),
+    st.integers(0, 2),
+)
+poly_values = st.dictionaries(
+    st.tuples(st.tuples(st.integers(0, 3)), st.sampled_from([(), (0,)])),
+    coef, min_size=1, max_size=3,
+).map(lambda d: PolyElement._of(1, d))
+eta_free = st.dictionaries(
+    st.tuples(st.tuples(st.integers(0, 3)), st.just(())), coef, min_size=1, max_size=3,
+).map(lambda d: PolyElement._of(1, d))
+vector_values = st.dictionaries(
+    st.integers(0, 3), coef, min_size=1, max_size=3).map(HVector._of)
+multiplicity = st.builds(
+    HPoly.neg_h, st.integers(-1, 3), st.sampled_from([-3, -2, -1, 1, 2, 3]))
+
+
+def _windows(terms):
+    return {key: (c.trunc, c.c) for key, c in terms.items()}
+
+
+def _cancels(steps) -> bool:
+    """Whether a running sum of the fold, key by key, ever cancels to zero."""
+    run = {}
+    for step in steps:
+        for key, v in step.items():
+            total = run[key] + v if key in run else v
+            if not total.c:
+                return True
+            run[key] = total
+    return False
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(poly_values, coef), max_size=4),
+       st.lists(st.tuples(poly_values, eta_free, multiplicity), max_size=3),
+       st.lists(st.tuples(vector_values, coef), max_size=4))
+def test_kernel_matches_the_fold(values, products, vectors):
+    # the folds acc + x.scale(w) and acc + (a * b).scale(w) against the
+    # kernel, which collects (coefficient, weight) pairs per key and closes
+    # each with one HPoly.dot; finite and exact windows, negative exponents
+    inner = [[{((e1[0] + e2[0],), t1): c1 * c2}]
+             for a, b, _ in products
+             for (e1, t1), c1 in a.terms.items() for (e2, _), c2 in b.terms.items()]
+    steps = [x.scale(w).terms for x, w in values]
+    steps += [(a * b).scale(w).terms for a, b, w in products]
+    assume(not _cancels(steps) and not any(_cancels(s) for s in inner))
+    assume(not _cancels([x.scale(w).c for x, w in vectors]))
+
+    fold, terms = PolyElement.zero(1), {}
+    for x, w in values:
+        fold = fold + x.scale(w)
+        x.collect(terms, w)
+    for a, b, w in products:
+        fold = fold + (a * b).scale(w)
+        collect_product(terms, a, b, w)
+    assert _windows(sum_pairs(terms)) == _windows(fold.terms)
+
+    fold, terms = HVector.zero(), {}
+    for x, w in vectors:
+        fold = fold + x.scale(w)
+        x.collect(terms, w)
+    assert _windows(sum_pairs(terms)) == _windows(fold.c)
+
+
+def test_kernel_keeps_a_window_the_fold_drops():
+    # x known through h^2, then -x exact: the partial sum cancels inside the
+    # window, PolyElement._merge drops the key with its window, and the last
+    # term's 3h then reads as exact; the kernel keeps the least window
+    x = PolyElement.x(0, 1)
+    parts = [(x, HPoly({0: 1}, trunc=2)), (x, HPoly.neg_h(0, -1)), (x, HPoly({1: 3}))]
+    fold, terms = PolyElement.zero(1), {}
+    for v, w in parts:
+        fold = fold + v.scale(w)
+        v.collect(terms, w)
+    ((key, want),) = fold.terms.items()
+    got = sum_pairs(terms)[key]
+    assert got.c == want.c == {1: 3}
+    assert (got.trunc, want.trunc) == (2, INF)

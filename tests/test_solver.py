@@ -19,7 +19,8 @@ from bvcorr.hspace import HVector, tuples_with_repetition
 from bvcorr.partitions import (
     koszul_sign, set_partitions, signed_partitions, sub_multisets)
 from bvcorr.polyalg import DescendantFamily, PolyElement, Potential
-from bvcorr.retract import build_retract, quantize_retract, spanning_monomials
+from bvcorr.retract import (
+    PerturbedRetract, build_retract, quantize_retract, spanning_monomials)
 from bvcorr.scalars import HPoly
 from bvcorr.slinf import Expectation, correlators
 from bvcorr.solver import (
@@ -35,6 +36,7 @@ from bvcorr.solver import (
     solve_level_zero,
     verify_M_identity,
 )
+from test_retract import _gauge_lam
 
 ETA = PolyElement.eta(0, 1)
 ONE = PolyElement.one(1)
@@ -369,9 +371,10 @@ def test_M_identity_brackets_no_zero_argument(monkeypatch):
 def test_level_zero_makes_one_product_per_sub_multiset(monkeypatch):
     q = quantize_retract(build_retract(MilnorData(Potential.a_k(4))))
     calls = []
-    mul = PolyElement.__mul__
+    # the fused products of E's recursion go through one seam
+    fused = solver.collect_product
     monkeypatch.setattr(
-        PolyElement, "__mul__", lambda a, b: calls.append(1) or mul(a, b)
+        solver, "collect_product", lambda *args: calls.append(1) or fused(*args)
     )
     solve_level_zero(q, 7)
     bound = sum(
@@ -380,6 +383,20 @@ def test_level_zero_makes_one_product_per_sub_multiset(monkeypatch):
         for key in tuples_with_repetition(q.dim, n)
     )
     assert 0 < len(calls) <= bound  # the set-partition sums made 664,616
+
+
+def test_solvers_pass_every_check_on_a_perturbed_retract():
+    # a second retract of A3, with representatives shifted by K(lam): f, h
+    # and s sum through the linear-combination kernel, and PerturbedRetract's
+    # h and s overrides must stay in force on every solver path
+    base = build_retract(MilnorData(Potential.a_k(3)))
+    q = quantize_retract(PerturbedRetract(base, _gauge_lam(3)))
+    z = solve_level_zero(q, 5)
+    o = solve_level_one(q, z, 5)
+    for rep in (level_zero_report(z), level_one_report(o), verify_M_identity(q, z, o, 5)):
+        assert rep.checks > 0 and rep.ok, rep.violations[:3]
+    # the products move with the gauge: mhat_3(x, x, x) is 0 on the base retract
+    assert o.mhat[3].get((1, 1, 1)) == HVector({2: Fraction(3, 2)})
 
 
 def test_ell_3_vanishes_on_the_M_identity_arguments():
@@ -469,7 +486,7 @@ def test_undivisible_varpi_fails_the_products_identity(a3, monkeypatch):
     q, z, _ = a3
     # dropping the mhat sum leaves varpi0 = pi0, which -h does not divide
     monkeypatch.setattr(
-        solver, "_mhat_sum", lambda mhat, family, key, zero, **kw: zero
+        solver, "_mhat_sum", lambda terms, mhat, family, key, *args, **kw: None
     )
     with pytest.raises(solver.MasterEquationError) as exc:
         solve_level_one(q, z, 4)
