@@ -1,21 +1,16 @@
-"""Verifying homotopy Lie structures two ways, and transferring them.
+"""Verifying homotopy Lie structures two ways.
 
 A finite table of graded-symmetric brackets either satisfies the coherence
 relations or it does not; we check with direct sums over unshuffles and,
 independently, by squaring the coderivation the table induces on symmetric
 words.  The two oracles agree, including on where a corrupted table first
-breaks.  Homotopy transfer then moves a structure onto its cohomology.
+breaks.
 """
 
 from bvcorr import (
-    DescendantFamily,
     GradedBasisElement,
-    Potential,
     SLInfStructure,
-    build_retract,
     coderivation_square,
-    milnor_basis,
-    minimal_model,
     verify_sl_infinity,
 )
 from bvcorr.hspace import HVector
@@ -41,22 +36,3 @@ T = SLInfStructure(basis)
 T.set_op(1, (2,), HVector.basis(1))
 print("  relations:", verify_sl_infinity(T, 4).ok,
       "| coderivation square:", coderivation_square(T, 4).ok)
-print()
-
-print("Transfer to cohomology: the classical cubic complex onto its Milnor ring.")
-pot = Potential.a_k(2)
-r = build_retract(milnor_basis(pot))
-fam = DescendantFamily(pot)
-
-
-def classical_brackets(args):
-    return fam.ell(len(args), list(args)).classical_part(0)
-
-
-lhat, phi = minimal_model(
-    classical_brackets, lambda i: r.basis_elements[i], r.h, r.s, r.ghosts, 4
-)
-flat = all(lhat[n].get(k).is_zero() for n in lhat for k in lhat[n].keys())
-print("  every transferred bracket vanishes:", flat)
-print("  (the cohomology sits in one ghost degree, so nothing can survive)")
-print("  a transferred lift, phi_2([x],[x]) =", phi[2].get((1, 1)))

@@ -38,7 +38,6 @@ _EXPORTS = {
         "compose_morphisms",
         "correlators",
         "descendant_morphism",
-        "minimal_model",
         "moment_cumulant_report",
         "probe_descendant",
         "verify_sl_infinity",

@@ -5,11 +5,12 @@ is an ascending tuple of indices and blocks are ordered by their maximum.
 
 The morphism-side structures are sums of one shape: over the set partitions
 p of [n], the Koszul sign eps(p) times (-h)^(n-|p|).  `signed_partitions`
-lists each partition with its sign, in `set_partitions` order, so every
-computation downstream is reproducible; `slinf` sums the correlators,
-the moment/cumulant identity, composition and minimal-model transfer over it.
-The sL-infinity relations and the bar coderivation are sums over unshuffles
-(I | I^c) instead (Lada-Stasheff 1993): `subsets` lists the subsets I of the
+lists each partition with its sign, in `set_partitions` order; `slinf`
+composes morphisms over it, whose outer map takes one argument per block.
+The correlators, the moment/cumulant identity and the descendants split
+off the block that holds the first argument instead (the graded exponential
+formula).  They, the sL-infinity relations and the bar coderivation are sums
+over unshuffles (I | I^c) (Lada-Stasheff 1993): `subsets` lists the subsets I of the
 sizes a structure has brackets for, with eps(I|I^c) from `unshuffle_sign`,
 which Koszul's closed formula for the descendant brackets of `polyalg` uses
 too; `insert_sign` puts the bracket's output letter into the rest of a
@@ -54,17 +55,6 @@ def set_partitions(n: int) -> tuple:
         parts = [_canon(p) for p in grown]
     parts.sort(key=lambda p: (tuple(max(b) for b in p), p))
     return tuple(parts)
-
-
-def bell_number(n: int) -> int:
-    """Independent Bell-number recurrence (triangle scheme)."""
-    row = [1]
-    for _ in range(n - 1):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[-1]
 
 
 def koszul_sign(partition, degrees) -> int:

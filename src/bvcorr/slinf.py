@@ -4,12 +4,13 @@ Structures are tables of structure constants over a graded basis; the
 relations are checked two independent ways: directly (sums over unshuffles)
 and through the square of the bar-construction coderivation.  Morphism-side
 machinery covers descendants of pointed cochain maps, composition,
-correlators, the moment/cumulant identity, and minimal-model transfer.
+correlators and the moment/cumulant identity; all but composition sum by
+one graded exponential formula, `_exponential_sum`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import product
 
 from .hspace import HVector, SymMap, tuples_with_repetition
 from .partitions import ARITY_CAP, insert_sign, signed_partitions, sort_sign, subsets
@@ -42,19 +43,6 @@ class GradedBasisElement:
 
     def __repr__(self):
         return f"GradedBasisElement(label={self.label!r}, ghost={self.ghost!r})"
-
-
-def _monomial_combos(term_dicts):
-    """Expand a product of sparse sums, each a dict of key -> HPoly
-    coefficient, into (key-tuple, coefficient) pairs."""
-    combos = [((), HPoly.const(1))]
-    for terms in term_dicts:
-        combos = [
-            (key + (mono,), coef * c)
-            for key, coef in combos
-            for mono, c in terms.items()
-        ]
-    return combos
 
 
 class SLInfStructure:
@@ -212,6 +200,46 @@ def coderivation_square(S: SLInfStructure, n_max: int) -> Report:
     return rep
 
 
+# -- the graded exponential formula -------------
+
+
+_ONE = HPoly.neg_h(0)
+
+
+def _close(pairs, zero):
+    """Sum (value, weight) pairs of HPoly or PolyElement values, the type of
+    `zero`, in one pass: one HPoly.dot, or one sum_pairs over monomial keys."""
+    if isinstance(zero, HPoly):
+        return HPoly.dot(pairs)
+    terms = {}
+    for v, w in pairs:
+        v.collect(terms, w)
+    return PolyElement._of(zero.n_vars, sum_pairs(terms))
+
+
+def _exponential_sum(key, degrees, phi, rest, zero, top, sign=1):
+    """A partition sum over the letters of `key`, split at its first letter.
+
+    The sum over set partitions p of eps(p) (-h)^(n-|p|) prod_B phi(key_B)
+    is the sum over the subsets I of positions that hold position 0 of
+    eps(I|I^c) (-h)^(|I|-1) phi(key_I) * rest(key_(I^c)), with rest the
+    same sum on the sub-word (the graded exponential formula, Stanley EC2
+    5.1; signs as in Lada-Stasheff 1993), provided each value has the
+    parity of its letters.  This sums the proper I, weighted by `sign`,
+    together with `top`, a (value, weight) pair that holds the I = all
+    term; `degrees[j]` is the ghost number of key[j].  The sum closes once
+    per coefficient (`_close`), so it does not depend on the order of its
+    terms.
+    """
+    n = len(key)
+    pairs = [top]
+    for I, R, eps in subsets(n, degrees, range(1, n)):
+        if I[0] == 0:
+            pairs.append((phi(tuple(key[j] for j in I)) * rest(tuple(key[j] for j in R)),
+                          HPoly.neg_h(len(I) - 1, sign * eps)))
+    return _close(pairs, zero)
+
+
 # -- morphisms -------------
 
 
@@ -259,31 +287,16 @@ class DescendantDivisibilityError(NotDivisibleError):
 
 
 class TargetAlgebra:
-    """Product data of the target of a pointed cochain map."""
+    """The unit and zero of the target of a pointed cochain map: an HPoly
+    or PolyElement algebra, multiplied by `*`."""
 
-    def __init__(self, unit, product, is_zero, zero):
+    def __init__(self, unit, zero):
         self.unit = unit
-        self.product = product
-        self.is_zero = is_zero
         self.zero = zero
 
 
 def scalar_target() -> TargetAlgebra:
-    return TargetAlgebra(
-        unit=HPoly.const(1),
-        product=lambda a, b: a * b,
-        is_zero=lambda a: a.is_zero(),
-        zero=HPoly.zero(),
-    )
-
-
-def poly_target(n_vars: int) -> TargetAlgebra:
-    return TargetAlgebra(
-        unit=PolyElement.one(n_vars),
-        product=lambda a, b: a * b,
-        is_zero=lambda a: a.is_zero(),
-        zero=PolyElement.zero(n_vars),
-    )
+    return TargetAlgebra(unit=HPoly.const(1), zero=HPoly.zero())
 
 
 def descendant_morphism(
@@ -299,11 +312,17 @@ def descendant_morphism(
     F maps PolyElement to the target; it must satisfy F(1) = 1' and
     intertwine the differentials (checked on `precheck_span` if given).
     Returns the family psi or the first arity where h-divisibility fails.
+
+    On homogeneous x_1 .. x_n, F(x_1 ... x_n) is the partition sum of psi,
+    so psi_n = (F(x_1 ... x_n) - the proper anchored split) / (-h)^(n-1)
+    by `_exponential_sum`, with F of each product on the rest.  One
+    evaluation fills psi and F on every subset of the argument positions by
+    increasing size, so a failure names its smallest arity; an
+    inhomogeneous argument is split into its ghost parts by multilinearity.
     """
     from .polyalg import quantum_K
 
-    nv = pot.n_vars
-    one = PolyElement.one(nv)
+    one = PolyElement.one(pot.n_vars)
     if F(one) != target.unit:
         raise ValueError("not pointed: F(1) != 1'")
     if precheck_span is not None:
@@ -313,57 +332,40 @@ def descendant_morphism(
             if lhs != rhs:
                 raise ValueError("not a cochain map: F Khat != Khat' F")
 
-    memo = {}
-
-    def psi_mono(n, monos):
-        key = (n, monos)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        elems = [PolyElement(nv, {m: 1}) for m in monos]
-        degs = [-len(m[1]) for m in monos]
-        prod = elems[0]
-        for e in elems[1:]:
-            prod = prod * e
-        acc = F(prod)
-        if n > 1:
-            for p, eps in signed_partitions(n, degs):
-                if len(p) == 1:
-                    continue
-                term = None
-                for b in p:
-                    v = psi(len(b), [elems[j - 1] for j in b])
-                    term = v if term is None else target.product(term, v)
-                acc = acc - _scale_target(
-                    term, HPoly.neg_h(n - len(p), eps)
-                )
+    def psi_homogeneous(degs, elems):
+        prods, Fs, psis = {}, {}, {}  # position subset -> value
+        for I, _, _ in subsets(len(elems), degs, range(1, len(elems) + 1)):
+            prods[I] = elems[I[0]] if len(I) == 1 else prods[I[:-1]] * elems[I[-1]]
+            Fs[I] = F(prods[I])
+            if len(I) == 1:
+                psis[I] = Fs[I]
+                continue
+            acc = _exponential_sum(
+                I, [degs[i] for i in I], psis.__getitem__, Fs.__getitem__,
+                target.zero, (Fs[I], _ONE), sign=-1,
+            )
             try:
-                acc = acc.neg_h_divide(n - 1)
+                psis[I] = acc.neg_h_divide(len(I) - 1)
             except NotDivisibleError as e:
-                raise DescendantDivisibilityError(n, acc, e) from e
-        memo[key] = acc
-        return acc
+                raise DescendantDivisibilityError(len(I), acc, e) from e
+        return psis[tuple(range(len(elems)))]
 
-    def psi(n, args):
-        acc = target.zero
-        for monos, coef in _monomial_combos([a.terms for a in args]):
-            acc = acc + _scale_target(psi_mono(n, monos), coef)
-        return acc
+    def psi(args):
+        parts = product(*(a.ghost_parts().items() for a in args))
+        return _close([(psi_homogeneous(*zip(*combo)), _ONE) for combo in parts],
+                      target.zero)
 
     # divisibility failures surface lazily at evaluation time; callers probe
     # arities through the returned morphism (see `probe_descendant`)
-    components = {
-        n: (lambda nn: (lambda args: psi(nn, list(args))))(n)
-        for n in range(1, n_max + 1)
-    }
-    return DescendantResult(ok=True, morphism=EvalMorphism(components))
+    return DescendantResult(
+        ok=True, morphism=EvalMorphism({n: psi for n in range(1, n_max + 1)})
+    )
 
 
 def probe_descendant(result: DescendantResult, probes) -> DescendantResult:
     """Evaluate a descendant morphism on probe tuples, catching h-failures.
 
-    probes: iterable of tuples of homogeneous PolyElements, in increasing
-    arity; the first failing arity (the arity of the inner recursion step
+    probes: iterable of tuples of PolyElements, in increasing arity; the first failing arity (the arity of the inner recursion step
     that broke, which probing in increasing arity makes deterministic) is
     reported together with the undivided residue.
     """
@@ -431,23 +433,22 @@ def correlators(phi_ev, ghosts, n_max: int, n_vars: int, K_check=None):
 
     phi_ev(idxs) returns the PolyElement value on a basis tuple.  Returns
     {n: SymMap of PolyElement} with
-    Pi_n = sum over partitions of (-h)^(n-|p|) eps(p) prod phi(blocks).
+    Pi_n = sum over partitions of (-h)^(n-|p|) eps(p) prod phi(blocks),
+    summed as (-h)^(n-1) phi(key) plus the anchored split of
+    `_exponential_sum`, with Pi on the rest read from the lower arities.
     When K_check is given, every value is checked to be K_check-closed;
     a failure means phi is not a morphism.
     """
+    zero = PolyElement.zero(n_vars)
     out = {}
     dim = len(ghosts)
     for n in range(1, n_max + 1):
-        table = SymMap(n, ghosts, PolyElement.zero(n_vars))
+        table = SymMap(n, ghosts, zero)
         for key in tuples_with_repetition(dim, n):
-            degs = [ghosts[i] for i in key]
-            acc = PolyElement.zero(n_vars)
-            for p, eps in signed_partitions(n, degs):
-                term = None
-                for b in p:
-                    v = phi_ev(tuple(key[j - 1] for j in b))
-                    term = v if term is None else term * v
-                acc = acc + term.scale(HPoly.neg_h(n - len(p), eps))
+            acc = _exponential_sum(
+                key, [ghosts[i] for i in key], phi_ev, lambda k: out[len(k)].get(k),
+                zero, (phi_ev(key), HPoly.neg_h(n - 1)),
+            )
             if K_check is not None and not K_check(acc).is_zero():
                 raise CorrelatorClosureError(
                     f"correlator at arity {n}, {key} is not closed"
@@ -461,21 +462,21 @@ def moment_cumulant_report(expect, chi_on_H, ghosts, correlator_tables, n_max: i
     """Verify the partition identity between quantum moments and cumulants.
 
     expect(c) is the expectation on C; chi_on_H(idxs) the cumulant value on
-    basis tuples (an HPoly); correlator_tables as from `correlators`.
+    basis tuples (an HPoly); correlator_tables as from `correlators`.  The
+    moments of chi come from the recursion of `correlators`, one table
+    entry per canonical key.
     """
     rep = Report()
+    moments = {}
     dim = len(ghosts)
     for n in range(1, n_max + 1):
         for key in tuples_with_repetition(dim, n):
             rep.checks += 1
             mu = expect(correlator_tables[n].get(key))
-            degs = [ghosts[i] for i in key]
-            acc = HPoly.zero()
-            for p, eps in signed_partitions(n, degs):
-                term = HPoly.const(1)
-                for b in p:
-                    term = term * chi_on_H(tuple(key[j - 1] for j in b))
-                acc = acc + term * HPoly.neg_h(n - len(p), eps)
+            acc = moments[key] = _exponential_sum(
+                key, [ghosts[i] for i in key], chi_on_H, moments.__getitem__,
+                HPoly.zero(), (chi_on_H(key), HPoly.neg_h(n - 1)),
+            )
             if mu != acc:
                 rep.add(n, key, mu - acc)
     return rep
@@ -492,13 +493,11 @@ class Expectation:
     """
 
     def __init__(self, q, iota_coeffs, span=None):
-        from fractions import Fraction as _F
-
         self.q = q
         self.iota = [HPoly.promote(c) for c in iota_coeffs]
         if len(self.iota) != q.dim:
             raise ValueError("iota must list one value per basis element")
-        if self.iota[0] != HPoly.const(_F(1)):
+        if self.iota[0] != HPoly.const(1):
             raise ValueError("iota(1_H) must be 1")
         self.construction = "iota . hhat"
         if span is not None:
@@ -517,77 +516,3 @@ class Expectation:
 
     def __call__(self, c: PolyElement) -> HPoly:
         return self.apply_iota(self.q.hhat(c))
-
-
-# -- minimal model transfer -------------
-
-
-class RetractAxiomError(ValueError):
-    """The supplied transfer data violates a retract axiom."""
-
-
-def minimal_model(ell_eval, retract_f, retract_h, retract_s, ghosts, n_max: int):
-    """Homotopy transfer of an sL-infinity structure to its cohomology.
-
-    ell_eval(args) evaluates the source brackets on source elements;
-    retract_f maps basis index -> source element, retract_h source -> HVector,
-    retract_s source -> source.  Returns (lhat, phi) where lhat[n] and phi[n]
-    are SymMaps on H-tuples (lhat HVector-valued, phi source-valued).
-    """
-    dim = len(ghosts)
-    for i in range(dim):
-        fi = retract_f(i)
-        if retract_h(fi) != HVector.basis(i):
-            raise RetractAxiomError("h . f is not the identity")
-        if not retract_s(fi).is_zero():
-            raise RetractAxiomError("side condition s f = 0 fails")
-        if not retract_h(retract_s(fi)).is_zero():
-            raise RetractAxiomError("side condition h s = 0 fails")
-    phi = {1: None}
-    lhat = {}
-
-    def phi_block(idxs):
-        n = len(idxs)
-        if n == 1:
-            return retract_f(idxs[0])
-        return phi[n].get(tuple(idxs))
-
-    def lhat_block(idxs):
-        n = len(idxs)
-        if n == 1:
-            return HVector.zero()
-        return lhat[n].get(tuple(idxs))
-
-    zero_src = retract_s(retract_f(0))  # a zero-shaped source element
-    zero_src = zero_src - zero_src
-
-    for n in range(2, n_max + 1):
-        Ln = SymMap(n, ghosts, zero_src)
-        for key in tuples_with_repetition(dim, n):
-            degs = [ghosts[i] for i in key]
-            acc = zero_src
-            for p, eps in signed_partitions(n, degs):
-                if len(p) != 1:
-                    vals = [phi_block(tuple(key[j - 1] for j in b)) for b in p]
-                    acc = acc + _scale_target(
-                        ell_eval(tuple(vals)), HPoly.const(eps)
-                    )
-            for I, rest, sign in subsets(n, degs, range(2, n)):
-                inner = lhat_block(tuple(key[j] for j in I))
-                for k, coef in inner.c.items():
-                    args = (k,) + tuple(key[j] for j in rest)
-                    skey, ssign = sort_sign(args, [ghosts[a] for a in args])
-                    if ssign == 0:
-                        continue
-                    acc = acc - _scale_target(
-                        phi_block(skey), coef * Fraction(sign * ssign)
-                    )
-            Ln.set(key, acc)
-        ln_table = SymMap(n, ghosts, HVector.zero())
-        phin_table = SymMap(n, ghosts, zero_src)
-        for key in Ln.keys():
-            ln_table.set(key, retract_h(Ln.get(key)))
-            phin_table.set(key, -retract_s(Ln.get(key)))
-        lhat[n] = ln_table
-        phi[n] = phin_table
-    return lhat, phi

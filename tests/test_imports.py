@@ -22,7 +22,7 @@ PUBLIC = {
     "Potential", "QuantizedRetract", "Retract", "RetractError", "SLInfStructure",
     "build_retract", "bv_bracket", "classical_K", "coderivation_square",
     "compare_retracts", "compose_morphisms", "correlators", "delta_op",
-    "descendant_morphism", "milnor_basis", "minimal_model", "mhat_symmetric",
+    "descendant_morphism", "milnor_basis", "mhat_symmetric",
     "moment_cumulant_report", "nabla", "probe_descendant", "quantize_retract",
     "quantum_K", "reconstruct_pi", "solve_level_one", "solve_level_zero",
     "verify_M_identity", "verify_sl_infinity",

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from bvcorr.partitions import (
     ArityCapError,
-    bell_number,
     insert_sign,
     koszul_sign,
     set_partitions,
@@ -15,6 +14,17 @@ from bvcorr.partitions import (
     subsets,
     unshuffle_sign,
 )
+
+
+def bell_number(n: int) -> int:
+    """Independent Bell-number recurrence (triangle scheme)."""
+    row = [1]
+    for _ in range(n - 1):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[-1]
 
 
 def test_p1():

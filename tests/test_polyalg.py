@@ -17,7 +17,6 @@ from bvcorr.polyalg import (
 )
 from bvcorr.retract import spanning_monomials
 from bvcorr.scalars import HPoly, NotDivisibleError
-from bvcorr.slinf import _monomial_combos
 from test_nonbv import distinguished_blocks, third_order
 
 A2 = Potential.a_k(2)
@@ -346,6 +345,19 @@ def _insertions(n, degs):
                 out.append((p, i, sign))
             sign *= (-1) ** sum(degs[j - 1] for j in b)
     return out
+
+
+def _monomial_combos(term_dicts):
+    """Expand a product of sparse sums, each a dict of key -> HPoly
+    coefficient, into (key-tuple, coefficient) pairs."""
+    combos = [((), HPoly.const(1))]
+    for terms in term_dicts:
+        combos = [
+            (key + (mono,), coef * c)
+            for key, coef in combos
+            for mono, c in terms.items()
+        ]
+    return combos
 
 
 class _RecursiveFamily:

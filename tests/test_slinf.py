@@ -8,34 +8,39 @@ import bvcorr.slinf
 from bvcorr import partitions
 from bvcorr.acceptance import _corruptions
 from bvcorr.groebner import MilnorData
-from bvcorr.hspace import HVector, tuples_with_repetition
+from bvcorr.hspace import HVector, SymMap, tuples_with_repetition
 from bvcorr.polyalg import DescendantFamily, PolyElement, Potential, quantum_K
-from bvcorr.partitions import signed_partitions, sort_sign
+from bvcorr.partitions import ArityCapError, signed_partitions, sort_sign
 from bvcorr.retract import build_retract, quantize_retract, spanning_monomials
-from bvcorr.scalars import HPoly
+from bvcorr.scalars import INF_TRUNC, HPoly, NotDivisibleError, sum_pairs
 from bvcorr.slinf import (
+    DescendantDivisibilityError,
     DescendantResult,
     EvalMorphism,
     Expectation,
     GradedBasisElement,
     SLInfStructure,
+    TargetAlgebra,
     coderivation_square,
     compose_morphisms,
     correlators,
     descendant_morphism,
-    minimal_model,
     moment_cumulant_report,
-    poly_target,
     probe_descendant,
     scalar_target,
     verify_sl_infinity,
 )
 from bvcorr.solver import solve_level_zero
+from test_polyalg import _monomial_combos
 
 X = PolyElement.x(0, 1)
 ETA = PolyElement.eta(0, 1)
 ONE = PolyElement.one(1)
 A2 = Potential.a_k(2)
+
+
+def poly_target(n_vars: int) -> TargetAlgebra:
+    return TargetAlgebra(unit=PolyElement.one(n_vars), zero=PolyElement.zero(n_vars))
 
 
 def test_zero_structure_passes():
@@ -161,28 +166,26 @@ def _insertions(n, degs):
 
 
 def _partition_residual(S, idxs):
-    # every distinguished block of every partition, inner bracket in place
-    acc = HVector.zero()
+    # every distinguished block of every partition, inner bracket in place;
+    # closed by sum_pairs, so no window depends on the order of the terms
+    terms = {}
     for p, i, sign in _insertions(len(idxs), [S.ghosts[j] for j in idxs]):
         for k, coef in S.op(tuple(idxs[j - 1] for j in p[i])).c.items():
             word = tuple(k if bi == i else idxs[b[0] - 1] for bi, b in enumerate(p))
-            val = S.op(word).scale(coef)
-            acc = acc + val if sign > 0 else acc - val
-    return acc
+            S.op(word).collect(terms, coef if sign > 0 else -coef)
+    return HVector._of(sum_pairs(terms))
 
 
 def _partition_delta(S, idxs):
-    out = {}
+    terms = {}
     for p, i, sign in _insertions(len(idxs), [S.ghosts[j] for j in idxs]):
         w = HPoly.neg_h(len(idxs) - len(p), sign)
         for k, coef in S.op(tuple(idxs[j - 1] for j in p[i])).c.items():
             word = tuple(k if bi == i else idxs[b[0] - 1] for bi, b in enumerate(p))
             key, ksign = sort_sign(word, [S.ghosts[a] for a in word])
             if ksign:
-                c = out.pop(key, HPoly.zero()) + (coef * w if ksign > 0 else -(coef * w))
-                if not c.is_zero():
-                    out[key] = c
-    return out
+                terms.setdefault(key, []).append((coef, w if ksign > 0 else -w))
+    return sum_pairs(terms)
 
 
 def _random_structure(rng, truncs=(None,)):
@@ -215,10 +218,15 @@ def _three_bracket(rng):
     return S
 
 
-def _exact(residual):
-    # {coordinate or word: (coefficients, trunc)}: no windowed equality
-    items = residual.c.items() if isinstance(residual, HVector) else residual.items()
-    return {key: (v.c, v.trunc) for key, v in items}
+def _exact(value):
+    # {coordinate, word or monomial: (coefficients, trunc)}: no windowed equality
+    if isinstance(value, HVector):
+        value = value.c
+    elif isinstance(value, PolyElement):
+        value = value.terms
+    elif isinstance(value, HPoly):
+        value = {(): value}
+    return {key: (v.c, v.trunc) for key, v in value.items()}
 
 
 def _rows(rep):
@@ -252,9 +260,8 @@ def test_unshuffle_oracles_match_their_partition_form(monkeypatch):
 def test_relation_residual_takes_any_order():
     # a permuted word gives the Koszul-signed residual of the sorted one,
     # coefficients and windows exactly; a repeated odd letter gives zero.
-    # On exact tables the partition form, which reads its argument in place,
-    # agrees too (on windowed ones its HVector sums drop a partial sum that
-    # cancels inside a finite window, and with it the window)
+    # The partition form, which reads its argument in place, agrees exactly
+    # too, on windowed tables as well: both close each coordinate once
     rng = random.Random(5)
     exact = [_sl2_odd(he=3)] + [_random_structure(rng) for _ in range(2)]
     windowed = [_random_structure(rng, (None, 0, 1, 2)) for _ in range(2)]
@@ -268,8 +275,7 @@ def test_relation_residual_takes_any_order():
                     _, sign = sort_sign(perm, [S.ghosts[i] for i in perm])
                     assert _exact(got) == _exact(
                         HVector.zero() if sign == 0 else want if sign > 0 else -want)
-                    if S in exact:
-                        assert got == _partition_residual(S, perm)
+                    assert _exact(got) == _exact(_partition_residual(S, perm))
                     flipped += sign < 0 and not got.is_zero()
     assert flipped > 0
 
@@ -517,36 +523,264 @@ def test_gaussian_expectation_is_strong_with_cumulants():
     assert rep.ok
 
 
-def test_minimal_model_trivial_input():
-    basis_ghosts = [0, 0]
-    lhat, phi = minimal_model(
-        lambda args: HVector.zero(),
-        lambda i: HVector.basis(i),
-        lambda v: v,
-        lambda v: HVector.zero(),
-        basis_ghosts,
-        3,
-    )
-    for n in lhat:
-        for key in lhat[n].keys():
-            assert lhat[n].get(key).is_zero()
-            assert phi[n].get(key).is_zero()
+# -- the partition form of the morphism-side sums, kept as a reference ------
 
 
-def test_minimal_model_of_classical_a2():
-    # degree obstruction: H sits in ghost 0, so every transferred bracket dies
-    r = build_retract(MilnorData(A2))
-    fam = DescendantFamily(A2)
+def _partition_correlators(phi_ev, ghosts, n_max, n_vars):
+    out = {}
+    for n in range(1, n_max + 1):
+        out[n] = {}
+        for key in tuples_with_repetition(len(ghosts), n):
+            acc = PolyElement.zero(n_vars)
+            for p, eps in signed_partitions(n, [ghosts[i] for i in key]):
+                term = None
+                for b in p:
+                    v = phi_ev(tuple(key[j - 1] for j in b))
+                    term = v if term is None else term * v
+                acc = acc + term.scale(HPoly.neg_h(n - len(p), eps))
+            out[n][key] = acc
+    return out
 
-    def ell_cl(args):
-        return fam.ell(len(args), list(args)).classical_part(0)
 
-    lhat, phi = minimal_model(
-        ell_cl, lambda i: r.basis_elements[i], r.h, r.s, r.ghosts, 4
-    )
-    for n in lhat:
-        for key in lhat[n].keys():
-            assert lhat[n].get(key).is_zero()
+def _partition_moments(chi_on_H, ghosts, n_max):
+    out = {}
+    for n in range(1, n_max + 1):
+        out[n] = {}
+        for key in tuples_with_repetition(len(ghosts), n):
+            acc = HPoly.zero()
+            for p, eps in signed_partitions(n, [ghosts[i] for i in key]):
+                term = HPoly.const(1)
+                for b in p:
+                    term = term * chi_on_H(tuple(key[j - 1] for j in b))
+                acc = acc + term * HPoly.neg_h(n - len(p), eps)
+            out[n][key] = acc
+    return out
+
+
+def _partition_descendant(F, pot, target, n_max):
+    # psi on monomial tuples, memoized across calls; arguments expand into
+    # monomials by multilinearity
+    nv = pot.n_vars
+    memo = {}
+
+    def scale(v, coef):
+        return v * coef if isinstance(v, HPoly) else v.scale(coef)
+
+    def psi_mono(n, monos):
+        key = (n, monos)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        elems = [PolyElement(nv, {m: 1}) for m in monos]
+        prod = elems[0]
+        for e in elems[1:]:
+            prod = prod * e
+        acc = F(prod)
+        if n > 1:
+            for p, eps in signed_partitions(n, [-len(m[1]) for m in monos]):
+                if len(p) == 1:
+                    continue
+                term = None
+                for b in p:
+                    v = psi(len(b), [elems[j - 1] for j in b])
+                    term = v if term is None else term * v
+                acc = acc - scale(term, HPoly.neg_h(n - len(p), eps))
+            try:
+                acc = acc.neg_h_divide(n - 1)
+            except NotDivisibleError as e:
+                raise DescendantDivisibilityError(n, acc, e) from e
+        memo[key] = acc
+        return acc
+
+    def psi(n, args):
+        acc = target.zero
+        for monos, coef in _monomial_combos([a.terms for a in args]):
+            acc = acc + scale(psi_mono(n, monos), coef)
+        return acc
+
+    return EvalMorphism({n: (lambda nn: lambda args: psi(nn, list(args)))(n)
+                         for n in range(1, n_max + 1)})
+
+
+def _random_coef(rng, truncs):
+    return HPoly({0: rng.randint(-2, 2), 1: Fraction(rng.randint(-2, 2), 3)},
+                 trunc=rng.choice(truncs))
+
+
+def _random_family(rng, truncs, n_max=4):
+    # graded-symmetric tables on 2-3 basis elements of mixed ghost into C
+    # with two variables; each value has the parity of its key
+    ghosts = [rng.choice((-2, -1, -1, 0, 0)) for _ in range(rng.randint(2, 3))]
+    words = [(), (0,), (1,), (0, 1)]
+    tables = {}
+    for n in range(1, n_max + 1):
+        tables[n] = SymMap(n, ghosts, PolyElement.zero(2))
+        for key in tuples_with_repetition(len(ghosts), n):
+            odd = sum(ghosts[i] for i in key) % 2
+            tables[n].set(key, PolyElement(2, {
+                ((rng.randint(0, 1), rng.randint(0, 1)),
+                 rng.choice([w for w in words if len(w) % 2 == odd])): _random_coef(rng, truncs)
+                for _ in range(rng.randint(0, 3))
+            }))
+    return ghosts, lambda key: tables[len(key)].get(key)
+
+
+def _random_cumulants(rng, truncs, n_max=4):
+    # scalar tables: zero on keys of odd total ghost number
+    ghosts = [rng.choice((-2, -1, -1, 0, 0)) for _ in range(rng.randint(2, 3))]
+    tables = {}
+    for n in range(1, n_max + 1):
+        tables[n] = SymMap(n, ghosts, HPoly.zero())
+        for key in tuples_with_repetition(len(ghosts), n):
+            if sum(ghosts[i] for i in key) % 2 == 0:
+                tables[n].set(key, _random_coef(rng, truncs))
+    return ghosts, lambda key: tables[len(key)].get(key)
+
+
+def test_correlators_and_moments_match_their_partition_form(monkeypatch):
+    # coefficient for coefficient, on exact and on windowed odd-graded tables.
+    # A sum whose known terms all cancel is a windowed zero, which PolyElement
+    # and sum_pairs drop as an exact zero; so on windowed tables the two
+    # forms are compared through the least window of a windowed zero either
+    # one produced, as past it neither knows its coefficients
+    zeros = []
+    dot = HPoly.dot
+
+    def watched(pairs):
+        out = dot(pairs)
+        if not out.c and out.trunc < INF_TRUNC:
+            zeros.append(out.trunc)
+        return out
+
+    monkeypatch.setattr(HPoly, "dot", staticmethod(watched))
+    rng = random.Random(17)
+    compared = 0
+    for truncs in [(None,)] * 4 + [(None, 0, 1, 2)] * 12:
+        ghosts, phi = _random_family(rng, truncs)
+        zeros.clear()
+        new, ref = correlators(phi, ghosts, 4, 2), _partition_correlators(phi, ghosts, 4, 2)
+        floor = min(zeros, default=INF_TRUNC)
+        assert floor == INF_TRUNC or truncs != (None,)
+        for n in ref:
+            for key, want in ref[n].items():
+                got = new[n].get(key)
+                for mono in set(got.terms) | set(want.terms):
+                    zero = HPoly.zero()
+                    a, b = got.terms.get(mono, zero), want.terms.get(mono, zero)
+                    assert a.cap(floor) == b.cap(floor)
+                    compared += truncs != (None,) and min(a.trunc, b.trunc, floor) >= 1
+        # HPoly sums keep their windowed zeros: the report compares through
+        # each moment's own window
+        ghosts, chi = _random_cumulants(rng, truncs)
+        ref = _partition_moments(chi, ghosts, 4)
+        rep = moment_cumulant_report(lambda mu: mu, chi, ghosts, ref, 4)
+        assert rep.ok and rep.checks == sum(map(len, ref.values()))
+        ref[2] = {key: v + HPoly.h(0) for key, v in ref[2].items()}
+        assert moment_cumulant_report(lambda mu: mu, chi, ghosts, ref, 4).first_failure_arity() == 2
+    assert compared > 200  # windowed coefficients compared past h^0
+
+
+def test_correlators_and_moments_do_not_depend_on_the_subset_order(monkeypatch):
+    # every value and window is that of one closing, whatever order the
+    # anchored subsets come in; a left fold of PolyElement sums differs on
+    # these tables where a partial sum cancels inside a finite window
+    rng = random.Random(23)
+    families = [_random_family(rng, (None, 0, 1, 2)) for _ in range(60)]
+    cumulants = [_random_cumulants(rng, (None, 0, 1, 2)) for _ in range(6)]
+
+    def run():
+        out = []
+        for ghosts, phi in families:
+            corr = correlators(phi, ghosts, 4, 2)
+            out.append({(n, key): _exact(corr[n].get(key))
+                        for n in corr for key in corr[n].keys()})
+        for ghosts, chi in cumulants:
+            # an expectation that is zero reports each moment of chi, negated
+            out.append(_rows(moment_cumulant_report(
+                lambda mu: HPoly.zero(), chi, ghosts, {n: {} for n in range(1, 5)}, 4)))
+        return out
+
+    want = run()
+    real = bvcorr.slinf.subsets
+    for seed in range(3):
+        order = random.Random(seed)
+        monkeypatch.setattr(bvcorr.slinf, "subsets", lambda *args: tuple(
+            order.sample(real(*args), len(real(*args)))))
+        assert run() == want
+
+
+def _second_derivative(c):
+    def d(p):
+        return PolyElement(1, {((e - 1,), w): v * e for ((e,), w), v in p.terms.items() if e})
+    return d(d(c))
+
+
+def test_descendants_match_their_partition_form():
+    # psi on probes with eta and inhomogeneous arguments: the same values, or
+    # the same failing arity; on equal monomial arguments the same residue.
+    # c + h c'' is strong, c + c'' fails at arity 2, the Gaussian expectation
+    # is strong and the A2 and A3 ones fail at arity 3
+    window = ETA.scale(HPoly({0: 1, 1: 2}, trunc=2))
+    elems = [X, ETA, X * X, X * ETA, X + ETA, X * ETA + X * X,
+             ONE + X.scale(Fraction(2, 3)), window + X]
+    cases = [(A2, lambda c: c + _second_derivative(c).scale(HPoly.h()), poly_target(1)),
+             (A2, lambda c: c + _second_derivative(c), poly_target(1))]
+    for pot in (Potential.single_variable({2: Fraction(1, 2)}), A2, Potential.a_k(3)):
+        q = quantize_retract(build_retract(MilnorData(pot)))
+        cases.append((pot, Expectation(q, [1] + [0] * (q.dim - 1)), scalar_target()))
+    rng = random.Random(3)
+    probes = [(a,) for a in elems] + [(a, b) for a in elems for b in elems]
+    probes += [tuple(rng.choices(elems, k=n)) for n in (3, 4) for _ in range(12)]
+    probes += [(m,) * n for m in (X, X * X, X * ETA) for n in (2, 3, 4)]
+
+    def run(morphism, args):
+        try:
+            return True, morphism.ev(args)
+        except DescendantDivisibilityError as e:
+            return False, (e.arity, e.residue)
+
+    outcomes = set()
+    for pot, F, target in cases:
+        new = descendant_morphism(F, pot, target, 4).morphism
+        ref = _partition_descendant(F, pot, target, 4)
+        for args in probes:
+            (ok, got), (ref_ok, want) = run(new, args), run(ref, args)
+            assert ok == ref_ok
+            outcomes.add(ok)
+            if ok:
+                assert _exact(got) == _exact(want)
+            else:
+                assert got[0] == want[0]
+                if len(set(map(id, args))) == 1 and len(args[0].terms) == 1:
+                    assert _exact(got[1]) == _exact(want[1])
+    assert outcomes == {True, False}
+
+
+def test_morphism_sums_enumerate_no_partitions(monkeypatch, a3_solution):
+    q, z = a3_solution
+    arities = []
+    enumerate_ = partitions.set_partitions
+    monkeypatch.setattr(partitions, "set_partitions",
+                        lambda *args: arities.append(args[0]) or enumerate_(*args))
+    partitions._signed.cache_clear()
+    phi = lambda idxs: z.phi0[len(idxs)].get(idxs)
+    corr = correlators(phi, z.ghosts, 4, 1, K_check=q.Khat)
+    expect = Expectation(q, [1, 0, 0])
+    chi = lambda idxs: expect(phi(idxs))
+    assert moment_cumulant_report(expect, chi, z.ghosts, corr, 4).checks > 0
+    res = descendant_morphism(expect, q.pot, scalar_target(), 8)
+    probes = [(X, ETA, X * X), (X + ETA, X)] + [(X,) * n for n in (2, 3, 4)]
+    assert not probe_descendant(res, probes).ok
+    assert arities == []
+    # past the cap every sum still refuses
+    ones = lambda idxs: ONE
+    with pytest.raises(ArityCapError):
+        correlators(ones, [0], 8, 1)
+    with pytest.raises(ArityCapError):
+        moment_cumulant_report(lambda mu: HPoly.zero(), lambda idxs: HPoly.const(1), [0],
+                               {n: {} for n in range(1, 9)}, 8)
+    with pytest.raises(ArityCapError):
+        res.morphism.ev((X * X,) * 8)
 
 
 def test_plain_record_types():
