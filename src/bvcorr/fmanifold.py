@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial, prod
+from operator import add
 
 from .hspace import HVector
 from .polyalg import DescendantFamily, PolyElement
@@ -27,7 +28,8 @@ class TSeries:
     """Truncated series in the deformation coordinates.
 
     Coefficients may be HPoly (negative h-exponents allowed) or PolyElement;
-    the `dim` coordinates commute.
+    the `dim` coordinates commute.  Products (`*`, `dot`) take HPoly-valued
+    series.
     """
 
     def __init__(self, dim: int, t_order: int, zero_value):
@@ -67,10 +69,12 @@ class TSeries:
         return out
 
     def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
+        return self + -other
 
     def __neg__(self):
-        return self.scale(Fraction(-1))
+        out = TSeries(self.dim, self.t_order, self.zero_value)
+        out.terms = {e: -v for e, v in self.terms.items()}
+        return out
 
     def scale(self, c) -> "TSeries":
         out = TSeries(self.dim, self.t_order, self.zero_value)
@@ -79,12 +83,37 @@ class TSeries:
         return out
 
     def __mul__(self, other: "TSeries") -> "TSeries":
-        out = TSeries(self.dim, self.t_order, self.zero_value)
-        for ea, va in self.terms.items():
-            for eb, vb in other.terms.items():
-                exp = tuple(a + b for a, b in zip(ea, eb))
-                if sum(exp) <= self.t_order:
-                    out.add_term(exp, va * vb)
+        return TSeries.dot(((self, other),))
+
+    @staticmethod
+    def dot(pairs) -> "TSeries":
+        """The sum of a * b over a nonempty iterable of (a, b) pairs of
+        HPoly-valued series, with the first a's dim and t_order.
+
+        The coefficient pairs are collected per t-exponent through t_order
+        and each exponent closes with one HPoly.dot; zeros are dropped.
+        """
+        pairs = list(pairs)
+        shape = pairs[0][0]
+        order = shape.t_order
+        cols = {}
+        for a, b in pairs:
+            right = [(eb, sum(eb), vb) for eb, vb in b.terms.items()]
+            for ea, va in a.terms.items():
+                room = order - sum(ea)
+                for eb, deg, vb in right:
+                    if deg <= room:
+                        exp = tuple(map(add, ea, eb))
+                        col = cols.get(exp)
+                        if col is None:
+                            cols[exp] = [(va, vb)]
+                        else:
+                            col.append((va, vb))
+        out = TSeries(shape.dim, order, shape.zero_value)
+        for exp, col in cols.items():
+            v = HPoly.dot(col)
+            if v.c:
+                out.terms[exp] = v
         return out
 
     def derivative(self, alpha: int) -> "TSeries":
@@ -95,7 +124,8 @@ class TSeries:
                 continue
             ne = list(e)
             ne[alpha] -= 1
-            out.add_term(tuple(ne), Fraction(e[alpha]) * v)
+            k = e[alpha]
+            out.add_term(tuple(ne), v if k == 1 else v * k)
         return out
 
     def constant_term(self):
@@ -161,7 +191,8 @@ def assemble_series(dim, t_order, zero_value, term_fn, degrees) -> TSeries:
             continue
         ordering = tuple(i for i, k in enumerate(exp) for _ in range(k))
         denom = prod(factorial(k) for k in exp)
-        out.add_term(exp, Fraction(1, denom) * term_fn(ordering))
+        value = term_fn(ordering)
+        out.add_term(exp, value if denom == 1 else Fraction(1, denom) * value)
     return out
 
 
@@ -236,13 +267,18 @@ def wdvv_report(A, t_order: int) -> Report:
                 rep.checks += 1
                 if A[(a, b)][c] != A[(b, a)][c]:
                     rep.add(0, (a, b, c), "symmetry fails")
+    # dA[a][(b, g)][s] = d_a A_bg^s, each taken once
+    dA = [
+        {bg: [series.derivative(a) for series in comps] for bg, comps in A.items()}
+        for a in range(dim)
+    ]
     for a in range(dim):
         for b in range(dim):
             for g in range(dim):
                 for s_idx in range(dim):
                     rep.checks += 1
-                    lhs = A[(b, g)][s_idx].derivative(a)
-                    rhs = A[(a, g)][s_idx].derivative(b)
+                    lhs = dA[a][(b, g)][s_idx]
+                    rhs = dA[b][(a, g)][s_idx]
                     if not lhs.eq_through(rhs, t_order - 1):
                         rep.add(0, (a, b, g, s_idx), "potentiality fails")
     for a in range(dim):
@@ -250,13 +286,12 @@ def wdvv_report(A, t_order: int) -> Report:
             for g in range(dim):
                 for s_idx in range(dim):
                     rep.checks += 1
-                    lhs = None
-                    rhs = None
-                    for r in range(dim):
-                        l_term = A[(a, b)][r] * A[(r, g)][s_idx]
-                        r_term = A[(b, g)][r] * A[(a, r)][s_idx]
-                        lhs = l_term if lhs is None else lhs + l_term
-                        rhs = r_term if rhs is None else rhs + r_term
+                    lhs = TSeries.dot(
+                        (A[(a, b)][r], A[(r, g)][s_idx]) for r in range(dim)
+                    )
+                    rhs = TSeries.dot(
+                        (A[(b, g)][r], A[(a, r)][s_idx]) for r in range(dim)
+                    )
                     if not lhs.eq_through(rhs, t_order):
                         diff = lhs - rhs
                         first = min(
@@ -307,53 +342,51 @@ def flat_coordinate_report(
     the assembled series; the unit direction equation and the boundary
     conditions are checked unconditionally.
     """
-    z = fc.z
     rep = Report()
-    dim = z.dim
+    dim = fc.z.dim
     zero_exp = (0,) * dim
+    # dT[c][r] = d_r That^c, each taken once
+    dT = [[T.derivative(r) for r in range(dim)] for T in fc.T]
     for c in range(dim):
         rep.checks += 1
         if not fc.T[c].constant_term().is_zero():
             rep.add(0, (c,), "That does not vanish at t = 0")
         for b in range(dim):
             rep.checks += 1
-            d = fc.T[c].derivative(b).constant_term()
+            d = dT[c][b].constant_term()
             want = HPoly.const(1 if b == c else 0)
             if d != want:
                 rep.add(0, (b, c), "boundary derivative fails")
         # unit direction: d_0 That^c = delta_0^c - (1/h) That^c
         rep.checks += 1
-        lhs = fc.T[c].derivative(0)
         rhs = TSeries(dim, t_order, HPoly.zero())
         if c == 0:
             rhs.add_term(zero_exp, HPoly.const(1))
         rhs = rhs + fc.T[c].scale(HPoly.neg_h(-1))
-        if not lhs.eq_through(rhs, t_order - 1):
+        if not dT[c][0].eq_through(rhs, t_order - 1):
             rep.add(0, (c,), "unit-direction equation fails")
     if not fc.low_exponent_ok():
         rep.add(0, (), "h-exponent lower bound violated")
 
-    # sign resolution for the second-derivative system
-    verdicts = []
-    for sign_name, sgn in (("minus", Fraction(-1)), ("plus", Fraction(1))):
-        ok = True
-        for a in range(dim):
-            for b in range(dim):
-                for c in range(dim):
-                    second = (
-                        fc.T[c].derivative(b).derivative(a).scale(HPoly.h())
-                    )
-                    transport = None
-                    for r in range(dim):
-                        term = A[(a, b)][r] * fc.T[c].derivative(r)
-                        transport = term if transport is None else transport + term
-                    resid = second + transport.scale(sgn)
-                    if not resid.eq_through(
-                        TSeries(dim, t_order, HPoly.zero()), t_order - 2
-                    ):
-                        ok = False
-        verdicts.append((sign_name, ok))
-    holding = [name for name, ok in verdicts if ok]
+    # sign resolution for the second-derivative system: one residual pair
+    # h d_a d_b That^c -+ sum_r A_ab^r d_r That^c per (a, b, c)
+    h = HPoly.h()
+    zero = TSeries(dim, t_order, HPoly.zero())
+    holds = {"minus": True, "plus": True}
+    for a in range(dim):
+        for b in range(dim):
+            for c in range(dim):
+                second = dT[c][b].derivative(a).scale(h)
+                transport = TSeries.dot(
+                    (A[(a, b)][r], dT[c][r]) for r in range(dim)
+                )
+                for name, resid in (
+                    ("minus", second - transport),
+                    ("plus", second + transport),
+                ):
+                    if not resid.eq_through(zero, t_order - 2):
+                        holds[name] = False
+    holding = [name for name, ok in holds.items() if ok]
     if len(holding) == 1:
         resolved = holding[0]
     elif len(holding) == 2:

@@ -14,6 +14,7 @@ by k; it never yields a negative exponent.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 DEFAULT_H_ORDER = 6
 INF_TRUNC = 10**9
@@ -160,11 +161,14 @@ class HPoly:
         """The sum of a * b over an iterable of (a, b) HPoly pairs.
 
         `*` is its one-pair case and `+`, `-` its two-pair case.  The sum
-        fills one coefficient dict: the window is the least of the products'
-        windows, and zeros are dropped once at the end, so a cancelled sum
-        keeps its window.  The empty sum is an exact zero.
+        fills one coefficient table: the window is the least of the
+        products' windows, and zeros are dropped once at the end, so a
+        cancelled sum keeps its window.  The empty sum is an exact zero.
+        Each exponent sums in integers, a numerator over the lcm of its
+        terms' denominators, and becomes one Fraction at the end, so the
+        denominator does not grow with the number of terms.
         """
-        c = {}
+        acc = {}
         t = INF_TRUNC
         for x, y in pairs:
             a, ta, b, tb = x.c, x.trunc, y.c, y.trunc
@@ -172,30 +176,28 @@ class HPoly:
                 w = _product_window(a, ta, b, tb)
                 if w < t:
                     t = w
-            if len(a) == 1 and len(b) != 1:
-                a, b = b, a
-            if len(b) == 1:
-                # a one-term factor shifts its partner's terms; +-1 needs
-                # no multiply
-                ((j, s),) = b.items()
-                if s == 1:
-                    for i, v in a.items():
-                        k = i + j
-                        c[k] = c[k] + v if k in c else v
-                elif s == -1:
-                    for i, v in a.items():
-                        k = i + j
-                        c[k] = c[k] - v if k in c else -v
-                else:
-                    for i, v in a.items():
-                        k = i + j
-                        c[k] = c[k] + v * s if k in c else v * s
-            else:
-                for i, u in a.items():
-                    for j, v in b.items():
-                        k = i + j
-                        c[k] = c[k] + u * v if k in c else u * v
-        return HPoly._of({k: v for k, v in c.items() if v and k <= t}, t)
+            for i, u in a.items():
+                un, ud = u.as_integer_ratio()
+                for j, v in b.items():
+                    k = i + j
+                    vn, vd = v.as_integer_ratio()
+                    n, d = un * vn, ud * vd
+                    cell = acc.get(k)
+                    if cell is None:
+                        acc[k] = [n, d]
+                    elif cell[1] == d:
+                        cell[0] += n
+                    else:
+                        # bring both to the lcm of the denominators
+                        e = cell[1]
+                        g = gcd(e, d)
+                        cell[0] = cell[0] * (d // g) + n * (e // g)
+                        cell[1] = e // g * d
+        c = {}
+        for k, (n, d) in acc.items():
+            if n and k <= t:
+                c[k] = Fraction(n) if d == 1 else Fraction(n, d)
+        return HPoly._of(c, t)
 
     def __eq__(self, other):
         if not isinstance(other, HPoly):

@@ -1,5 +1,7 @@
 import contextlib
+import copy
 import io
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from bvcorr import cli
+from bvcorr import fmanifold
 from bvcorr.fmanifold import (
     FlatCoords,
     TSeries,
@@ -168,3 +171,170 @@ def test_fmanifold_command_builds_the_flat_coordinates_once(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["fmanifold", "--input", str(job)]) == 0
     assert len(calls) == 1
+
+
+# -- the flat-coordinate sign resolution against its two-pass form -------------
+
+
+def _two_pass_report(fc, A, t_order):
+    """The flat-coordinate report as it stood before the one-residual form:
+    every derivative taken anew and the residual rebuilt once per sign."""
+    rep = fmanifold.Report()
+    dim = fc.z.dim
+    zero_exp = (0,) * dim
+    for c in range(dim):
+        rep.checks += 1
+        if not fc.T[c].constant_term().is_zero():
+            rep.add(0, (c,), "That does not vanish at t = 0")
+        for b in range(dim):
+            rep.checks += 1
+            d = fc.T[c].derivative(b).constant_term()
+            if d != HPoly.const(1 if b == c else 0):
+                rep.add(0, (b, c), "boundary derivative fails")
+        rep.checks += 1
+        lhs = fc.T[c].derivative(0)
+        rhs = TSeries(dim, t_order, HPoly.zero())
+        if c == 0:
+            rhs.add_term(zero_exp, HPoly.const(1))
+        rhs = rhs + fc.T[c].scale(HPoly.neg_h(-1))
+        if not lhs.eq_through(rhs, t_order - 1):
+            rep.add(0, (c,), "unit-direction equation fails")
+    if not fc.low_exponent_ok():
+        rep.add(0, (), "h-exponent lower bound violated")
+    verdicts = []
+    for sign_name, sgn in (("minus", Fraction(-1)), ("plus", Fraction(1))):
+        ok = True
+        for a in range(dim):
+            for b in range(dim):
+                for c in range(dim):
+                    second = fc.T[c].derivative(b).derivative(a).scale(HPoly.h())
+                    transport = None
+                    for r in range(dim):
+                        term = _fold_product(A[(a, b)][r], fc.T[c].derivative(r))
+                        transport = term if transport is None else transport + term
+                    resid = second + transport.scale(sgn)
+                    if not resid.eq_through(TSeries(dim, t_order, HPoly.zero()), t_order - 2):
+                        ok = False
+        verdicts.append((sign_name, ok))
+    holding = [name for name, ok in verdicts if ok]
+    if len(holding) == 1:
+        return rep, holding[0]
+    if len(holding) == 2:
+        return rep, "both (transport term vanishes)"
+    rep.add(0, (), "flat-coordinate PDE fails for both signs")
+    return rep, "neither"
+
+
+def _summary(rep, sign):
+    return rep.checks, [(v.where, v.residual) for v in rep.violations], sign, rep.ok
+
+
+FLAT_POTENTIALS = {
+    "A2": Potential.a_k(2),
+    "A3": Potential.a_k(3),
+    "A4": Potential.a_k(4),
+    "quartic": Potential.single_variable(
+        {4: Fraction(1, 4), 3: Fraction(1, 3), 2: Fraction(-1, 2)}),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(FLAT_POTENTIALS))
+def flat_run(request):
+    t_order = 3
+    q = quantize_retract(
+        build_retract(MilnorData(FLAT_POTENTIALS[request.param])), order=4 + t_order)
+    z = solve_level_zero(q, t_order + 2)
+    o = solve_level_one(q, z, t_order + 2)
+    return FlatCoords(z, t_order), structure_constants(mhat_symmetric(o), t_order), t_order
+
+
+def test_sign_resolution_matches_the_two_pass_form(flat_run):
+    fc, A, t_order = flat_run
+    got = _summary(*flat_coordinate_report(fc, A, t_order))
+    assert got == _summary(*_two_pass_report(fc, A, t_order))
+    assert got[2] == "plus" and got[3]
+
+
+def test_negated_structure_constants_resolve_to_minus(flat_run):
+    fc, A, t_order = flat_run
+    neg = {ab: [-s for s in comps] for ab, comps in A.items()}
+    got = _summary(*flat_coordinate_report(fc, neg, t_order))
+    assert got == _summary(*_two_pass_report(fc, neg, t_order))
+    assert got[2] == "minus"
+
+
+def test_a_corrupted_flat_coordinate_resolves_to_neither(flat_run):
+    # h d_1 d_1 of h^3 t1^2 leaves 2h^4 at t = 0, where the transport of
+    # d_r(t1^2) = 2 t1 delta_r1 vanishes: both signs fail
+    fc, A, t_order = flat_run
+    dim = fc.z.dim
+    bad = copy.copy(fc)
+    bad.T = [s.copy() for s in fc.T]
+    bad.T[dim - 1].add_term(tuple(2 if i == 1 else 0 for i in range(dim)), HPoly.h(3))
+    rep, sign = flat_coordinate_report(bad, A, t_order)
+    assert _summary(rep, sign) == _summary(*_two_pass_report(bad, A, t_order))
+    assert sign == "neither" and not rep.ok
+    assert "flat-coordinate PDE fails for both signs" in [v.residual for v in rep.violations]
+
+
+# -- TSeries.dot against the fold of products -------------
+
+
+def _fold_product(a, b):
+    """a * b by the double loop over terms, summed term by term."""
+    out = TSeries(a.dim, a.t_order, a.zero_value)
+    for ea, va in a.terms.items():
+        for eb, vb in b.terms.items():
+            out.add_term(tuple(x + y for x, y in zip(ea, eb)), va * vb)
+    return out
+
+
+def _random_series(rng, dim, order, windowed):
+    s = TSeries(dim, order, HPoly.zero())
+    for _ in range(rng.randint(1, 5)):
+        exp = [0] * dim
+        for _ in range(rng.randint(0, order)):
+            exp[rng.randrange(dim)] += 1
+        coeffs = {rng.randint(-2, 3): Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                  for _ in range(rng.randint(1, 3))}
+        trunc = rng.randint(3, 6) if windowed and rng.random() < 0.5 else None
+        s.add_term(exp, HPoly(coeffs, trunc=trunc))
+    return s
+
+
+def _exact(series):
+    return {e: (v.trunc, {k: str(c) for k, c in v.c.items()})
+            for e, v in series.terms.items()}
+
+
+def test_tseries_dot_matches_the_fold():
+    compared = cut = cancelled = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        dim, order = rng.randint(1, 3), rng.randint(1, 4)
+        pairs = [(_random_series(rng, dim, order, seed % 2 == 1),
+                  _random_series(rng, dim, order, seed % 3 == 1))
+                 for _ in range(rng.randint(1, 4))]
+        # the negated first pair cancels every exponent only it reaches
+        pairs.append((-pairs[0][0], pairs[0][1]))
+        # the fold drops a key whose partial sum cancels, with its window;
+        # only a cancellation before the last term can change the sum
+        fold, running_cancel = None, False
+        for i, (a, b) in enumerate(pairs):
+            term = _fold_product(a, b)
+            cut += any(sum(ea) + sum(eb) > order for ea in a.terms for eb in b.terms)
+            if 0 < i < len(pairs) - 1:
+                running_cancel |= any(
+                    e in fold.terms and (fold.terms[e] + v).is_zero()
+                    for e, v in term.terms.items())
+            fold = term if fold is None else fold + term
+        first = _fold_product(*pairs[0])
+        cancelled += any(e not in fold.terms for e in first.terms)
+        got = TSeries.dot(pairs)
+        assert (got.dim, got.t_order) == (dim, order)
+        if not running_cancel:
+            compared += 1
+            assert _exact(got) == _exact(fold)
+        # a product is the one-pair case
+        assert _exact(pairs[0][0] * pairs[0][1]) == _exact(first)
+    assert compared >= 50 and cut >= 60 and cancelled >= 20

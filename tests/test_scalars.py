@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -312,3 +313,67 @@ def test_kernel_keeps_a_window_the_fold_drops():
     got = sum_pairs(terms)[key]
     assert got.c == want.c == {1: 3}
     assert (got.trunc, want.trunc) == (2, INF)
+
+
+# -- integer coefficient sums against a Fraction fold -------------
+
+mixed = st.builds(
+    lambda d, t, j: _shift(HPoly(d, trunc=t), -j),
+    st.dictionaries(st.integers(0, 5), st.builds(
+        Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 12, 35])),
+        max_size=4),
+    truncs,
+    st.integers(0, 3),
+)
+
+
+def _fraction_fold(pairs):
+    """(trunc, coefficients) of the sum of products, each key a Fraction
+    left fold; the window is the least product window."""
+    t, c = INF, {}
+    for a, b in pairs:
+        pt, _ = _reference_product(a, b)
+        t = min(t, pt)
+        for i, x in a.c.items():
+            for j, y in b.c.items():
+                c[i + j] = c.get(i + j, Fraction(0)) + x * y
+    return t, {k: v for k, v in c.items() if v != 0 and k <= t}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(mixed, mixed), max_size=6))
+def test_integer_sums_match_a_fraction_fold(pairs):
+    got = HPoly.dot(pairs)
+    t, want = _fraction_fold(pairs)
+    assert got.trunc == t
+    assert {k: str(v) for k, v in got.c.items()} == {k: str(v) for k, v in want.items()}
+    assert all(type(v) is Fraction for v in got.c.values())
+
+
+def test_a_cancelled_key_keeps_the_least_window():
+    a = HPoly({0: Fraction(2, 3), 1: Fraction(-5, 4)}, trunc=4)
+    b = HPoly({1: Fraction(7, 6)}, trunc=3)
+    got = HPoly.dot([(a, HPoly.h()), (b, HPoly.const(2)), (-a, HPoly.h()),
+                     (b, HPoly.const(-2))])
+    assert (got.trunc, got.c) == (3, {})
+    empty = HPoly.dot([])
+    assert (empty.trunc, empty.c) == (INF, {})
+
+
+def test_a_long_sum_keeps_its_denominator_at_the_lcm(monkeypatch):
+    # each key's sum reaches its one Fraction over the lcm of its terms'
+    # denominators, not over the products that pairwise addition builds
+    import bvcorr.scalars as scalars
+
+    dens = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+    terms = [Fraction((-1) ** i * (i + 1), dens[i % len(dens)]) for i in range(200)]
+    pairs = [(HPoly._of({0: v}, INF), HPoly.h(i % 3)) for i, v in enumerate(terms)]
+    built = []
+    monkeypatch.setattr(
+        scalars, "Fraction", lambda n, d=1: built.append(d) or Fraction(n, d))
+    got = HPoly.dot(pairs)
+    monkeypatch.undo()
+    assert built == [math.lcm(*(v.denominator for v in terms[k::3])) for k in range(3)]
+    assert max(built) <= math.lcm(*dens)
+    for k in range(3):
+        assert got.c[k] == sum(terms[k::3], Fraction(0))
