@@ -103,12 +103,7 @@ class TSeries:
                 room = order - sum(ea)
                 for eb, deg, vb in right:
                     if deg <= room:
-                        exp = tuple(map(add, ea, eb))
-                        col = cols.get(exp)
-                        if col is None:
-                            cols[exp] = [(va, vb)]
-                        else:
-                            col.append((va, vb))
+                        cols.setdefault(tuple(map(add, ea, eb)), []).append((va, vb))
         out = TSeries(shape.dim, order, shape.zero_value)
         for exp, col in cols.items():
             v = HPoly.dot(col)

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from bvcorr import cli
-from bvcorr import fmanifold
 from bvcorr.fmanifold import (
     FlatCoords,
     TSeries,
@@ -24,6 +23,7 @@ from bvcorr.fmanifold import (
 from bvcorr.groebner import MilnorData
 from bvcorr.hspace import HVector
 from bvcorr.polyalg import DescendantFamily, PolyElement, Potential
+from bvcorr.report import Report
 from bvcorr.retract import build_retract, quantize_retract
 from bvcorr.scalars import HPoly
 from bvcorr.slinf import Expectation
@@ -176,10 +176,19 @@ def test_fmanifold_command_builds_the_flat_coordinates_once(monkeypatch):
 # -- the flat-coordinate sign resolution against its two-pass form -------------
 
 
+def _fold_product(a, b):
+    """a * b by the double loop over terms, summed term by term."""
+    out = TSeries(a.dim, a.t_order, a.zero_value)
+    for ea, va in a.terms.items():
+        for eb, vb in b.terms.items():
+            out.add_term(tuple(x + y for x, y in zip(ea, eb)), va * vb)
+    return out
+
+
 def _two_pass_report(fc, A, t_order):
-    """The flat-coordinate report as it stood before the one-residual form:
-    every derivative taken anew and the residual rebuilt once per sign."""
-    rep = fmanifold.Report()
+    """flat_coordinate_report in its two-pass form, the reference: every
+    derivative taken anew and the residual rebuilt once per sign."""
+    rep = Report()
     dim = fc.z.dim
     zero_exp = (0,) * dim
     for c in range(dim):
@@ -278,15 +287,6 @@ def test_a_corrupted_flat_coordinate_resolves_to_neither(flat_run):
 
 
 # -- TSeries.dot against the fold of products -------------
-
-
-def _fold_product(a, b):
-    """a * b by the double loop over terms, summed term by term."""
-    out = TSeries(a.dim, a.t_order, a.zero_value)
-    for ea, va in a.terms.items():
-        for eb, vb in b.terms.items():
-            out.add_term(tuple(x + y for x, y in zip(ea, eb)), va * vb)
-    return out
 
 
 def _random_series(rng, dim, order, windowed):
