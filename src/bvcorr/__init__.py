@@ -10,6 +10,7 @@ import importlib
 
 _EXPORTS = {
     "errors": ("MasterEquationError", "RetractError"),
+    "gauge": ("PerturbedRetract", "compare_retracts"),
     "groebner": ("MilnorData", "NonIsolatedError"),
     "polyalg": (
         "DescendantFamily",
@@ -21,11 +22,9 @@ _EXPORTS = {
         "quantum_K",
     ),
     "retract": (
-        "PerturbedRetract",
         "QuantizedRetract",
         "Retract",
         "build_retract",
-        "compare_retracts",
         "nabla",
         "quantize_retract",
     ),

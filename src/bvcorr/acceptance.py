@@ -11,6 +11,7 @@ import random
 import time
 from fractions import Fraction
 
+from .gauge import PerturbedRetract, compare_retracts
 from .groebner import MilnorData
 from .hspace import HVector, tuples_with_repetition
 from .polyalg import (
@@ -22,13 +23,7 @@ from .polyalg import (
     delta_op,
     quantum_K,
 )
-from .retract import (
-    PerturbedRetract,
-    build_retract,
-    compare_retracts,
-    quantize_retract,
-    spanning_monomials,
-)
+from .retract import build_retract, quantize_retract, spanning_monomials
 from .scalars import HPoly
 from .slinf import (
     EvalMorphism,

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .errors import MasterEquationError, RetractError
 from .groebner import MilnorData, NonIsolatedError
-from .hspace import HVector
 from .partitions import ArityCapError
 from .polyalg import DescendantFamily, Potential
 from .scalars import rat_str
@@ -124,7 +123,7 @@ def hpoly_json(p) -> dict:
     return {f"h^{k}": rat_str(v) for k, v in sorted(p.c.items())}
 
 
-def hvector_json(v: HVector, labels) -> dict:
+def hvector_json(v, labels) -> dict:
     return {labels[i]: hpoly_json(c) for i, c in v.sorted_items()}
 
 
@@ -190,10 +189,10 @@ def _run_solve(job: JobSpec, fault: bool = False):
     z = solver.solve_level_zero(q, job.n_max)
     o = solver.solve_level_one(q, z, job.n_max)
     if fault:
-        # test hook: corrupt one solver value, then re-verify
+        # test hook: corrupt one solver value (add the unit), then re-verify
         n = min(3, job.n_max)
         key = next(iter(sorted(o.mhat[n].values)))
-        o.mhat[n].values[key] = o.mhat[n].values[key] + HVector({0: 1})
+        o.mhat[n].values[key] = o.mhat[n].values[key] + q.unit()
     reports = {
         "level-zero": solver.level_zero_report(z),
         "level-one": solver.level_one_report(o),
@@ -308,6 +307,7 @@ def cmd_solve(job: JobSpec, sink: list, audit: bool, fault: bool = False):
 
 
 def _json_family(family, labels, value=None):
+    """JSON rows of a family of tables: HVector values, unless `value` renders them."""
     out = {}
     for n in sorted(family):
         t = family[n]
@@ -315,12 +315,7 @@ def _json_family(family, labels, value=None):
         for key in t.keys():
             label = ",".join(labels[i] for i in key)
             val = t.get(key)
-            if value is not None:
-                rows[label] = value(val)
-            elif isinstance(val, HVector):
-                rows[label] = hvector_json(val, labels)
-            else:
-                rows[label] = poly_json(val)
+            rows[label] = hvector_json(val, labels) if value is None else value(val)
         out[str(n)] = rows
     return out
 
@@ -329,7 +324,6 @@ def cmd_fmanifold(job: JobSpec, sink: list):
     # imported here so that the other commands do not load these modules
     from . import fmanifold
     from .retract import build_retract, quantize_retract
-    from .slinf import Expectation
     from .solver import mhat_symmetric, solve_level_one, solve_level_zero
 
     need = job.t_order + 2
@@ -373,8 +367,8 @@ def cmd_fmanifold(job: JobSpec, sink: list):
         raise InputError(
             f"iota must list {z.dim} values for this potential"
         )
-    expect = Expectation(q, iota)
-    zc, zt, zrep = fmanifold.generating_function(expect.apply_iota, fc)
+    # Expectation(q, iota).apply_iota without slinf; JobSpec checked iota(1_H) = 1
+    zc, zt, zrep = fmanifold.generating_function(lambda v: v.pair(iota), fc)
     _emit(f"Z = {zc}", sink)
     _emit(
         f"check generating-function: {'pass' if zrep.ok else 'FAIL'} "

@@ -233,7 +233,7 @@ class MilnorData:
         self.n_vars = pot.n_vars
         self._check_staircase()
         self.basis = self._standard_monomials()
-        self._nf_cache = {}
+        self._divisions = {}
         self._witness_cache = {}
 
     def _check_staircase(self):
@@ -279,12 +279,15 @@ class MilnorData:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def normal_form_monomial(self, exp: tuple) -> dict:
-        hit = self._nf_cache.get(exp)
+    def _division(self, exp: tuple) -> tuple:
+        """(quotients, remainder) of x^exp by the Groebner basis, divided once."""
+        hit = self._divisions.get(exp)
         if hit is None:
-            _, hit = divide({exp: Fraction(1)}, self.gb)
-            self._nf_cache[exp] = hit
+            hit = self._divisions[exp] = divide({exp: Fraction(1)}, self.gb)
         return hit
+
+    def normal_form_monomial(self, exp: tuple) -> dict:
+        return self._division(exp)[1]
 
     def witness_monomial(self, exp: tuple) -> list:
         """Quotients over the original Jacobian generators for one monomial.
@@ -293,7 +296,7 @@ class MilnorData:
         """
         hit = self._witness_cache.get(exp)
         if hit is None:
-            quots, _ = divide({exp: Fraction(1)}, self.gb)
+            quots = self._division(exp)[0]
             hit = [
                 _sum_products(quots, [row[k] for row in self.cofactors])
                 for k in range(len(self.gens))

@@ -76,6 +76,13 @@ class HVector:
     def __neg__(self):
         return HVector._of({i: -v for i, v in self.c.items()})
 
+    def pair(self, coeffs) -> HPoly:
+        """The linear functional sum_i coeffs[i] * v_i, summed in coordinate order."""
+        acc = HPoly.zero()
+        for i, coef in self.c.items():
+            acc = acc + coeffs[i] * coef
+        return acc
+
     def collect(self, terms: dict, weight: HPoly) -> None:
         """Add weight * self to the linear combination `terms` (scalars.sum_pairs)."""
         collect_pairs(terms, self.c, weight)

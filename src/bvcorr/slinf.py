@@ -509,10 +509,7 @@ class Expectation:
                     raise ValueError("expectation does not annihilate Khat")
 
     def apply_iota(self, v: HVector) -> HPoly:
-        acc = HPoly.zero()
-        for i, coef in v.c.items():
-            acc = acc + self.iota[i] * coef
-        return acc
+        return v.pair(self.iota)
 
     def __call__(self, c: PolyElement) -> HPoly:
         return self.apply_iota(self.q.hhat(c))

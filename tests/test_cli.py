@@ -130,6 +130,15 @@ def test_fmanifold_iota_validation(tmp_path):
     assert r.returncode == 2
 
 
+def test_fmanifold_iota_of_the_wrong_length_exits_2(tmp_path):
+    path = write_job(tmp_path, dict(A2_JOB, iota=["1", "0", "0"]))
+    r = run_cli("fmanifold", "--input", path)
+    assert r.returncode == 2
+    assert b"iota must list 2 values" in r.stderr
+    assert b"Traceback" not in r.stderr
+    assert r.stdout == b""
+
+
 def test_threads_flag_rejected(tmp_path):
     # --threads was a no-op and is gone: argparse rejects it, no traceback
     path = write_job(tmp_path, A2_JOB)

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -171,6 +172,35 @@ def test_fmanifold_command_builds_the_flat_coordinates_once(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["fmanifold", "--input", str(job)]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("terms, iota", [
+    ([[[4], "1/4"]], ["1", "-2/3", "5"]),
+    ([[[4], "1/4"], [[3], "1/3"], [[2], "-1/2"]], ["1", "3/7", "-1/2"]),
+], ids=["a3", "quartic-lower-terms"])
+def test_cli_generating_function_matches_the_library_expectation(tmp_path, terms, iota):
+    t_order, h_order = 3, 4
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({
+        "schema": 1, "potential": {"n_vars": 1, "terms": terms},
+        "n_max": 4, "h_order": h_order, "t_order": t_order, "iota": iota,
+    }))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["fmanifold", "--input", str(job)]) == 0
+    (z_line,) = [ln for ln in out.getvalue().splitlines() if ln.startswith("Z = ")]
+
+    pot = cli.JobSpec(json.loads(job.read_text())).potential
+    q = quantize_retract(build_retract(MilnorData(pot)), order=h_order + t_order)
+    z = solve_level_zero(q, t_order + 2)
+    expect = Expectation(q, [Fraction(v) for v in iota])
+    zc, _, rep = generating_function(expect.apply_iota, FlatCoords(z, t_order))
+    assert rep.ok
+    assert z_line == f"Z = {zc}"
+    # a non-default iota reaches Z
+    default = generating_function(Expectation(q, [1, 0, 0]).apply_iota,
+                                  FlatCoords(z, t_order))[0]
+    assert str(zc) != str(default)
 
 
 # -- the flat-coordinate sign resolution against its two-pass form -------------

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+import bvcorr.groebner as groebner
 from bvcorr.groebner import (
     MilnorData,
     NonIsolatedError,
+    _sum_products,
     buchberger,
     divide,
     p_add,
@@ -94,3 +96,56 @@ def test_division_remainder_irreducible():
     for exp in rem:
         assert not all(a <= b for a, b in zip((2, 0), exp))
         assert not all(a <= b for a, b in zip((0, 2), exp))
+
+
+DIVISION_POTENTIALS = {
+    **{f"a{k}": Potential.a_k(k) for k in range(2, 6)},
+    "two_var": Potential(2, {(3, 0): Fraction(1, 3), (0, 3): Fraction(1, 3)}),
+    # E6 and E7 normal forms with lower terms
+    "e6": Potential(
+        2, {(3, 0): Fraction(1, 3), (0, 4): Fraction(1, 4),
+            (1, 2): Fraction(1, 2), (0, 2): Fraction(-1, 2)}),
+    "e7": Potential(
+        2, {(3, 0): Fraction(1, 3), (1, 3): Fraction(1),
+            (1, 1): Fraction(1, 2), (0, 2): Fraction(1, 3)}),
+}
+
+
+def _exponents(n_vars, degree):
+    """Every exponent vector of total degree at most `degree`."""
+    if n_vars == 0:
+        yield ()
+        return
+    for k in range(degree + 1):
+        for rest in _exponents(n_vars - 1, degree - k):
+            yield (k, *rest)
+
+
+@pytest.mark.parametrize("name", sorted(DIVISION_POTENTIALS))
+def test_each_monomial_is_divided_once(name, monkeypatch):
+    mil = MilnorData(DIVISION_POTENTIALS[name])
+    calls = []
+    monkeypatch.setattr(
+        groebner, "divide", lambda p, gens: calls.append(1) or divide(p, gens)
+    )
+    exps = list(_exponents(mil.n_vars, 6))
+    for exp in exps:
+        # both orders of first use, then cached reads
+        first, second = (
+            (mil.witness_monomial, mil.normal_form_monomial)
+            if sum(exp) % 2 else (mil.normal_form_monomial, mil.witness_monomial)
+        )
+        first(exp)
+        second(exp)
+        nf, wit = mil.normal_form_monomial(exp), mil.witness_monomial(exp)
+        quots, rem = divide({exp: Fraction(1)}, mil.gb)
+        assert nf == rem
+        assert wit == [
+            _sum_products(quots, [row[k] for row in mil.cofactors])
+            for k in range(len(mil.gens))
+        ]
+        recon = dict(nf)
+        for w, g in zip(wit, mil.gens):
+            recon = p_add(recon, p_mul(w, g))
+        assert recon == {exp: Fraction(1)}
+    assert len(calls) == len(exps)

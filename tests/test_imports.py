@@ -1,8 +1,9 @@
 """The import contract: each job loads only the bvcorr modules it runs.
 
 `bvcorr` resolves its public names on first access (PEP 562), report types
-live in `bvcorr.report`, the CLI's failure types in `bvcorr.errors`, and
-`bvcorr fmanifold` imports its own layer.  Each check runs in a fresh
+live in `bvcorr.report`, the CLI's failure types in `bvcorr.errors`, the
+gauge machinery in `bvcorr.gauge`, and `bvcorr fmanifold` imports its own
+layer but not the sL-infinity one.  Each check runs in a fresh
 interpreter with src/ on the path, so no module loaded by another test
 leaks in.
 """
@@ -31,6 +32,18 @@ PUBLIC = {
 LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('bvcorr'))))"
 
 
+def _cli_loads(*argv):
+    """The bvcorr modules loaded by one CLI run that exits 0."""
+    return _run(
+        "import contextlib, io\n"
+        "from bvcorr import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({list(argv)!r})\n"
+        "assert code == 0, code\n"
+        f"{LOADED}"
+    )
+
+
 def _run(body: str):
     code = f"import json, sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n{body}"
     r = subprocess.run(
@@ -51,32 +64,45 @@ def test_polyalg_loads_only_its_own_layer():
 
 
 def test_solve_leaves_the_series_and_sl_infinity_layers_unloaded():
-    loaded = _run(
-        "import contextlib, io\n"
-        "from bvcorr import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['solve', '--input', 'tests/golden/a2.job.json'])\n"
-        "assert code == 0, code\n"
-        f"{LOADED}"
-    )
+    loaded = _cli_loads("solve", "--input", "tests/golden/a2.job.json")
     assert "bvcorr.solver" in loaded
-    for name in ("bvcorr.fmanifold", "bvcorr.slinf", "bvcorr.acceptance"):
+    for name in ("bvcorr.fmanifold", "bvcorr.slinf", "bvcorr.acceptance",
+                 "bvcorr.gauge"):
         assert name not in loaded
+
+
+def test_fmanifold_loads_neither_slinf_nor_acceptance_nor_gauge():
+    # the expectation iota . hhat is HVector.pair, not slinf.Expectation
+    loaded = _cli_loads("fmanifold", "--input", "tests/golden/quartic_iota.job.json")
+    assert "bvcorr.fmanifold" in loaded
+    for name in ("bvcorr.slinf", "bvcorr.acceptance", "bvcorr.gauge"):
+        assert name not in loaded
+    assert len(loaded) == 12, loaded
 
 
 def test_basis_loads_neither_retract_nor_solver():
     # the CLI's failure types live in bvcorr.errors
-    loaded = _run(
-        "import contextlib, io\n"
-        "from bvcorr import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['basis', '--input', 'tests/golden/two_var.job.json'])\n"
-        "assert code == 0, code\n"
-        f"{LOADED}"
-    )
+    loaded = _cli_loads("basis", "--input", "tests/golden/two_var.job.json")
     assert "bvcorr.errors" in loaded
-    for name in ("bvcorr.retract", "bvcorr.solver", "bvcorr.report"):
+    for name in ("bvcorr.retract", "bvcorr.solver", "bvcorr.report", "bvcorr.hspace"):
         assert name not in loaded
+    assert len(loaded) == 7, loaded
+
+
+def test_expectation_imports_without_the_retract_or_series_layers():
+    # the form perfbench's gate imports it in
+    loaded = _run(f"from bvcorr.slinf import Expectation\n{LOADED}")
+    assert "bvcorr.slinf" in loaded
+    for name in ("bvcorr.retract", "bvcorr.fmanifold"):
+        assert name not in loaded
+
+
+def test_gauge_names_resolve_from_bvcorr_gauge():
+    assert _run(
+        "import bvcorr\n"
+        "print(json.dumps([bvcorr.PerturbedRetract.__module__,\n"
+        "                  bvcorr.compare_retracts.__module__]))"
+    ) == ["bvcorr.gauge", "bvcorr.gauge"]
 
 
 def test_slinf_does_not_load_dataclasses():

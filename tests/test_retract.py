@@ -5,15 +5,14 @@ import random
 import pytest
 
 import bvcorr.retract
+from bvcorr.gauge import PerturbedRetract, compare_retracts
 from bvcorr.groebner import MilnorData
 from bvcorr.hspace import HVector, SymMap, tuples_with_repetition
 from bvcorr.polyalg import PolyElement, Potential, classical_K, delta_op, quantum_K
 from bvcorr.retract import (
-    PerturbedRetract,
     QuantizedRetract,
     RetractError,
     build_retract,
-    compare_retracts,
     nabla,
     quantize_retract,
     spanning_monomials,

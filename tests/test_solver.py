@@ -14,13 +14,13 @@ import bvcorr.partitions as partitions
 import bvcorr.retract
 import bvcorr.slinf as slinf
 import bvcorr.solver as solver
+from bvcorr.gauge import PerturbedRetract
 from bvcorr.groebner import MilnorData
 from bvcorr.hspace import HVector, tuples_with_repetition
 from bvcorr.partitions import (
     koszul_sign, set_partitions, signed_partitions, sub_multisets)
 from bvcorr.polyalg import DescendantFamily, PolyElement, Potential
-from bvcorr.retract import (
-    PerturbedRetract, build_retract, quantize_retract, spanning_monomials)
+from bvcorr.retract import build_retract, quantize_retract, spanning_monomials
 from bvcorr.scalars import HPoly
 from bvcorr.slinf import Expectation, correlators
 from bvcorr.solver import (
