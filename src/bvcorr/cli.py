@@ -158,17 +158,13 @@ def report_json(rep) -> dict:
     return out
 
 
-def _emit(line: str, sink: list) -> None:
-    sink.append(line)
-
-
 def cmd_basis(job: JobSpec, sink: list) -> tuple[int, dict]:
     mil = MilnorData(job.potential)
     labels = [monomial_label(e, mil.n_vars) for e in mil.basis]
-    _emit(f"dimension {mil.dimension}", sink)
-    _emit("basis (ghost number 0):", sink)
+    sink.append(f"dimension {mil.dimension}")
+    sink.append("basis (ghost number 0):")
     for lab in labels:
-        _emit(f"  {lab}", sink)
+        sink.append(f"  {lab}")
     bundle = {
         "command": "basis",
         "dimension": mil.dimension,
@@ -212,19 +208,19 @@ def _run_solve(job: JobSpec, fault: bool = False):
 
 
 def _table_lines(title, table_by_arity, labels, render_value, sink):
-    _emit(f"{title}:", sink)
+    sink.append(f"{title}:")
     for n in sorted(table_by_arity):
         t = table_by_arity[n]
         for key in t.keys():
             label = ",".join(labels[i] for i in key)
-            _emit(f"  [{label}] -> {render_value(t.get(key))}", sink)
+            sink.append(f"  [{label}] -> {render_value(t.get(key))}")
 
 
 def cmd_solve(job: JobSpec, sink: list, audit: bool, fault: bool = False):
     mil, q, z, o, ms, reports, recon_ok = _run_solve(job, fault)
     labels = [monomial_label(e, mil.n_vars) for e in mil.basis]
     # the quantized retract exists only when its anomaly vanishes
-    _emit(f"dimension {mil.dimension}; anomaly-free: True", sink)
+    sink.append(f"dimension {mil.dimension}; anomaly-free: True")
 
     def hv(v):
         if v.is_zero():
@@ -243,10 +239,7 @@ def cmd_solve(job: JobSpec, sink: list, audit: bool, fault: bool = False):
                 (z.pi0[n].get(k).h_degree() for k in z.pi0[n].keys()),
                 default=-1,
             )
-            _emit(
-                f"  arity {n}: max h-degree {max(top, 0)} (bound {n - 2})",
-                sink,
-            )
+            sink.append(f"  arity {n}: max h-degree {max(top, 0)} (bound {n - 2})")
     if "mhat" in wanted:
         _table_lines("mhat (on-shell products)", o.mhat, labels, hv, sink)
     if "phi0" in wanted:
@@ -257,12 +250,12 @@ def cmd_solve(job: JobSpec, sink: list, audit: bool, fault: bool = False):
     for name in sorted(reports):
         rep = reports[name]
         status = "pass" if rep.ok else "FAIL"
-        _emit(f"check {name}: {status} ({rep.checks} instances)", sink)
+        sink.append(f"check {name}: {status} ({rep.checks} instances)")
         if not rep.ok:
             ok = False
             v = rep.violations[0]
-            _emit(f"  witness: arity {v.arity} at {v.where}: {v.residual}", sink)
-    _emit(f"check pi0-reconstruction: {'pass' if recon_ok else 'FAIL'}", sink)
+            sink.append(f"  witness: arity {v.arity} at {v.where}: {v.residual}")
+    sink.append(f"check pi0-reconstruction: {'pass' if recon_ok else 'FAIL'}")
     ok = ok and recon_ok
     bundle = {
         "command": "solve",
@@ -336,32 +329,28 @@ def cmd_fmanifold(job: JobSpec, sink: list):
     ms = mhat_symmetric(o)
     labels = [monomial_label(e, mil.n_vars) for e in mil.basis]
     A = fmanifold.structure_constants(ms, job.t_order)
-    _emit("structure constants A[a,b]^c:", sink)
+    sink.append("structure constants A[a,b]^c:")
     for a in range(z.dim):
         for b in range(z.dim):
             for c in range(z.dim):
                 s = A[(a, b)][c]
                 if s.is_zero():
                     continue
-                _emit(f"  A[{labels[a]},{labels[b]}]^[{labels[c]}] = {s}", sink)
+                sink.append(f"  A[{labels[a]},{labels[b]}]^[{labels[c]}] = {s}")
     w = fmanifold.wdvv_report(A, job.t_order)
-    _emit(
-        f"check wdvv: {'pass' if w.ok else 'FAIL'} ({w.checks} instances)", sink
-    )
+    sink.append(f"check wdvv: {'pass' if w.ok else 'FAIL'} ({w.checks} instances)")
     if not w.ok:
         v = w.violations[0]
-        _emit(f"  witness: {v.where}: {v.residual}", sink)
+        sink.append(f"  witness: {v.where}: {v.residual}")
     fc = fmanifold.FlatCoords(z, job.t_order)
     frep, sign = fmanifold.flat_coordinate_report(fc, A, job.t_order)
-    _emit("flat coordinates That^c:", sink)
+    sink.append("flat coordinates That^c:")
     for c in range(z.dim):
-        _emit(f"  That^[{labels[c]}] = {fc.T[c]}", sink)
-    _emit(
-        f"check flat-coordinates: {'pass' if frep.ok else 'FAIL'} "
-        f"({frep.checks} instances)",
-        sink,
+        sink.append(f"  That^[{labels[c]}] = {fc.T[c]}")
+    sink.append(
+        f"check flat-coordinates: {'pass' if frep.ok else 'FAIL'} ({frep.checks} instances)"
     )
-    _emit(f"flat-coordinate PDE sign resolution: {sign}", sink)
+    sink.append(f"flat-coordinate PDE sign resolution: {sign}")
     iota = job.iota if job.iota is not None else [1] + [0] * (z.dim - 1)
     if len(iota) != z.dim:
         raise InputError(
@@ -369,18 +358,14 @@ def cmd_fmanifold(job: JobSpec, sink: list):
         )
     # Expectation(q, iota).apply_iota without slinf; JobSpec checked iota(1_H) = 1
     zc, zt, zrep = fmanifold.generating_function(lambda v: v.pair(iota), fc)
-    _emit(f"Z = {zc}", sink)
-    _emit(
-        f"check generating-function: {'pass' if zrep.ok else 'FAIL'} "
-        f"({zrep.checks} instances)",
-        sink,
+    sink.append(f"Z = {zc}")
+    sink.append(
+        f"check generating-function: {'pass' if zrep.ok else 'FAIL'} ({zrep.checks} instances)"
     )
     fam = DescendantFamily(job.potential)
     mc = fmanifold.theta_mc_report(z, fam, min(job.t_order, 3))
-    _emit(
-        f"check maurer-cartan: {'pass' if mc.ok else 'FAIL'} "
-        f"({mc.checks} instances)",
-        sink,
+    sink.append(
+        f"check maurer-cartan: {'pass' if mc.ok else 'FAIL'} ({mc.checks} instances)"
     )
     ok = w.ok and frep.ok and zrep.ok and mc.ok and sign != "neither"
     bundle = {
@@ -411,8 +396,7 @@ def cmd_selftest(sink: list):
     from .acceptance import run_selftest
 
     out, ok = run_selftest()
-    for line in out.splitlines():
-        _emit(line, sink)
+    sink.extend(out.splitlines())
     bundle = {"command": "selftest", "ok": ok, "lines": out.splitlines()}
     return (EXIT_OK if ok else EXIT_VIOLATION), bundle
 

@@ -5,9 +5,11 @@ One deformation coordinate t^a is attached to each basis element of H.  H
 is the Milnor ring, which sits in ghost number 0 (the partial derivatives of
 an isolated singularity form a regular sequence, so the Koszul complex has no
 other cohomology); every t^a is therefore even and the series are ordinary
-commutative power series.  Coefficients are exact scalars (or elements of C
-for the universal solution Theta).  `structure_constants` rejects mhat tables
-with an odd ghost.
+commutative power series.  A TSeries is a scalars.Combination keyed by
+t-exponent, which owns its linear algebra; coefficients are exact scalars
+(HVector values for the structure constants before they are split, elements
+of C for the universal solution Theta).  `structure_constants` rejects mhat
+tables with an odd ghost.
 """
 
 from __future__ import annotations
@@ -20,17 +22,21 @@ from operator import add
 from .hspace import HVector
 from .polyalg import DescendantFamily, PolyElement
 from .report import Report
-from .scalars import HPoly
+from .scalars import Combination, HPoly
 from .solver import LevelZeroSolution, mhat_dimension
 
 
-class TSeries:
+class TSeries(Combination):
     """Truncated series in the deformation coordinates.
 
-    Coefficients may be HPoly (negative h-exponents allowed) or PolyElement;
-    the `dim` coordinates commute.  Products (`*`, `dot`) take HPoly-valued
-    series.
+    `terms` maps t-exponent vectors of total degree <= t_order to
+    coefficients: HPoly (negative h-exponents allowed), HVector or
+    PolyElement, with `zero_value` the zero coefficient.  The linear algebra
+    is Combination's; the `dim` coordinates commute.  Products (`*`, `dot`)
+    take HPoly-valued series.
     """
+
+    __slots__ = ("dim", "t_order", "zero_value")
 
     def __init__(self, dim: int, t_order: int, zero_value):
         self.dim = dim
@@ -38,49 +44,26 @@ class TSeries:
         self.zero_value = zero_value
         self.terms = {}
 
-    def copy(self) -> "TSeries":
+    def _like(self, terms: dict) -> "TSeries":
         out = TSeries(self.dim, self.t_order, self.zero_value)
-        out.terms = dict(self.terms)
+        out.terms = terms
         return out
+
+    def _zero(self):
+        return self.zero_value
+
+    def copy(self) -> "TSeries":
+        return self._like(dict(self.terms))
 
     def add_term(self, exp, value) -> None:
         exp = tuple(exp)
         if sum(exp) > self.t_order:
             return
-        if value.is_zero():
-            return
-        cur = self.terms.get(exp)
-        new = value if cur is None else cur + value
-        if new.is_zero():
-            self.terms.pop(exp, None)
-        else:
-            self.terms[exp] = new
+        if not value.is_zero():
+            self._add_at(exp, value)
 
     def coeff(self, exp):
         return self.terms.get(tuple(exp), self.zero_value)
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.terms.values())
-
-    def __add__(self, other):
-        out = self.copy()
-        for e, v in other.terms.items():
-            out.add_term(e, v)
-        return out
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        out = TSeries(self.dim, self.t_order, self.zero_value)
-        out.terms = {e: -v for e, v in self.terms.items()}
-        return out
-
-    def scale(self, c) -> "TSeries":
-        out = TSeries(self.dim, self.t_order, self.zero_value)
-        for e, v in self.terms.items():
-            out.add_term(e, c * v)
-        return out
 
     def __mul__(self, other: "TSeries") -> "TSeries":
         return TSeries.dot(((self, other),))

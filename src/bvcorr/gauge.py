@@ -44,7 +44,7 @@ class PerturbedRetract(Retract):
         # s'(c) = s(c) + lam(h(c)) restores the defect f'(h c) - f(h c).
         out = self.base.s(c)
         hv = self.base.h(c)
-        for i, coef in hv.c.items():
+        for i, coef in hv.terms.items():
             out = out - self._lam[i].scale(coef)
         return out
 
@@ -61,7 +61,7 @@ class PerturbedRetract(Retract):
             raise RetractError("s(1) != 0 after perturbation")
 
 
-def compare_retracts(q: QuantizedRetract, qp: QuantizedRetract, verify: bool = True):
+def compare_retracts(q: QuantizedRetract, qp: QuantizedRetract):
     """Gauge data (xi, lam) relating two quantized retracts of one potential.
 
     Returns (xi_orders, lam_orders) with xi = 1 + h xi1 + ... as basis-indexed
@@ -85,8 +85,7 @@ def compare_retracts(q: QuantizedRetract, qp: QuantizedRetract, verify: bool = T
         xi_orders.append([r.h(w) for w in w_vals])
         lam_orders.append([r.s(w) for w in w_vals])
 
-    if verify:
-        _verify_gauge(q, qp, xi_orders, lam_orders, N)
+    _verify_gauge(q, qp, xi_orders, lam_orders, N)
     return xi_orders, lam_orders
 
 
@@ -103,10 +102,10 @@ def _verify_gauge(q, qp, xi_orders, lam_orders, N) -> None:
     lam_table = series(lam_orders, PolyElement.zero(q.n_vars))
 
     def xi(v: HVector) -> HVector:
-        return _by_linearity(xi_table.__getitem__, v.c, HVector._of, N)
+        return _by_linearity(xi_table.__getitem__, v.terms, HVector._of, N)
 
     def lam(v: HVector) -> PolyElement:
-        return _by_linearity(lam_table.__getitem__, v.c,
+        return _by_linearity(lam_table.__getitem__, v.terms,
                              lambda t: PolyElement._of(q.n_vars, t), N)
 
     # xi^-1 = sum_k (1 - xi)^k; the k-th term has h-valuation at least k
@@ -119,7 +118,7 @@ def _verify_gauge(q, qp, xi_orders, lam_orders, N) -> None:
         inv_table.append(acc)
 
     def xi_inverse(v: HVector) -> HVector:
-        return _by_linearity(inv_table.__getitem__, v.c, HVector._of, N)
+        return _by_linearity(inv_table.__getitem__, v.terms, HVector._of, N)
 
     for b in basis:
         v = HVector.basis(b)

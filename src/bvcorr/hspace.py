@@ -1,6 +1,7 @@
 """Vectors over a finite cohomology basis and symmetric operator families.
 
-HVector is a sparse vector with HPoly coordinates.  SymMap stores a
+HVector is a sparse vector with HPoly coordinates, a scalars.Combination
+keyed by basis index, which owns its linear algebra.  SymMap stores a
 graded-symmetric multilinear map on basis tuples (values in C or in H);
 PairSymMap stores maps on S^(n-2)H (x) S^2H, the carrier shape of the
 level-one families.  Every table takes one flat index tuple; a PairSymMap
@@ -12,25 +13,25 @@ sort on a table whose ghosts are all even.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .partitions import sort_sign
-from .scalars import HPoly, collect_pairs
+from .scalars import Combination, HPoly
 
 
-class HVector:
-    """Sparse element of H[[h]] over a fixed basis index set."""
+class HVector(Combination):
+    """Sparse element of H[[h]]: `terms` maps basis indices to HPoly
+    coordinates; the arithmetic is Combination's."""
 
-    __slots__ = ("c",)
+    __slots__ = ()
 
     def __init__(self, coords=None):
-        self.c = {}
+        self.terms = {}
         if coords:
             for i, v in coords.items():
                 v = HPoly.promote(v)
                 if not v.is_zero():
-                    self.c[i] = v
+                    self.terms[i] = v
 
     @classmethod
     def basis(cls, i: int) -> "HVector":
@@ -41,90 +42,29 @@ class HVector:
         return cls()
 
     def coeff(self, i: int) -> HPoly:
-        return self.c.get(i, HPoly.zero())
+        return self.terms.get(i, HPoly.zero())
 
     @classmethod
     def _of(cls, coords: dict) -> "HVector":
         """Wrap a dict of nonzero coordinates without re-checking them."""
         out = cls.__new__(cls)
-        out.c = coords
+        out.terms = coords
         return out
 
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def _merge(self, other, sign: int) -> "HVector":
-        c = dict(self.c)
-        for i, v in other.c.items():
-            w = c.get(i)
-            if w is None:
-                c[i] = v if sign > 0 else -v
-            else:
-                w = w._combine(v, sign)
-                if w.c:
-                    c[i] = w
-                else:
-                    del c[i]
-        return HVector._of(c)
-
-    def __add__(self, other):
-        return self._merge(other, 1)
-
-    def __sub__(self, other):
-        return self._merge(other, -1)
-
-    def __neg__(self):
-        return HVector._of({i: -v for i, v in self.c.items()})
+    _like = _of  # a vector has no shape beyond its terms
 
     def pair(self, coeffs) -> HPoly:
         """The linear functional sum_i coeffs[i] * v_i, summed in coordinate order."""
         acc = HPoly.zero()
-        for i, coef in self.c.items():
+        for i, coef in self.terms.items():
             acc = acc + coeffs[i] * coef
         return acc
 
-    def collect(self, terms: dict, weight: HPoly) -> None:
-        """Add weight * self to the linear combination `terms` (scalars.sum_pairs)."""
-        collect_pairs(terms, self.c, weight)
-
-    def scale(self, coef) -> "HVector":
-        coef = HPoly.promote(coef)
-        if coef.is_zero():
-            return HVector()
-        # nonzero series have nonzero products (the lowest terms multiply)
-        return HVector._of({i: v * coef for i, v in self.c.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, HPoly)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, HVector):
-            return NotImplemented
-        keys = set(self.c) | set(other.c)
-        z = HPoly.zero()
-        return all(self.c.get(k, z) == other.c.get(k, z) for k in keys)
-
-    def classical_part(self, j: int) -> "HVector":
-        return HVector(
-            {i: HPoly.const(v.coeff(j)) for i, v in self.c.items() if v.coeff(j) != 0}
-        )
-
-    def cap_trunc(self, t: int) -> "HVector":
-        return HVector({i: v.cap(t) for i, v in self.c.items()})
-
-    def h_degree(self) -> int:
-        return max((v.degree() for v in self.c.values()), default=-1)
-
-    def neg_h_divide(self, k: int) -> "HVector":
-        return HVector({i: v.neg_h_divide(k) for i, v in self.c.items()})
-
     def sorted_items(self):
-        return sorted(self.c.items())
+        return sorted(self.terms.items())
 
     def __repr__(self):
-        if not self.c:
+        if not self.terms:
             return "0"
         return " + ".join(f"({v})*e{i}" for i, v in self.sorted_items())
 

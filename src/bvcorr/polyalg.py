@@ -15,7 +15,7 @@ from operator import add
 from types import MappingProxyType
 
 from .partitions import ArityCapError, unshuffle_sign
-from .scalars import INF_TRUNC, HPoly, NotDivisibleError, _rat, collect_pairs, sum_pairs
+from .scalars import INF_TRUNC, Combination, HPoly, NotDivisibleError, _rat, sum_pairs
 
 POLY_ARITY_CAP = 6
 
@@ -88,10 +88,13 @@ def _eta_normalize(etas):
     return tuple(lst), sign
 
 
-class PolyElement:
-    """Sparse element of C; terms map (x-exponents, eta-index set) to HPoly."""
+class PolyElement(Combination):
+    """Sparse element of C; terms map (x-exponents, eta-index set) to HPoly.
 
-    __slots__ = ("n_vars", "terms")
+    The linear algebra is Combination's; this class adds the product.
+    """
+
+    __slots__ = ("n_vars",)
 
     def __init__(self, n_vars: int, terms=None):
         self.n_vars = n_vars
@@ -107,15 +110,7 @@ class PolyElement:
         etas, sign = _eta_normalize(etas)
         if sign == 0:
             return
-        if sign < 0:
-            coef = -coef
-        key = (exp, etas)
-        cur = self.terms.get(key)
-        new = coef if cur is None else cur + coef
-        if new.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
+        self._add_at((exp, etas), -coef if sign < 0 else coef)
 
     # -- constructors -------------
     @classmethod
@@ -125,6 +120,9 @@ class PolyElement:
         out.n_vars = n_vars
         out.terms = terms
         return out
+
+    def _like(self, terms: dict) -> "PolyElement":
+        return PolyElement._of(self.n_vars, terms)
 
     @classmethod
     def zero(cls, n_vars: int) -> "PolyElement":
@@ -149,9 +147,6 @@ class PolyElement:
         return cls(n_vars, {(tuple(exp), tuple(etas)): coef})
 
     # -- structure queries -------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def ghost_parts(self) -> dict:
         parts = {}
         for (exp, etas), coef in self.terms.items():
@@ -174,63 +169,7 @@ class PolyElement:
     def x_degree(self) -> int:
         return max((sum(exp) for exp, _ in self.terms), default=0)
 
-    def classical_part(self, j: int) -> "PolyElement":
-        """Coefficient of h^j, as an h-independent element."""
-        return PolyElement._of(self.n_vars, {
-            key: HPoly.const(c.c[j]) for key, c in self.terms.items() if j in c.c})
-
-    def h_degree(self) -> int:
-        return max((coef.degree() for coef in self.terms.values()), default=-1)
-
-    # -- linear algebra -------------
-    def _merge(self, other, sign: int) -> "PolyElement":
-        # both sides hold canonical keys and nonzero coefficients: merge
-        terms = dict(self.terms)
-        for key, coef in other.terms.items():
-            cur = terms.get(key)
-            if cur is None:
-                terms[key] = coef if sign > 0 else -coef
-            else:
-                new = cur._combine(coef, sign)
-                if new.c:
-                    terms[key] = new
-                else:
-                    del terms[key]
-        return PolyElement._of(self.n_vars, terms)
-
-    def __add__(self, other):
-        if not isinstance(other, PolyElement):
-            return NotImplemented
-        return self._merge(other, 1)
-
-    def __sub__(self, other):
-        if not isinstance(other, PolyElement):
-            return NotImplemented
-        return self._merge(other, -1)
-
-    def __neg__(self):
-        return PolyElement._of(
-            self.n_vars, {key: -coef for key, coef in self.terms.items()}
-        )
-
-    def collect(self, terms: dict, weight: HPoly) -> None:
-        """Add weight * self to the linear combination `terms` (scalars.sum_pairs)."""
-        collect_pairs(terms, self.terms, weight)
-
-    def scale(self, coef) -> "PolyElement":
-        coef = HPoly.promote(coef)
-        if coef.is_zero():
-            return PolyElement(self.n_vars)
-        # nonzero series have nonzero products (the lowest terms multiply)
-        return PolyElement._of(
-            self.n_vars, {key: c * coef for key, c in self.terms.items()}
-        )
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, HPoly)):
-            return self.scale(other)
-        return NotImplemented
-
+    # -- product -------------
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, HPoly)):
             return self.scale(other)
@@ -243,40 +182,11 @@ class PolyElement:
                 out._add_term(exp, t1 + t2, c1 * c2)
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, PolyElement):
-            return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        zero = HPoly.zero()
-        return all(
-            self.terms.get(k, zero) == other.terms.get(k, zero) for k in keys
-        )
-
     # -- graded operators -------------
     def J(self) -> "PolyElement":
         """The parity twist J v = (-1)^{gh(v)} v."""
-        out = PolyElement(self.n_vars)
-        for (exp, etas), coef in self.terms.items():
-            out.terms[(exp, etas)] = -coef if len(etas) % 2 else coef
-        return out
-
-    def h_divide(self, k: int) -> "PolyElement":
-        out = PolyElement(self.n_vars)
-        for (exp, etas), coef in self.terms.items():
-            out.terms[(exp, etas)] = coef.h_divide(k)
-        return out
-
-    def cap_trunc(self, t: int) -> "PolyElement":
-        out = PolyElement(self.n_vars)
-        for (exp, etas), coef in self.terms.items():
-            capped = coef.cap(t)
-            if not capped.is_zero():
-                out.terms[(exp, etas)] = capped
-        return out
-
-    def neg_h_divide(self, k: int) -> "PolyElement":
-        out = self.h_divide(k)
-        return out if k % 2 == 0 else -out
+        return self._like({
+            key: -coef if len(key[1]) % 2 else coef for key, coef in self.terms.items()})
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))

@@ -57,7 +57,7 @@ def spanning_monomials(n_vars: int, x_degree: int, eta_count: int | None = None)
 class Retract:
     """Classical off-to-on-shell retract (f, h, s) over a Milnor basis."""
 
-    def __init__(self, milnor: MilnorData, verify: bool = True):
+    def __init__(self, milnor: MilnorData):
         self.milnor = milnor
         self.pot = milnor.pot
         self.n_vars = milnor.n_vars
@@ -67,13 +67,12 @@ class Retract:
             PolyElement.monomial(self.n_vars, exp) for exp in milnor.basis
         ]
         self._rows: dict = {}
-        if verify:
-            self._verify()
+        self._verify()
 
     # -- the three maps -------------
     def f(self, v: HVector) -> PolyElement:
         terms = {}
-        for i, coef in v.c.items():
+        for i, coef in v.terms.items():
             self.basis_elements[i].collect(terms, coef)
         return PolyElement._of(self.n_vars, sum_pairs(terms))
 
@@ -142,7 +141,7 @@ class Retract:
 
 
 def build_retract(milnor: MilnorData) -> Retract:
-    return Retract(milnor, verify=True)
+    return Retract(milnor)
 
 
 def _by_linearity(entry, coords: dict, wrap, order: int):
@@ -163,7 +162,7 @@ def _by_linearity(entry, coords: dict, wrap, order: int):
 class QuantizedRetract:
     """The quantized trio (fhat, hhat, shat) of a retract with Delta f_i = 0."""
 
-    def __init__(self, retract: Retract, order: int = DEFAULT_H_ORDER, verify: bool = True):
+    def __init__(self, retract: Retract, order: int = DEFAULT_H_ORDER):
         for i, b in enumerate(retract.basis_elements):
             if not delta_op(b).is_zero():
                 raise RetractError(
@@ -177,8 +176,7 @@ class QuantizedRetract:
         self.ghosts = retract.ghosts
         self.order = order
         self._chains: dict = {}
-        if verify:
-            self._verify()
+        self._verify()
 
     def _chain(self, key):
         """(hhat(m), shat(m)) on the C-monomial m with key `key`, through order.
@@ -220,7 +218,7 @@ class QuantizedRetract:
         return HVector.basis(0)
 
     # -- verification -------------
-    def _verify(self, span_degree: int = 4) -> None:
+    def _verify(self) -> None:
         one = PolyElement.one(self.n_vars)
         if self.fhat(self.unit()) != one:
             raise RetractError("fhat(1_H) != 1_C")
@@ -234,7 +232,7 @@ class QuantizedRetract:
                 raise RetractError("hhat fhat != id")
             if not self.Khat(self.fhat(v)).is_zero():
                 raise RetractError("Khat fhat != 0")
-        for m in spanning_monomials(self.n_vars, span_degree):
+        for m in spanning_monomials(self.n_vars, 4):
             lhs = self.fhat(self.hhat(m))
             rhs = m - self.Khat(self.shat(m)) - self.shat(self.Khat(m))
             if lhs != rhs:

@@ -8,7 +8,9 @@ truncation order); values assembled from an h-adic series carry the finite
 order through which their coefficients are known.  Binary operations track
 the surviving precision (multiplication by h^k shifts it by k), equality
 compares the common window, and exact division by h^k lowers a finite order
-by k; it never yields a negative exponent.
+by k; it never yields a negative exponent.  Combination is the sparse
+linear combination with such coefficients that HVector, PolyElement and
+TSeries share: their canonical form is decided there once.
 """
 
 from __future__ import annotations
@@ -281,6 +283,118 @@ def sum_pairs(terms: dict) -> dict:
         if total.c:
             out[key] = total
     return out
+
+
+class Combination:
+    """A finite linear combination: `terms` maps keys to coefficients.
+
+    The canonical form is decided here once: every stored coefficient is
+    nonzero, a key whose coefficient cancels is dropped, and a missing key
+    compares as an exact zero.  A coefficient is an HPoly or any value that
+    answers `_combine`, `+`, unary minus, `is_zero` and `==` (an HVector or a
+    PolyElement coefficient of a TSeries).  `scale` multiplies each
+    coefficient on the right; the h-window methods read HPoly coefficients.
+    A subclass supplies `_like(terms)`, a value of its own shape over
+    canonical terms, and `_zero()` when its coefficients are not HPoly.
+    """
+
+    __slots__ = ("terms",)
+
+    def _like(self, terms: dict):
+        raise NotImplementedError
+
+    def _zero(self):
+        return HPoly.zero()
+
+    def _add_at(self, key, value) -> None:
+        """Add a nonzero value at one key in place; a cancelled key drops."""
+        cur = self.terms.get(key)
+        new = value if cur is None else cur + value
+        if new.is_zero():
+            self.terms.pop(key, None)
+        else:
+            self.terms[key] = new
+
+    # -- linear algebra -------------
+    def _combine(self, other, sign: int):
+        # both sides hold nonzero coefficients: merge, dropping cancellations
+        terms = dict(self.terms)
+        for key, v in other.terms.items():
+            cur = terms.get(key)
+            if cur is None:
+                terms[key] = v if sign > 0 else -v
+            else:
+                new = cur._combine(v, sign)
+                if new.is_zero():
+                    del terms[key]
+                else:
+                    terms[key] = new
+        return self._like(terms)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.terms.items()})
+
+    def collect(self, terms: dict, weight: HPoly) -> None:
+        """Add weight * self to the linear combination `terms` (sum_pairs)."""
+        collect_pairs(terms, self.terms, weight)
+
+    def scale(self, coef):
+        coef = HPoly.promote(coef)
+        if coef.is_zero():
+            return self._like({})
+        # nonzero series have nonzero products (the lowest terms multiply)
+        return self._like({k: v * coef for k, v in self.terms.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction, HPoly)):
+            return self.scale(other)
+        return NotImplemented
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        a, b = self.terms, other.terms
+        zero = self._zero()
+        return all(a.get(k, zero) == b.get(k, zero) for k in a.keys() | b.keys())
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    # -- h-windows of HPoly coefficients -------------
+    def h_degree(self) -> int:
+        return max((v.degree() for v in self.terms.values()), default=-1)
+
+    def classical_part(self, j: int):
+        """The h^j coefficients, as an h-independent value."""
+        return self._like(
+            {k: HPoly.const(v.c[j]) for k, v in self.terms.items() if j in v.c}
+        )
+
+    def cap_trunc(self, t: int):
+        """Restrict every coefficient's window to order t; zeros drop."""
+        terms = {}
+        for k, v in self.terms.items():
+            v = v.cap(t)
+            if v.c:
+                terms[k] = v
+        return self._like(terms)
+
+    def h_divide(self, k: int):
+        return self._like({key: v.h_divide(k) for key, v in self.terms.items()})
+
+    def neg_h_divide(self, k: int):
+        out = self.h_divide(k)
+        return out if k % 2 == 0 else -out
 
 
 def _fmt_coeffs(c: dict) -> str:

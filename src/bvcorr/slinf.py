@@ -63,7 +63,7 @@ class SLInfStructure:
         if len(idxs) != n:
             raise ValueError("arity mismatch")
         want = sum(self.ghosts[i] for i in idxs) + 1
-        for k, coef in value.c.items():
+        for k, coef in value.terms.items():
             if not coef.is_zero() and self.ghosts[k] != want:
                 raise ValueError(
                     f"structure constant at {idxs} lands in ghost "
@@ -103,14 +103,14 @@ class SLInfStructure:
                 continue
             table = ops[n - len(I) + 1].values
             outer = tuple(key[j] for j in rest)
-            for k, coef in inner.c.items():
+            for k, coef in inner.terms.items():
                 word, wsign = insert_sign(k, outer, ghosts)
                 val = table.get(word) if wsign else None
                 if val is None:
                     continue
                 if eps * wsign * sign < 0:
                     coef = -coef
-                for t, v in val.c.items():
+                for t, v in val.terms.items():
                     terms.setdefault(t, []).append((coef, v))
         return HVector._of(sum_pairs(terms))
 
@@ -156,11 +156,11 @@ def _delta_on_word(S: SLInfStructure, idxs) -> dict:
     terms = {}  # word -> [(bracket coefficient, signed weight)]
     for I, rest, sign in subsets(len(idxs), [ghosts[i] for i in idxs], ops):
         inner = ops[len(I)].values.get(tuple(idxs[j] for j in I))
-        if inner is None or not inner.c:
+        if inner is None or not inner.terms:
             continue
         w, neg_w = HPoly.neg_h(len(I) - 1, sign), HPoly.neg_h(len(I) - 1, -sign)
         outer = tuple(idxs[j] for j in rest)
-        for k, coef in inner.c.items():
+        for k, coef in inner.terms.items():
             word, wsign = insert_sign(k, outer, ghosts)
             if wsign:
                 terms.setdefault(word, []).append((coef, w if wsign > 0 else neg_w))

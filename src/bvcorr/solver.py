@@ -122,9 +122,7 @@ def _transfer(q: QuantizedRetract, omega, varpi, steps: int):
     return pi_acc, eta_acc, om_iter, top
 
 
-def solve_level_zero(
-    q: QuantizedRetract, n_max: int, verify: bool = True
-) -> LevelZeroSolution:
+def solve_level_zero(q: QuantizedRetract, n_max: int) -> LevelZeroSolution:
     """The canonical level-zero solution over a quantized retract."""
     if any(g % 2 for g in q.ghosts):
         raise ValueError("the master-equation solvers need even ghosts")
@@ -162,9 +160,7 @@ def solve_level_zero(
         sol.phi0[n] = om_last.map_values(lambda v: -v)
         for key, v in sol.phi0[n].values.items():
             E[key] = E[key] + v.scale(HPoly.neg_h(n - 1))
-
-        if verify:
-            _check_level_zero_identities(sol, n)
+        _check_level_zero_identities(sol, n)
     return sol
 
 
@@ -254,14 +250,12 @@ def _mhat_sum(terms, mhat, family, key, weight=HPoly.neg_h, trivial=False) -> No
         if inner.is_zero():
             continue
         w = weight(len(k), mult)
-        for j, coef in inner.c.items():
+        for j, coef in inner.terms.items():
             args = tuple(sorted(rest + (j,)))
             family[len(args)].values[args].collect(terms, coef * w)
 
 
-def solve_level_one(
-    q: QuantizedRetract, z: LevelZeroSolution, n_max: int, verify: bool = True
-) -> LevelOneSolution:
+def solve_level_one(q: QuantizedRetract, z: LevelZeroSolution, n_max: int) -> LevelOneSolution:
     """The canonical level-one solution built over a level-zero solution."""
     if n_max > z.n_max:
         raise ValueError("level-zero solution does not reach the requested arity")
@@ -302,9 +296,7 @@ def solve_level_one(
         o.pi1[n], o.eta2[n], o.phim1[n], o.mhat[n] = _transfer(
             q, omega, varpi, n - 2
         )
-
-        if verify:
-            _check_level_one_identities(o, n)
+        _check_level_one_identities(o, n)
     return o
 
 
@@ -461,19 +453,6 @@ def verify_M_identity(
     return rep
 
 
-def factorization_report(expect, z: LevelZeroSolution, correlator_tables, n_max: int) -> Report:
-    """c(Pi0_n) must equal c(fhat(pi0_n)) for a quantum expectation c."""
-    rep = Report()
-    for n in range(1, n_max + 1):
-        for key in z.pi0[n].keys():
-            rep.checks += 1
-            lhs = expect(correlator_tables[n].get(key))
-            rhs = expect(z.q.fhat(z.pi0[n].get(key)))
-            if lhs != rhs:
-                rep.add(n, key, lhs - rhs)
-    return rep
-
-
 def generalized_associativity_report(mhat_sym, n_spectators_max: int) -> Report:
     """mhat(v_S, mhat(v_Sc, w1, w2), w3) summed over splits is symmetric.
 
@@ -499,7 +478,7 @@ def generalized_associativity_report(mhat_sym, n_spectators_max: int) -> Report:
                     for vc, vs, mult in splits:
                         inner = mhat_sym[len(vc) + 2].get(vc + (w1, w2))
                         w = HPoly.neg_h(0, mult)
-                        for k, coef in inner.c.items():
+                        for k, coef in inner.terms.items():
                             mhat_sym[len(vs) + 2].get(vs + (k, w3)).collect(terms, coef * w)
                     A[w1, w2, w3] = HVector._of(sum_pairs(terms))
             for w1 in range(dim):

@@ -262,63 +262,6 @@ def test_two_variable_descendant_collapse():
             assert fam.ell(n, args).is_zero()
 
 
-# -- merge-only linear algebra keeps the canonical form -------------
-
-coefs = st.builds(
-    lambda d, t: HPoly(d, trunc=t),
-    st.dictionaries(
-        st.integers(min_value=0, max_value=4),
-        st.integers(-2, 2).map(Fraction),
-        min_size=1,
-        max_size=3,
-    ),
-    st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
-)
-# unsorted and repeated eta words exercise the constructor's normalization
-poly_elements = st.dictionaries(
-    st.tuples(
-        st.tuples(st.integers(0, 2), st.integers(0, 2)),
-        st.lists(st.integers(0, 1), max_size=2).map(tuple),
-    ),
-    coefs,
-    max_size=4,
-).map(lambda terms: PolyElement(2, terms))
-
-
-def _assert_canonical(e):
-    rebuilt = PolyElement(e.n_vars, e.terms)
-    assert rebuilt.terms.keys() == e.terms.keys()
-    for key, coef in e.terms.items():
-        assert not coef.is_zero()
-        assert (coef.c, coef.trunc) == (rebuilt.terms[key].c, rebuilt.terms[key].trunc)
-
-
-def _term_by_term(a, b, sign):
-    out = PolyElement(a.n_vars)
-    for (exp, etas), coef in a.terms.items():
-        out._add_term(exp, etas, coef)
-    for (exp, etas), coef in b.terms.items():
-        out._add_term(exp, etas, coef if sign > 0 else -coef)
-    return out
-
-
-@settings(max_examples=150, deadline=None)
-@given(poly_elements, poly_elements, coefs, st.sampled_from(["b", "-a", "a+b"]))
-def test_add_sub_scale_keep_canonical_form(a, b, c, shape):
-    # "-a" and "a+b" force cancellations, exact and through finite windows
-    b = {"b": b, "-a": -a, "a+b": a + b}[shape]
-    for sign, got in ((1, a + b), (-1, a - b)):
-        _assert_canonical(got)
-        assert got == _term_by_term(a, b, sign)
-    for k in (c, HPoly.zero(), Fraction(-1), 3, -HPoly.h(2)):
-        got = a.scale(k)
-        _assert_canonical(got)
-        assert got == PolyElement(
-            a.n_vars, {key: v * HPoly.promote(k) for key, v in a.terms.items()}
-        )
-    _assert_canonical(-a)
-
-
 def test_jacobian_is_computed_once_and_read_only():
     pot = Potential(2, {(3, 0): 1, (1, 2): Fraction(1, 2), (0, 4): 2})
     gens = pot.jacobian()

@@ -73,7 +73,7 @@ def test_quantization_rejects_a_representative_with_eta():
     with pytest.raises(RetractError, match="basis element 1"):
         quantize_retract(r)
     with pytest.raises(RetractError):
-        QuantizedRetract(r, verify=False)
+        QuantizedRetract(r)
 
 
 def test_quantized_maps_nontrivial(a2):
@@ -150,7 +150,7 @@ def _reference_orders(r, order):
         for b in range(dim):
             acc = -delta_op(f[n - 1][b])
             for j in range(1, n):
-                for i, c in kappa[j][b].c.items():
+                for i, c in kappa[j][b].terms.items():
                     acc = acc + f[n - j][i].scale(c)
             g.append(acc)
         kappa.append([r.h(x) for x in g])
@@ -171,7 +171,7 @@ def _reference_orders(r, order):
         u = lin(lambda k: h_n(n - 1, k), -delta_op(sm), HVector.zero())
         for j in range(1, n):
             hv = lin(lambda k, j=j: h_n(n - j, k), sm, HVector.zero())
-            for i, c in hv.c.items():
+            for i, c in hv.terms.items():
                 u = u + kappa[j][i].scale(c)
         return -u
 

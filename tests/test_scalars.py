@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from bvcorr.fmanifold import TSeries
 from bvcorr.hspace import HVector
 from bvcorr.polyalg import PolyElement, collect_product
 from bvcorr.scalars import HPoly, NotDivisibleError, sum_pairs
@@ -227,6 +228,79 @@ def test_dot_matches_the_fold(pairs, cancel):
 
 
 
+# -- one canonical form for every Combination -------------
+
+windowed = st.builds(
+    lambda d, t: HPoly(d, trunc=t),
+    st.dictionaries(
+        st.integers(min_value=0, max_value=4),
+        st.integers(-2, 2).map(Fraction),
+        min_size=1,
+        max_size=3,
+    ),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+)
+
+
+def _tseries(terms):
+    s = TSeries(2, 3, HPoly.zero())
+    for e, v in terms.items():
+        s.add_term(e, v)
+    return s
+
+
+# kind -> (key strategy, constructor from {key: HPoly})
+KINDS = {
+    "HVector": (st.integers(0, 3), HVector),
+    # unsorted and repeated eta words exercise the constructor's normalization
+    "PolyElement": (
+        st.tuples(
+            st.tuples(st.integers(0, 2), st.integers(0, 2)),
+            st.lists(st.integers(0, 1), max_size=2).map(tuple),
+        ),
+        lambda terms: PolyElement(2, terms),
+    ),
+    "TSeries": (st.tuples(st.integers(0, 2), st.integers(0, 2)), _tseries),
+}
+
+
+def _assert_canonical(v, build):
+    rebuilt = build(v.terms)
+    assert rebuilt.terms.keys() == v.terms.keys()
+    for key, coef in v.terms.items():
+        assert not coef.is_zero()
+        assert (coef.c, coef.trunc) == (rebuilt.terms[key].c, rebuilt.terms[key].trunc)
+    assert v.is_zero() == (not rebuilt.terms)
+
+
+def _keywise(a, b, sign, build):
+    z = HPoly.zero()
+    return build({
+        k: a.terms.get(k, z) + (b.terms.get(k, z) if sign > 0 else -b.terms.get(k, z))
+        for k in a.terms.keys() | b.terms.keys()
+    })
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_combination_keeps_canonical_form(kind, data):
+    # "-a" and "a+b" force cancellations, exact and through finite windows
+    keys, build = KINDS[kind]
+    elements = st.dictionaries(keys, windowed, max_size=4).map(build)
+    a, b, c = data.draw(elements), data.draw(elements), data.draw(windowed)
+    b = {"b": b, "-a": -a, "a+b": a + b}[data.draw(st.sampled_from(["b", "-a", "a+b"]))]
+    for sign, got in ((1, a + b), (-1, a - b)):
+        _assert_canonical(got, build)
+        assert got == _keywise(a, b, sign, build)
+    for k in (c, HPoly.zero(), Fraction(-1), 3, -HPoly.h(2)):
+        got = a.scale(k)
+        _assert_canonical(got, build)
+        assert got == build({key: v * HPoly.promote(k) for key, v in a.terms.items()})
+    _assert_canonical(-a, build)
+    assert (a - a).is_zero()
+
+
 # -- the linear-combination kernel against the fold -------------
 
 # stored coefficients are nonzero: terms at or below the lowest window
@@ -281,7 +355,7 @@ def test_kernel_matches_the_fold(values, products, vectors):
     steps = [x.scale(w).terms for x, w in values]
     steps += [(a * b).scale(w).terms for a, b, w in products]
     assume(not _cancels(steps) and not any(_cancels(s) for s in inner))
-    assume(not _cancels([x.scale(w).c for x, w in vectors]))
+    assume(not _cancels([x.scale(w).terms for x, w in vectors]))
 
     fold, terms = PolyElement.zero(1), {}
     for x, w in values:
@@ -296,12 +370,12 @@ def test_kernel_matches_the_fold(values, products, vectors):
     for x, w in vectors:
         fold = fold + x.scale(w)
         x.collect(terms, w)
-    assert _windows(sum_pairs(terms)) == _windows(fold.c)
+    assert _windows(sum_pairs(terms)) == _windows(fold.terms)
 
 
 def test_kernel_keeps_a_window_the_fold_drops():
     # x known through h^2, then -x exact: the partial sum cancels inside the
-    # window, PolyElement._merge drops the key with its window, and the last
+    # window, Combination._combine drops the key with its window, and the last
     # term's 3h then reads as exact; the kernel keeps the least window
     x = PolyElement.x(0, 1)
     parts = [(x, HPoly({0: 1}, trunc=2)), (x, HPoly.neg_h(0, -1)), (x, HPoly({1: 3}))]

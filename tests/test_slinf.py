@@ -170,7 +170,7 @@ def _partition_residual(S, idxs):
     # closed by sum_pairs, so no window depends on the order of the terms
     terms = {}
     for p, i, sign in _insertions(len(idxs), [S.ghosts[j] for j in idxs]):
-        for k, coef in S.op(tuple(idxs[j - 1] for j in p[i])).c.items():
+        for k, coef in S.op(tuple(idxs[j - 1] for j in p[i])).terms.items():
             word = tuple(k if bi == i else idxs[b[0] - 1] for bi, b in enumerate(p))
             S.op(word).collect(terms, coef if sign > 0 else -coef)
     return HVector._of(sum_pairs(terms))
@@ -180,7 +180,7 @@ def _partition_delta(S, idxs):
     terms = {}
     for p, i, sign in _insertions(len(idxs), [S.ghosts[j] for j in idxs]):
         w = HPoly.neg_h(len(idxs) - len(p), sign)
-        for k, coef in S.op(tuple(idxs[j - 1] for j in p[i])).c.items():
+        for k, coef in S.op(tuple(idxs[j - 1] for j in p[i])).terms.items():
             word = tuple(k if bi == i else idxs[b[0] - 1] for bi, b in enumerate(p))
             key, ksign = sort_sign(word, [S.ghosts[a] for a in word])
             if ksign:
@@ -220,9 +220,7 @@ def _three_bracket(rng):
 
 def _exact(value):
     # {coordinate, word or monomial: (coefficients, trunc)}: no windowed equality
-    if isinstance(value, HVector):
-        value = value.c
-    elif isinstance(value, PolyElement):
+    if isinstance(value, (HVector, PolyElement)):
         value = value.terms
     elif isinstance(value, HPoly):
         value = {(): value}
