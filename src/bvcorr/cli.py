@@ -317,7 +317,7 @@ def cmd_fmanifold(job: JobSpec, sink: list):
     # imported here so that the other commands do not load these modules
     from . import fmanifold
     from .retract import build_retract, quantize_retract
-    from .solver import mhat_symmetric, solve_level_one, solve_level_zero
+    from .solver import mhat_from_pi0, solve_level_zero
 
     need = job.t_order + 2
     job_n = max(job.n_max, need)
@@ -325,8 +325,9 @@ def cmd_fmanifold(job: JobSpec, sink: list):
     r = build_retract(mil)
     q = quantize_retract(r, order=job.h_order + job.t_order)
     z = solve_level_zero(q, job_n)
-    o = solve_level_one(q, z, job_n)
-    ms = mhat_symmetric(o)
+    # mhat_n = (-1)^n [h^(n-2)] pi0_n: no level-one solve, and so none of its
+    # identity checks; `bvcorr solve` runs them
+    ms = mhat_from_pi0(z.pi0, job_n)
     labels = [monomial_label(e, mil.n_vars) for e in mil.basis]
     A = fmanifold.structure_constants(ms, job.t_order)
     sink.append("structure constants A[a,b]^c:")

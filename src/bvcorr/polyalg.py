@@ -234,38 +234,46 @@ def _eta_derivative_sign(etas, i):
     return rest, (-1) ** pos
 
 
-def _contract(a: PolyElement, gens, power) -> PolyElement:
-    """sum_i d/deta_i of a against dS/dx_i (gens[i]) and, unless power is
-    None, (-h)^power d/dx_i: every term lands in one dict."""
-    terms = {}
+def collect_contraction(terms: dict, a: PolyElement, pot, power, sign: int = 1) -> None:
+    """Add sign * (K a + (-h)^power Delta a) to the linear combination `terms`
+    (sum_pairs); K is left out when `pot` is None, Delta when `power` is.
+    delta_op, classical_K and quantum_K close it; a check adds to its residual."""
+    gens = pot.jacobian() if pot is not None else None
     for (exp, etas), coef in a.terms.items():
         for i in etas:
             rest, sgn = _eta_derivative_sign(etas, i)
-            for gexp, gc in gens[i].items():
-                terms.setdefault((tuple(map(add, exp, gexp)), rest), []).append(
-                    (coef, HPoly._of({0: sgn * gc}, INF_TRUNC)))
+            sgn *= sign
+            if gens is not None:
+                for gexp, gc in gens[i].items():
+                    terms.setdefault((tuple(map(add, exp, gexp)), rest), []).append(
+                        (coef, HPoly._of({0: sgn * gc}, INF_TRUNC)))
             if power is not None and exp[i]:
                 de = list(exp)
                 de[i] -= 1
                 # the integer exp[i] enters as a one-term weight
                 terms.setdefault((tuple(de), rest), []).append(
                     (coef, HPoly.neg_h(power, sgn * exp[i])))
+
+
+def _contract(a: PolyElement, pot, power) -> PolyElement:
+    terms = {}
+    collect_contraction(terms, a, pot, power)
     return PolyElement._of(a.n_vars, sum_pairs(terms))
 
 
 def delta_op(a: PolyElement) -> PolyElement:
     """The odd Laplacian: sum over i of d^2/(deta_i dx_i)."""
-    return _contract(a, ({},) * a.n_vars, 0)
+    return _contract(a, None, 0)
 
 
 def classical_K(pot: Potential, a: PolyElement) -> PolyElement:
     """K = sum_i (dS/dx_i) d/deta_i."""
-    return _contract(a, pot.jacobian(), None)
+    return _contract(a, pot, None)
 
 
 def quantum_K(pot: Potential, a: PolyElement) -> PolyElement:
     """Khat = K - h*Delta, summed in one pass."""
-    return _contract(a, pot.jacobian(), 1)
+    return _contract(a, pot, 1)
 
 
 def bv_bracket(a: PolyElement, b: PolyElement) -> PolyElement:

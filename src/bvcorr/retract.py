@@ -16,6 +16,10 @@ every representative, which `QuantizedRetract` checks: then the anomaly
 vanishes and fhat = f.  In one variable this always holds, since every
 Milnor class has an eta-free representative.  The operator `nabla`
 divides symmetric-map families by (-h) up to homotopy correction terms.
+
+Each homotopy identity check collects lhs - rhs into one linear combination
+and closes it with one `sum_pairs`: it fails exactly when a coefficient
+survives inside its window.
 """
 
 from __future__ import annotations
@@ -23,11 +27,13 @@ from __future__ import annotations
 from .errors import RetractError
 from .groebner import MilnorData
 from .hspace import HVector
-from .polyalg import PolyElement, classical_K, delta_op, quantum_K
-from .scalars import DEFAULT_H_ORDER, HPoly, collect_pairs, sum_pairs
+from .polyalg import PolyElement, classical_K, collect_contraction, delta_op, quantum_K
+from .scalars import DEFAULT_H_ORDER, HPoly, NotDivisibleError, collect_pairs, sum_pairs
 
 
 SPAN_DEGREE = 8  # x-degree of the monomials the retract identities are checked on
+
+_ONE, _MINUS_ONE = HPoly.neg_h(0), HPoly.neg_h(0, -1)
 
 
 def spanning_monomials(n_vars: int, x_degree: int, eta_count: int | None = None):
@@ -72,9 +78,13 @@ class Retract:
     # -- the three maps -------------
     def f(self, v: HVector) -> PolyElement:
         terms = {}
+        self.collect_f(terms, v)
+        return PolyElement._of(self.n_vars, sum_pairs(terms))
+
+    def collect_f(self, terms: dict, v: HVector) -> None:
+        """Add f(v) to the linear combination `terms` (sum_pairs)."""
         for i, coef in v.terms.items():
             self.basis_elements[i].collect(terms, coef)
-        return PolyElement._of(self.n_vars, sum_pairs(terms))
 
     def h(self, c: PolyElement) -> HVector:
         terms = {}
@@ -119,17 +129,21 @@ class Retract:
         if not self.s(PolyElement.one(self.n_vars)).is_zero():
             raise RetractError("s(1) != 0")
         for m in spanning_monomials(self.n_vars, SPAN_DEGREE):
-            km = classical_K(self.pot, m)
-            lhs = self.f(self.h(m))
-            rhs = m - classical_K(self.pot, self.s(m)) - self.s(km)
-            if lhs != rhs:
+            km, sm = classical_K(self.pot, m), self.s(m)
+            # f h + K s + s K - 1, closed as one residual
+            terms = {}
+            self.collect_f(terms, self.h(m))
+            collect_contraction(terms, sm, self.pot, None)
+            self.s(km).collect(terms, _ONE)
+            m.collect(terms, _MINUS_ONE)
+            if sum_pairs(terms):
                 raise RetractError(
                     "homotopy identity f h = 1 - K s - s K fails; "
                     "the splitting for this potential is not a retract"
                 )
-            if not self.s(self.s(m)).is_zero():
+            if not self.s(sm).is_zero():
                 raise RetractError("side condition s s = 0 fails")
-            if not self.h(self.s(m)).is_zero():
+            if not self.h(sm).is_zero():
                 raise RetractError("side condition h s = 0 fails")
             if not self.h(km).is_zero():
                 raise RetractError("h K = 0 fails")
@@ -233,18 +247,23 @@ class QuantizedRetract:
             if not self.Khat(self.fhat(v)).is_zero():
                 raise RetractError("Khat fhat != 0")
         for m in spanning_monomials(self.n_vars, 4):
-            lhs = self.fhat(self.hhat(m))
-            rhs = m - self.Khat(self.shat(m)) - self.shat(self.Khat(m))
-            if lhs != rhs:
+            km, sm = self.Khat(m), self.shat(m)
+            # fhat hhat + Khat shat + shat Khat - 1, closed as one residual
+            terms = {}
+            self.retract.collect_f(terms, self.hhat(m))  # fhat = f
+            collect_contraction(terms, sm, self.pot, 1)
+            self.shat(km).collect(terms, _ONE)
+            m.collect(terms, _MINUS_ONE)
+            if sum_pairs(terms):
                 raise RetractError("quantized homotopy identity fails")
-            if not self.shat(self.shat(m)).is_zero():
+            if not self.shat(sm).is_zero():
                 raise RetractError("side condition shat shat = 0 fails")
-            if not self.hhat(self.shat(m)).is_zero():
+            if not self.hhat(sm).is_zero():
                 raise RetractError("side condition hhat shat = 0 fails")
-            if not self.hhat(self.Khat(m)).is_zero():
+            if not self.hhat(km).is_zero():
                 raise RetractError("hhat Khat != 0")
             # mixed side conditions with the classical splitting
-            if not self.retract.s(self.shat(m)).is_zero():
+            if not self.retract.s(sm).is_zero():
                 raise RetractError("side condition s shat = 0 fails")
             if not self.shat(self.retract.s(m)).is_zero():
                 raise RetractError("side condition shat s = 0 fails")
@@ -272,18 +291,31 @@ def nabla(q: QuantizedRetract, omega, classical=None, s_classical=None):
     f h + K s + s K = 1 on W0 (which `Retract._verify` checks, and which a
     `PerturbedRetract` keeps since h K = 0), the right side is
     W - W0 + h Delta(s W0), so nabla W = (W - W0) / (-h) - Delta(s W0) and
-    every value divides.  The exact correction h Delta(s W0) - W0 is added
-    to W in one step, so each coefficient keeps the window of W's.  A caller
-    holding W0 or s(W0) per key may pass them as `classical`, `s_classical`.
+    every value divides.  Each value is one sum, with weights (-h)^-1 on W
+    and W0 and -1 on Delta(s W0), so each coefficient keeps the window of
+    W's, less the division.  A coefficient left with a power of h below 0
+    raises NotDivisibleError, as does a window that falls below 0, the two
+    failures of `HPoly.h_divide`.  A caller holding W0 or s(W0) per key may
+    pass them as `classical`, `s_classical`.
     """
     r = q.retract
     cl = omega.classical_part(0).values if classical is None else classical
     out = type(omega)(omega.arity, omega.ghosts, PolyElement.zero(q.n_vars))
-    h = HPoly.h()
+    inv, minus_inv = HPoly.neg_h(-1), HPoly.neg_h(-1, -1)
     # stored keys are canonical: read and write the tables directly
     for key in omega.keys():
         w0 = cl[key]
+        terms = {}
+        omega.values[key].collect(terms, inv)
+        w0.collect(terms, minus_inv)
         sw0 = r.s(w0) if s_classical is None else s_classical[key]
-        corr = delta_op(sw0).scale(h) - w0
-        out.values[key] = (omega.values[key] + corr).neg_h_divide(1)
+        collect_contraction(terms, sw0, None, 0, -1)
+        value = sum_pairs(terms)
+        for coef in value.values():
+            low = min(coef.c)
+            if low < 0:
+                raise NotDivisibleError(low + 1)
+            if coef.trunc < 0:
+                raise NotDivisibleError(0, "insufficient precision to divide by h^1")
+        out.values[key] = PolyElement._of(q.n_vars, value)
     return out

@@ -499,7 +499,6 @@ class Expectation:
             raise ValueError("iota must list one value per basis element")
         if self.iota[0] != HPoly.const(1):
             raise ValueError("iota(1_H) must be 1")
-        self.construction = "iota . hhat"
         if span is not None:
             one = PolyElement.one(q.n_vars)
             if self(one) != HPoly.const(1):

@@ -30,6 +30,11 @@ rejects a table with an odd ghost.
 Khat = K - h Delta is second order, so its descendant brackets ell_n vanish
 for n >= 3: `build_M0` evaluates ell_2 only, and no sum here enumerates set
 partitions.
+
+Each correlator identity check collects lhs - rhs into one linear
+combination and closes it with one `sum_pairs`: it fails exactly when a
+coefficient survives inside its window.  `mhat_from_pi0` reads mhat off
+level zero, which is all that `bvcorr fmanifold` needs of level one.
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ from itertools import combinations
 from .errors import MasterEquationError
 from .hspace import HVector, PairSymMap, SymMap, tuples_with_repetition
 from .partitions import sub_multisets
-from .polyalg import DescendantFamily, PolyElement, classical_K, collect_product
+from .polyalg import (
+    DescendantFamily, PolyElement, classical_K, collect_contraction, collect_product,
+)
 from .retract import QuantizedRetract, nabla
 from .report import Report
 from .scalars import HPoly, NotDivisibleError, sum_pairs
@@ -165,11 +172,16 @@ def solve_level_zero(q: QuantizedRetract, n_max: int) -> LevelZeroSolution:
 
 
 def _check_level_zero_identities(sol: LevelZeroSolution, n: int) -> None:
+    """fhat pi0 = E - Khat eta1 on every key, as the one residual
+    fhat pi0 + Khat eta1 - E (fhat = f on a quantized retract)."""
     q = sol.q
+    minus_one = HPoly.neg_h(0, -1)
     for key in sol.pi0[n].keys():
-        lhs = q.fhat(sol.pi0[n].get(key))
-        rhs = sol.E[key] - q.Khat(sol.eta1[n].get(key))
-        if lhs != rhs:
+        terms = {}
+        q.retract.collect_f(terms, sol.pi0[n].values[key])
+        collect_contraction(terms, sol.eta1[n].values[key], q.pot, 1)
+        sol.E[key].collect(terms, minus_one)
+        if sum_pairs(terms):
             raise MasterEquationError(
                 f"level-zero identity (correlator) fails at arity {n}, {key}"
             )
@@ -301,13 +313,17 @@ def solve_level_one(q: QuantizedRetract, z: LevelZeroSolution, n_max: int) -> Le
 
 
 def _check_level_one_identities(o: LevelOneSolution, n: int) -> None:
+    """omega1 - fhat pi1 - Khat eta2 = (-h)^(n-2) phim1 on every key, as the
+    one residual fhat pi1 + Khat eta2 + (-h)^(n-2) phim1 - omega1."""
     q = o.q
+    top, minus_one = HPoly.neg_h(n - 2), HPoly.neg_h(0, -1)
     for key in o.omega1[n].keys():
-        lhs = o.omega1[n].get(key)
-        lhs = lhs - q.fhat(o.pi1[n].get(key))
-        lhs = lhs - q.Khat(o.eta2[n].get(key))
-        rhs = o.phim1[n].get(key).scale(HPoly.neg_h(n - 2))
-        if lhs != rhs:
+        terms = {}
+        q.retract.collect_f(terms, o.pi1[n].values[key])
+        collect_contraction(terms, o.eta2[n].values[key], q.pot, 1)
+        o.phim1[n].values[key].collect(terms, top)
+        o.omega1[n].values[key].collect(terms, minus_one)
+        if sum_pairs(terms):
             raise MasterEquationError(
                 f"level-one identity (correlator) fails at arity {n}, "
                 f"{key[:-2]}|{key[-2:]}"
@@ -335,12 +351,13 @@ def level_one_report(o: LevelOneSolution) -> Report:
             rep.checks += 1
             if m.h_degree() > 0:
                 rep.add(n, where, "mhat depends on h")
-            # pi0 expands in powers of (-h); take the top coefficient
-            top = z.pi0[n].get(key).classical_part(n - 2)
-            if (n - 2) % 2:
-                top = -top
-            if m != top:
-                rep.add(n, where, "mhat differs from the top pi0 part")
+            try:
+                top = mhat_of_pi0(z.pi0[n], key)
+            except MasterEquationError:
+                rep.add(n, where, "pi0 h-degree exceeds n-2")
+            else:
+                if m != top:
+                    rep.add(n, where, "mhat differs from the top pi0 part")
         # full symmetry of mhat across the front/pair split; `get` sorts the
         # front and the pair, so the permutations of key read only its splits
         for key in tuples_with_repetition(o.dim, n):
@@ -352,6 +369,35 @@ def level_one_report(o: LevelOneSolution) -> Report:
             if any(v != base for v in seen[1:]):
                 rep.add(n, key, "mhat is not fully symmetric")
     return rep
+
+
+def mhat_of_pi0(pi0_n: SymMap, key) -> HVector:
+    """mhat_n(key) = (-1)^n [h^(n-2)] pi0_n(key), read off level zero.
+
+    This is the one home of the formula that `level_one_report` checks on
+    the canonical solution.  A power of h above n - 2 in pi0_n(key) would be
+    dropped by it, so it raises MasterEquationError instead.
+    """
+    n = pi0_n.arity
+    v = pi0_n.get(key)
+    if v.h_degree() > n - 2:
+        raise MasterEquationError(
+            f"pi0 h-degree exceeds n-2 at arity {n}, {key}: "
+            "mhat cannot be read off level zero"
+        )
+    top = v.classical_part(n - 2)
+    return -top if n % 2 else top
+
+
+def mhat_from_pi0(pi0, n_max: int):
+    """The symmetric mhat tables of arities 2..n_max read off the level-zero
+    products pi0 by `mhat_of_pi0`, without solving level one."""
+    out = {}
+    for n in range(2, n_max + 1):
+        t = SymMap(n, pi0[n].ghosts, HVector.zero())
+        t.values = {key: mhat_of_pi0(pi0[n], key) for key in pi0[n].keys()}
+        out[n] = t
+    return out
 
 
 def mhat_symmetric(o: LevelOneSolution):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bvcorr import cli
+from bvcorr import cli, solver
 from bvcorr.fmanifold import (
     FlatCoords,
     TSeries,
@@ -368,3 +368,69 @@ def test_tseries_dot_matches_the_fold():
         # a product is the one-pair case
         assert _exact(pairs[0][0] * pairs[0][1]) == _exact(first)
     assert compared >= 50 and cut >= 60 and cancelled >= 20
+
+
+# -- bvcorr fmanifold reads mhat_n = (-1)^n [h^(n-2)] pi0_n off level zero
+
+GOLDEN = Path(__file__).parent / "golden"
+# the fmanifold-horder mu = 3 job shape, and a golden job with a non-default iota
+GUARD_JOBS = {
+    "mu3": {"schema": 1, "potential": {"n_vars": 1, "terms": [
+        [[4], "1/2"], [[2], "1/2"], [[1], "-2"]]}, "n_max": 4, "h_order": 5, "t_order": 3},
+    "quartic_iota": json.loads((GOLDEN / "quartic_iota.job.json").read_text()),
+}
+
+
+def _fmanifold_with_pi0_shifted(monkeypatch, tmp_path, job, n, power):
+    """Run `bvcorr fmanifold` with h^power e_1 added to the last pi0_n entry."""
+    solve = solver.solve_level_zero
+
+    def shifted(q, n_max):
+        z = solve(q, n_max)
+        key = z.pi0[n].keys()[-1]
+        z.pi0[n].values[key] = z.pi0[n].values[key] + HVector.basis(1).scale(HPoly.h(power))
+        return z
+
+    monkeypatch.setattr(solver, "solve_level_zero", shifted)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["fmanifold", "--input", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("job", sorted(GUARD_JOBS))
+def test_a_corrupted_top_pi0_part_fails_an_fmanifold_check(monkeypatch, tmp_path, job, n):
+    # the top part is mhat: the on-shell checks must see it change
+    code, out, _ = _fmanifold_with_pi0_shifted(monkeypatch, tmp_path, GUARD_JOBS[job], n, n - 2)
+    assert code == cli.EXIT_VIOLATION
+    assert any(line.startswith("check wdvv: FAIL (") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("job", sorted(GUARD_JOBS))
+def test_a_pi0_power_above_n_minus_2_is_a_violated_identity(monkeypatch, tmp_path, job, n):
+    # reading mhat would drop the term: the command stops, without a traceback
+    code, out, err = _fmanifold_with_pi0_shifted(monkeypatch, tmp_path, GUARD_JOBS[job], n, n - 1)
+    assert code == cli.EXIT_VIOLATION
+    assert out == ""
+    assert err.startswith("identity violated: pi0 h-degree exceeds n-2 at arity ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case, job", [
+    ("fmanifold_a2", "a2.job.json"), ("fmanifold_quartic_iota", "quartic_iota.job.json")])
+def test_fmanifold_runs_no_level_one_code(monkeypatch, tmp_path, case, job):
+    def refuse(*args, **kwargs):
+        raise AssertionError("level-one code called by the fmanifold command")
+
+    monkeypatch.setattr(solver, "solve_level_one", refuse)
+    monkeypatch.setattr(solver, "mhat_symmetric", refuse)
+    bundle = tmp_path / "bundle.json"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["fmanifold", "--input", str(GOLDEN / job), "--json", str(bundle)]) == 0
+    assert out.getvalue().encode() == (GOLDEN / f"{case}.stdout").read_bytes()
+    assert bundle.read_bytes() == (GOLDEN / f"{case}.json").read_bytes()

@@ -17,7 +17,7 @@ from bvcorr.retract import (
     quantize_retract,
     spanning_monomials,
 )
-from bvcorr.scalars import INF_TRUNC, HPoly
+from bvcorr.scalars import INF_TRUNC, HPoly, NotDivisibleError
 
 X = PolyElement.x(0, 1)
 ETA = PolyElement.eta(0, 1)
@@ -398,3 +398,45 @@ def test_homotopy_divisibility_iterates(a3):
         for key in cl.keys():
             assert classical_K(q.pot, cl.get(key)).is_zero()
         current = nabla(q, current)
+
+
+# -- the homotopy identities close one residual: corruptions still fail them
+
+
+def test_a_corrupted_splitting_fails_the_homotopy_identity(monkeypatch):
+    # s(x^3) doubled on A2: f h + K s + s K = 1 fails at x^3 before any side
+    # condition is read
+    rows = bvcorr.retract.Retract._rows_of
+
+    def doubled(self, exp):
+        h_row, s_row = rows(self, exp)
+        return h_row, ({k: v * 2 for k, v in s_row.items()} if exp == (3,) else s_row)
+
+    monkeypatch.setattr(bvcorr.retract.Retract, "_rows_of", doubled)
+    with pytest.raises(RetractError, match=r"^homotopy identity f h = 1 - K s - s K fails"):
+        build_retract(MilnorData(Potential.a_k(2)))
+
+
+def test_a_corrupted_chain_fails_the_quantized_homotopy_identity(monkeypatch):
+    # shat(x^3) doubled on A2: fhat hhat + Khat shat + shat Khat = 1 fails
+    r = build_retract(MilnorData(Potential.a_k(2)))
+    chain = QuantizedRetract._chain
+
+    def doubled(self, key):
+        hv, sv = chain(self, key)
+        return hv, (sv.scale(2) if key == ((3,), ()) else sv)
+
+    monkeypatch.setattr(QuantizedRetract, "_chain", doubled)
+    with pytest.raises(RetractError, match=r"^quantized homotopy identity fails$"):
+        quantize_retract(r)
+
+
+def test_nabla_still_refuses_an_undivisible_entry(a3):
+    # an entry known only through h^0 whose h^0 part is not the W0 given:
+    # (W - W0) / (-h) has an h^-1 term, the obstruction at h^0
+    _, q = a3
+    om = SymMap(1, q.ghosts, PolyElement.zero(1))
+    om.set((0,), PolyElement(1, {((2,), ()): HPoly({0: 3}, 0)}))
+    with pytest.raises(NotDivisibleError) as exc:
+        nabla(q, om, {(0,): PolyElement.zero(1)})
+    assert exc.value.offending_exponent == 0

@@ -571,3 +571,66 @@ def test_associativity_report_matches_the_two_sided_sum(a2, a3, a4_deep):
                 assert rows(got) == rows(_two_sided_associativity(bad, 2))
                 failed += not got.ok
     assert failed >= 10
+
+
+# -- the correlator identities close one residual: corruptions still fail them
+
+
+def _corrupt_eta(monkeypatch, table_type):
+    # add eta to the first eta value that `_transfer` returns on `table_type`
+    # tables (SymMap: level zero, PairSymMap: level one); Khat eta = S'(x)
+    transfer = solver._transfer
+
+    def corrupted(q, omega, varpi, steps):
+        pi, eta, last, top = transfer(q, omega, varpi, steps)
+        if type(omega) is table_type:
+            key = eta.keys()[0]
+            eta.values[key] = eta.values[key] + ETA
+        return pi, eta, last, top
+
+    monkeypatch.setattr(solver, "_transfer", corrupted)
+
+
+def test_a_corrupted_eta1_fails_the_level_zero_identity(monkeypatch):
+    q = quantize_retract(build_retract(MilnorData(Potential.a_k(3))))
+    _corrupt_eta(monkeypatch, solver.SymMap)
+    with pytest.raises(solver.MasterEquationError,
+                       match=r"^level-zero identity \(correlator\) fails at arity 2, \(0, 0\)$"):
+        solve_level_zero(q, 3)
+
+
+def test_a_corrupted_eta2_fails_the_level_one_identity(monkeypatch):
+    q = quantize_retract(build_retract(MilnorData(Potential.a_k(3))))
+    z = solve_level_zero(q, 4)
+    _corrupt_eta(monkeypatch, solver.PairSymMap)
+    with pytest.raises(solver.MasterEquationError,
+                       match=r"^level-one identity \(correlator\) fails at arity 3, "
+                             r"\(0,\)\|\(0, 0\)$"):
+        solve_level_one(q, z, 4)
+
+
+def test_mhat_read_off_level_zero_is_the_level_one_mhat(a3):
+    q, z, o = a3
+    ms = solver.mhat_from_pi0(z.pi0, 5)
+    sym = mhat_symmetric(o)
+    assert sorted(ms) == sorted(sym) == [2, 3, 4, 5]
+    for n in ms:
+        assert ms[n].keys() == sym[n].keys()
+        for key in ms[n].keys():
+            a, b = ms[n].values[key], sym[n].values[key]
+            assert a == b and a.terms.keys() == b.terms.keys()
+            assert all(v.trunc == b.terms[k].trunc for k, v in a.terms.items())
+
+
+def test_mhat_reader_refuses_a_power_above_n_minus_2(a3, monkeypatch):
+    q, z, o = a3
+    key = (1, 1, 2)
+    monkeypatch.setitem(z.pi0[3].values, key,
+                        z.pi0[3].values[key] + HVector.basis(1).scale(HPoly.h(2)))
+    with pytest.raises(solver.MasterEquationError,
+                       match=r"pi0 h-degree exceeds n-2 at arity 3, \(1, 1, 2\)"):
+        solver.mhat_from_pi0(z.pi0, 3)
+    # the solve report records it instead of stopping
+    rep = level_one_report(o)
+    assert (3, ((1,), (1, 2)), "pi0 h-degree exceeds n-2") in [
+        (v.arity, v.where, v.residual) for v in rep.violations]
