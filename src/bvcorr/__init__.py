@@ -1,7 +1,7 @@
 """Exact computer algebra for quantum correlation algebras of polynomial BV theories.
 
 The public names load on first access (PEP 562): `import bvcorr` imports no
-submodule, and `bvcorr.solve_level_zero` imports only what the solver needs.
+submodule, and `bvcorr.solve_level_zero` imports only what level zero needs.
 Each job thus compiles only the modules it runs, which matters when no
 bytecode is cached.
 """
@@ -12,6 +12,7 @@ _EXPORTS = {
     "errors": ("MasterEquationError", "RetractError"),
     "gauge": ("PerturbedRetract", "compare_retracts"),
     "groebner": ("MilnorData", "NonIsolatedError"),
+    "levelzero": ("LevelZeroSolution", "solve_level_zero"),
     "polyalg": (
         "DescendantFamily",
         "PolyElement",
@@ -43,11 +44,9 @@ _EXPORTS = {
     ),
     "solver": (
         "LevelOneSolution",
-        "LevelZeroSolution",
         "mhat_symmetric",
         "reconstruct_pi",
         "solve_level_one",
-        "solve_level_zero",
         "verify_M_identity",
     ),
 }

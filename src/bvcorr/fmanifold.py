@@ -20,10 +20,10 @@ from math import factorial, prod
 from operator import add
 
 from .hspace import HVector
+from .levelzero import LevelZeroSolution, mhat_dimension
 from .polyalg import DescendantFamily, PolyElement
 from .report import Report
 from .scalars import Combination, HPoly
-from .solver import LevelZeroSolution, mhat_dimension
 
 
 class TSeries(Combination):
@@ -226,7 +226,16 @@ def structure_constants(mhat_sym, t_order: int):
 
 
 def wdvv_report(A, t_order: int) -> Report:
-    """Unity, symmetry, potentiality, and associativity of A."""
+    """Unity, symmetry, potentiality, and associativity of A.
+
+    The symmetry check cannot fail on `structure_constants` output: A_ab and
+    A_ba read the same canonical entry of the symmetric mhat tables.  It is
+    kept for hand-built A, and it comes before associativity, which reads
+    the products P(a, b, g, s) = sum_r A_ab^r A_rg^s on a <= b only.  For
+    symmetric A, sum_r A_bg^r A_ar^s is P(b, g, a, s), so each ordered
+    (a, b, g, s) compares P(a, b, g, s) with P(b, g, a, s): dim^3 (dim + 1) / 2
+    series dots, where summing both sides per instance takes 2 dim^4.
+    """
     rep = Report()
     dim = len(A[(0, 0)])
     one = HPoly.const(1)
@@ -259,17 +268,20 @@ def wdvv_report(A, t_order: int) -> Report:
                     rhs = dA[b][(a, g)][s_idx]
                     if not lhs.eq_through(rhs, t_order - 1):
                         rep.add(0, (a, b, g, s_idx), "potentiality fails")
+    P = {
+        (a, b, g, s_idx): TSeries.dot((A[(a, b)][r], A[(r, g)][s_idx]) for r in range(dim))
+        for a in range(dim)
+        for b in range(a, dim)
+        for g in range(dim)
+        for s_idx in range(dim)
+    }
     for a in range(dim):
         for b in range(dim):
             for g in range(dim):
                 for s_idx in range(dim):
                     rep.checks += 1
-                    lhs = TSeries.dot(
-                        (A[(a, b)][r], A[(r, g)][s_idx]) for r in range(dim)
-                    )
-                    rhs = TSeries.dot(
-                        (A[(b, g)][r], A[(a, r)][s_idx]) for r in range(dim)
-                    )
+                    lhs = P[min(a, b), max(a, b), g, s_idx]
+                    rhs = P[min(b, g), max(b, g), a, s_idx]
                     if not lhs.eq_through(rhs, t_order):
                         diff = lhs - rhs
                         first = min(
@@ -318,7 +330,9 @@ def flat_coordinate_report(
 
     The sign tag records which of h d_a d_b That -+ A d That = 0 holds for
     the assembled series; the unit direction equation and the boundary
-    conditions are checked unconditionally.
+    conditions are checked unconditionally.  A must be symmetric, as
+    `structure_constants` builds it (`wdvv_report` checks it): the PDE is
+    tested on a <= b.
     """
     rep = Report()
     dim = fc.z.dim
@@ -347,12 +361,13 @@ def flat_coordinate_report(
         rep.add(0, (), "h-exponent lower bound violated")
 
     # sign resolution for the second-derivative system: one residual pair
-    # h d_a d_b That^c -+ sum_r A_ab^r d_r That^c per (a, b, c)
+    # h d_a d_b That^c -+ sum_r A_ab^r d_r That^c per unordered (a, b) and c;
+    # both terms are symmetric in (a, b), the transport because A is
     h = HPoly.h()
     zero = TSeries(dim, t_order, HPoly.zero())
     holds = {"minus": True, "plus": True}
     for a in range(dim):
-        for b in range(dim):
+        for b in range(a, dim):
             for c in range(dim):
                 second = dT[c][b].derivative(a).scale(h)
                 transport = TSeries.dot(

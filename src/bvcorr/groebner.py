@@ -10,6 +10,7 @@ normal-form witnesses can always be written against dS/dx_i directly.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 
 class NonIsolatedError(ValueError):
@@ -86,21 +87,31 @@ def divide(p: dict, gens: list) -> tuple:
     Returns (quotients, remainder) with p = sum q_i g_i + r and no term of r
     divisible by any leading monomial.  The reduction strategy (largest
     reducible term against the first matching generator) is deterministic.
+    Each step subtracts factor * (g_i minus its leading term) from one working
+    dict in place; the reduced exponents strictly fall, so each quotient term
+    is written once.
     """
     quots = [p_zero() for _ in gens]
     rem = p_zero()
     work = dict(p)
     leads = [lead(g) for g in gens]
+    tails = [[(e, c) for e, c in g.items() if e != le] for g, (le, _) in zip(gens, leads)]
     while work:
         e = max(work, key=grlex_key)
+        # the leading term cancels by construction
         c = work.pop(e)
         for i, (le, lc) in enumerate(leads):
             if _divides(le, e):
+                m = _exp_sub(e, le)
                 factor = c / lc
-                quots[i] = p_add(quots[i], {_exp_sub(e, le): factor})
-                work = p_add(work, p_mul_term(gens[i], _exp_sub(e, le), -factor))
-                # the leading term cancels by construction
-                work.pop(e, None)
+                quots[i][m] = factor
+                for ge, gc in tails[i]:
+                    ex = tuple(map(add, ge, m))
+                    w = work.get(ex, 0) - factor * gc
+                    if w:
+                        work[ex] = w
+                    else:
+                        work.pop(ex, None)
                 break
         else:
             rem[e] = c

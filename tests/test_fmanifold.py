@@ -4,12 +4,12 @@ import io
 import json
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
 
-from bvcorr import cli, solver
+from bvcorr import cli, levelzero, solver
 from bvcorr.fmanifold import (
     FlatCoords,
     TSeries,
@@ -95,6 +95,51 @@ def test_wdvv_passes_and_catches_corruption(a3_run):
     rep = wdvv_report(bad, 3)
     assert not rep.ok
     assert any("associativity" in str(v.residual) for v in rep.violations)
+
+
+def _associativity_both_sides(A, t_order):
+    """WDVV associativity with both sides summed for every (a, b, g, s), the
+    reference for the product table of `wdvv_report` on symmetric A."""
+    dim = len(A[(0, 0)])
+    out = []
+    for a, b, g, s in product(range(dim), repeat=4):
+        lhs = TSeries.dot((A[(a, b)][r], A[(r, g)][s]) for r in range(dim))
+        rhs = TSeries.dot((A[(b, g)][r], A[(a, r)][s]) for r in range(dim))
+        if not lhs.eq_through(rhs, t_order):
+            first = min((e for e in (lhs - rhs).terms if sum(e) <= t_order),
+                        key=lambda e: (sum(e), e), default=None)
+            out.append(((a, b, g, s), f"associativity fails at {first}"))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_wdvv_product_table_matches_both_sides_on_symmetric_corruptions(a3_run, seed):
+    q, z, o, ms = a3_run
+    A = structure_constants(ms, 3)
+    rnd = random.Random(seed)
+    bad = {k: [s.copy() for s in v] for k, v in A.items()}
+    a, b = rnd.randrange(1, 3), rnd.randrange(1, 3)
+    exp = tuple(rnd.randrange(2) for _ in range(3))
+    c = rnd.randrange(3)
+    for ab in {(a, b), (b, a)}:
+        bad[ab][c].add_term(exp, _hp(rnd.choice([1, -2, 3])))
+    rep = wdvv_report(bad, 3)
+    got = [(v.where, v.residual) for v in rep.violations if "associativity" in v.residual]
+    assert got == _associativity_both_sides(bad, 3)
+    assert got
+
+
+def test_wdvv_reads_an_asymmetric_A_as_a_symmetry_failure_first(a3_run):
+    # the product table reads A_ab on a <= b only: on asymmetric input the
+    # symmetry check must decide the verdict before associativity is read
+    q, z, o, ms = a3_run
+    A = structure_constants(ms, 3)
+    bad = {k: [s.copy() for s in v] for k, v in A.items()}
+    bad[(2, 1)][1].add_term((0, 1, 0), _hp(1))
+    rep = wdvv_report(bad, 3)
+    assert not rep.ok
+    first = rep.violations[0]
+    assert (first.where, first.residual) == ((1, 2, 1), "symmetry fails")
 
 
 def test_flat_coordinates_properties(a3_run):
@@ -316,6 +361,21 @@ def test_a_corrupted_flat_coordinate_resolves_to_neither(flat_run):
     assert "flat-coordinate PDE fails for both signs" in [v.residual for v in rep.violations]
 
 
+def test_a_corruption_seen_only_on_the_diagonal_resolves_to_neither():
+    # at t_order 2 the PDE is compared at t = 0 only: h d_1 d_1 of h^3 t1^2
+    # is 2h^4 there, and its first derivatives vanish at t = 0, so only
+    # (a, b) = (1, 1) of the unordered pairs sees the corruption
+    q = quantize_retract(build_retract(MilnorData(Potential.a_k(3))), order=6)
+    z = solve_level_zero(q, 4)
+    A = structure_constants(levelzero.mhat_from_pi0(z.pi0, 4), 2)
+    fc = FlatCoords(z, 2)
+    assert flat_coordinate_report(fc, A, 2)[1] == "plus"
+    fc.T[2].add_term((0, 2, 0), HPoly.h(3))
+    rep, sign = flat_coordinate_report(fc, A, 2)
+    assert sign == "neither"
+    assert [v.residual for v in rep.violations] == ["flat-coordinate PDE fails for both signs"]
+
+
 # -- TSeries.dot against the fold of products -------------
 
 
@@ -383,7 +443,7 @@ GUARD_JOBS = {
 
 def _fmanifold_with_pi0_shifted(monkeypatch, tmp_path, job, n, power):
     """Run `bvcorr fmanifold` with h^power e_1 added to the last pi0_n entry."""
-    solve = solver.solve_level_zero
+    solve = levelzero.solve_level_zero
 
     def shifted(q, n_max):
         z = solve(q, n_max)
@@ -391,7 +451,8 @@ def _fmanifold_with_pi0_shifted(monkeypatch, tmp_path, job, n, power):
         z.pi0[n].values[key] = z.pi0[n].values[key] + HVector.basis(1).scale(HPoly.h(power))
         return z
 
-    monkeypatch.setattr(solver, "solve_level_zero", shifted)
+    # `cmd_fmanifold` imports it from its home when it runs
+    monkeypatch.setattr(levelzero, "solve_level_zero", shifted)
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
     out, err = io.StringIO(), io.StringIO()

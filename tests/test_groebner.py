@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from bvcorr.groebner import (
     _sum_products,
     buchberger,
     divide,
+    lead,
     p_add,
     p_mul,
 )
@@ -149,3 +151,31 @@ def test_each_monomial_is_divided_once(name, monkeypatch):
             recon = p_add(recon, p_mul(w, g))
         assert recon == {exp: Fraction(1)}
     assert len(calls) == len(exps)
+
+
+@pytest.mark.parametrize("name", ["e6", "e7", "two_var"])
+def test_division_against_sympy_on_the_milnor_basis(name):
+    # the reduced Groebner basis fixes the remainder, whatever the strategy
+    sympy = pytest.importorskip("sympy")
+    mil = MilnorData(DIVISION_POTENTIALS[name])
+    x = sympy.symbols("x0 x1")
+
+    def expr(p):
+        return sympy.Add(*(sympy.Rational(c.numerator, c.denominator) * x[0] ** e[0]
+                           * x[1] ** e[1] for e, c in p.items()))
+
+    basis = [expr(g) for g in mil.gb]
+    leads = [lead(g)[0] for g in mil.gb]
+    rnd = random.Random(f"divide-{name}")
+    for _ in range(12):
+        p = {(rnd.randrange(8), rnd.randrange(8)): Fraction(rnd.randint(-9, 9), rnd.randint(1, 6))
+             for _ in range(6)}
+        p = {e: c for e, c in p.items() if c}
+        quots, rem = divide(p, mil.gb)
+        recon = dict(rem)
+        for q, g in zip(quots, mil.gb):
+            recon = p_add(recon, p_mul(q, g))
+        assert recon == p
+        assert not any(all(a <= b for a, b in zip(le, e)) for e in rem for le in leads)
+        _, want = sympy.reduced(expr(p), basis, *x, order="grlex")
+        assert sympy.expand(expr(rem) - want) == 0

@@ -2,13 +2,15 @@
 
 `bvcorr` resolves its public names on first access (PEP 562), report types
 live in `bvcorr.report`, the CLI's failure types in `bvcorr.errors`, the
-gauge machinery in `bvcorr.gauge`, and `bvcorr fmanifold` imports its own
-layer but not the sL-infinity one.  Each check runs in a fresh
-interpreter with src/ on the path, so no module loaded by another test
-leaks in.
+gauge machinery in `bvcorr.gauge`, the solve command in `bvcorr.cli_solve`,
+and `bvcorr fmanifold` imports its own layer and the level-zero core
+(`bvcorr.levelzero`) but neither the sL-infinity layer nor the level-one
+solver and its reports.  Each check runs in a fresh interpreter with src/ on
+the path, so no module loaded by another test leaks in.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -65,17 +67,37 @@ def test_polyalg_loads_only_its_own_layer():
 
 def test_solve_leaves_the_series_and_sl_infinity_layers_unloaded():
     loaded = _cli_loads("solve", "--input", "tests/golden/a2.job.json")
-    assert "bvcorr.solver" in loaded
+    for name in ("bvcorr.solver", "bvcorr.levelzero", "bvcorr.cli_solve"):
+        assert name in loaded
     for name in ("bvcorr.fmanifold", "bvcorr.slinf", "bvcorr.acceptance",
                  "bvcorr.gauge"):
         assert name not in loaded
 
 
+def test_solve_under_dash_m_imports_the_cli_once():
+    # `python -m bvcorr.cli` runs the module as __main__; bvcorr.cli_solve
+    # must not import a second copy of it
+    r = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "bvcorr.cli", "solve",
+         "--input", "tests/golden/a2.job.json"],
+        capture_output=True, text=True, cwd=ROOT, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert r.returncode == 0, r.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in r.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "bvcorr.cli_solve" in imported
+    assert "bvcorr.cli" not in imported
+
+
 def test_fmanifold_loads_neither_slinf_nor_acceptance_nor_gauge():
-    # the expectation iota . hhat is HVector.pair, not slinf.Expectation
+    # the expectation iota . hhat is HVector.pair, not slinf.Expectation, and
+    # mhat is read off level zero, whose core is bvcorr.levelzero
     loaded = _cli_loads("fmanifold", "--input", "tests/golden/quartic_iota.job.json")
-    assert "bvcorr.fmanifold" in loaded
-    for name in ("bvcorr.slinf", "bvcorr.acceptance", "bvcorr.gauge"):
+    for name in ("bvcorr.fmanifold", "bvcorr.levelzero"):
+        assert name in loaded
+    for name in ("bvcorr.slinf", "bvcorr.acceptance", "bvcorr.gauge", "bvcorr.solver",
+                 "bvcorr.cli_solve"):
         assert name not in loaded
     assert len(loaded) == 12, loaded
 
@@ -84,7 +106,8 @@ def test_basis_loads_neither_retract_nor_solver():
     # the CLI's failure types live in bvcorr.errors
     loaded = _cli_loads("basis", "--input", "tests/golden/two_var.job.json")
     assert "bvcorr.errors" in loaded
-    for name in ("bvcorr.retract", "bvcorr.solver", "bvcorr.report", "bvcorr.hspace"):
+    for name in ("bvcorr.retract", "bvcorr.levelzero", "bvcorr.solver", "bvcorr.cli_solve",
+                 "bvcorr.report", "bvcorr.hspace"):
         assert name not in loaded
     assert len(loaded) == 7, loaded
 
@@ -103,6 +126,15 @@ def test_gauge_names_resolve_from_bvcorr_gauge():
         "print(json.dumps([bvcorr.PerturbedRetract.__module__,\n"
         "                  bvcorr.compare_retracts.__module__]))"
     ) == ["bvcorr.gauge", "bvcorr.gauge"]
+
+
+def test_level_zero_names_resolve_from_bvcorr_levelzero():
+    # `bvcorr.solver` binds solve_level_zero too, for the benchmark tracer
+    assert _run(
+        "import bvcorr\n"
+        "homes = [bvcorr.LevelZeroSolution.__module__, bvcorr.solve_level_zero.__module__]\n"
+        "print(json.dumps(homes + ['bvcorr.solver' in sys.modules]))"
+    ) == ["bvcorr.levelzero", "bvcorr.levelzero", False]
 
 
 def test_slinf_does_not_load_dataclasses():

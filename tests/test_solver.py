@@ -10,6 +10,7 @@ from math import prod
 import pytest
 
 import bvcorr.cli as cli
+import bvcorr.levelzero as levelzero
 import bvcorr.partitions as partitions
 import bvcorr.retract
 import bvcorr.slinf as slinf
@@ -370,9 +371,9 @@ def test_level_zero_makes_one_product_per_sub_multiset(monkeypatch):
     q = quantize_retract(build_retract(MilnorData(Potential.a_k(4))))
     calls = []
     # the fused products of E's recursion go through one seam
-    fused = solver.collect_product
+    fused = levelzero.collect_product
     monkeypatch.setattr(
-        solver, "collect_product", lambda *args: calls.append(1) or fused(*args)
+        levelzero, "collect_product", lambda *args: calls.append(1) or fused(*args)
     )
     solve_level_zero(q, 7)
     bound = sum(
@@ -579,7 +580,7 @@ def test_associativity_report_matches_the_two_sided_sum(a2, a3, a4_deep):
 def _corrupt_eta(monkeypatch, table_type):
     # add eta to the first eta value that `_transfer` returns on `table_type`
     # tables (SymMap: level zero, PairSymMap: level one); Khat eta = S'(x)
-    transfer = solver._transfer
+    transfer = levelzero._transfer
 
     def corrupted(q, omega, varpi, steps):
         pi, eta, last, top = transfer(q, omega, varpi, steps)
@@ -588,6 +589,8 @@ def _corrupt_eta(monkeypatch, table_type):
             eta.values[key] = eta.values[key] + ETA
         return pi, eta, last, top
 
+    # level one imports `_transfer` from level zero's module
+    monkeypatch.setattr(levelzero, "_transfer", corrupted)
     monkeypatch.setattr(solver, "_transfer", corrupted)
 
 
@@ -611,7 +614,7 @@ def test_a_corrupted_eta2_fails_the_level_one_identity(monkeypatch):
 
 def test_mhat_read_off_level_zero_is_the_level_one_mhat(a3):
     q, z, o = a3
-    ms = solver.mhat_from_pi0(z.pi0, 5)
+    ms = levelzero.mhat_from_pi0(z.pi0, 5)
     sym = mhat_symmetric(o)
     assert sorted(ms) == sorted(sym) == [2, 3, 4, 5]
     for n in ms:
@@ -629,7 +632,7 @@ def test_mhat_reader_refuses_a_power_above_n_minus_2(a3, monkeypatch):
                         z.pi0[3].values[key] + HVector.basis(1).scale(HPoly.h(2)))
     with pytest.raises(solver.MasterEquationError,
                        match=r"pi0 h-degree exceeds n-2 at arity 3, \(1, 1, 2\)"):
-        solver.mhat_from_pi0(z.pi0, 3)
+        levelzero.mhat_from_pi0(z.pi0, 3)
     # the solve report records it instead of stopping
     rep = level_one_report(o)
     assert (3, ((1,), (1, 2)), "pi0 h-degree exceeds n-2") in [
