@@ -7,11 +7,15 @@ so a given job always produces identical bytes.
 
 Exit codes: 0 all checks pass, 2 input rejected, 3 a mathematical identity
 failed, 4 a resource cap was exceeded.
+
+The command line is read from one table, `COMMANDS`, with argparse's grammar
+and messages (a usage error also exits 2), without the cost of importing
+argparse in every process.  `solve` and `fmanifold` live in `cli_solve` and
+`cli_fmanifold`, imported only when they run.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
@@ -19,7 +23,7 @@ from fractions import Fraction
 from .errors import MasterEquationError, RetractError
 from .groebner import MilnorData, NonIsolatedError
 from .partitions import ArityCapError
-from .polyalg import DescendantFamily, Potential
+from .polyalg import Potential
 from .scalars import rat_str
 
 EXIT_OK = 0
@@ -161,86 +165,6 @@ def cmd_basis(job: JobSpec, sink: list) -> tuple[int, dict]:
     return EXIT_OK, bundle
 
 
-def cmd_fmanifold(job: JobSpec, sink: list):
-    # imported here so that the other commands do not load these modules
-    from . import fmanifold
-    from .retract import build_retract, quantize_retract
-    from .levelzero import mhat_from_pi0, solve_level_zero
-
-    need = job.t_order + 2
-    job_n = max(job.n_max, need)
-    mil = MilnorData(job.potential)
-    r = build_retract(mil)
-    q = quantize_retract(r, order=job.h_order + job.t_order)
-    z = solve_level_zero(q, job_n)
-    # mhat_n = (-1)^n [h^(n-2)] pi0_n: no level-one solve, and so none of its
-    # identity checks; `bvcorr solve` runs them
-    ms = mhat_from_pi0(z.pi0, job_n)
-    labels = [monomial_label(e, mil.n_vars) for e in mil.basis]
-    A = fmanifold.structure_constants(ms, job.t_order)
-    sink.append("structure constants A[a,b]^c:")
-    for a in range(z.dim):
-        for b in range(z.dim):
-            for c in range(z.dim):
-                s = A[(a, b)][c]
-                if s.is_zero():
-                    continue
-                sink.append(f"  A[{labels[a]},{labels[b]}]^[{labels[c]}] = {s}")
-    w = fmanifold.wdvv_report(A, job.t_order)
-    sink.append(f"check wdvv: {'pass' if w.ok else 'FAIL'} ({w.checks} instances)")
-    if not w.ok:
-        v = w.violations[0]
-        sink.append(f"  witness: {v.where}: {v.residual}")
-    fc = fmanifold.FlatCoords(z, job.t_order)
-    frep, sign = fmanifold.flat_coordinate_report(fc, A, job.t_order)
-    sink.append("flat coordinates That^c:")
-    for c in range(z.dim):
-        sink.append(f"  That^[{labels[c]}] = {fc.T[c]}")
-    sink.append(
-        f"check flat-coordinates: {'pass' if frep.ok else 'FAIL'} ({frep.checks} instances)"
-    )
-    sink.append(f"flat-coordinate PDE sign resolution: {sign}")
-    iota = job.iota if job.iota is not None else [1] + [0] * (z.dim - 1)
-    if len(iota) != z.dim:
-        raise InputError(
-            f"iota must list {z.dim} values for this potential"
-        )
-    # Expectation(q, iota).apply_iota without slinf; JobSpec checked iota(1_H) = 1
-    zc, zt, zrep = fmanifold.generating_function(lambda v: v.pair(iota), fc)
-    sink.append(f"Z = {zc}")
-    sink.append(
-        f"check generating-function: {'pass' if zrep.ok else 'FAIL'} ({zrep.checks} instances)"
-    )
-    fam = DescendantFamily(job.potential)
-    mc = fmanifold.theta_mc_report(z, fam, min(job.t_order, 3))
-    sink.append(
-        f"check maurer-cartan: {'pass' if mc.ok else 'FAIL'} ({mc.checks} instances)"
-    )
-    ok = w.ok and frep.ok and zrep.ok and mc.ok and sign != "neither"
-    bundle = {
-        "command": "fmanifold",
-        "pde_sign": sign,
-        "reports": {
-            "wdvv": report_json(w),
-            "flat_coordinates": report_json(frep),
-            "generating_function": report_json(zrep),
-            "maurer_cartan": report_json(mc),
-        },
-        "structure_constants": {
-            f"{labels[a]},{labels[b]}": {
-                labels[c]: {
-                    ",".join(map(str, e)): hpoly_json(v)
-                    for e, v in A[(a, b)][c].sorted_terms()
-                }
-                for c in range(z.dim)
-            }
-            for a in range(z.dim)
-            for b in range(z.dim)
-        },
-    }
-    return (EXIT_OK if ok else EXIT_VIOLATION), bundle
-
-
 def cmd_selftest(sink: list):
     from .acceptance import run_selftest
 
@@ -250,43 +174,142 @@ def cmd_selftest(sink: list):
     return (EXIT_OK if ok else EXIT_VIOLATION), bundle
 
 
+# -- the command line -------------
+
+# command -> (whether --input is required, the switches it takes besides
+# --input and --json); --inject-fault is a test hook, left out of the help
+COMMANDS = {
+    "basis": (True, ()),
+    "solve": (True, ("--audit", "--inject-fault")),
+    "fmanifold": (True, ()),
+    "selftest": (False, ()),
+}
+VALUE_FLAGS = ("--input", "--json")
+FLAG_HELP = {
+    "-h, --help": "show this help message and exit",
+    "--input INPUT": "job JSON file",
+    "--json JSON_PATH": "write the full bundle",
+    "--audit": "dump intermediates",
+}
+CHOICES = "{" + ",".join(COMMANDS) + "}"
+USAGE = f"bvcorr [-h] {CHOICES} ..."
+TOP_HELP = f"""\
+usage: {USAGE}
+
+exact quantum correlation algebras of polynomial BV theories
+
+positional arguments:
+  {CHOICES}
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def _usage(command: str) -> str:
+    needs_input, switches = COMMANDS[command]
+    flags = "--input INPUT" if needs_input else "[--input INPUT]"
+    extra = "".join(f" [{f}]" for f in switches if f in FLAG_HELP)
+    return f"bvcorr {command} [-h] {flags} [--json JSON_PATH]{extra}"
+
+
+def _help(command: str | None) -> str:
+    from textwrap import fill
+
+    if command is None:
+        out = TOP_HELP
+    else:
+        switches = COMMANDS[command][1]
+        rows = ["-h, --help", "--input INPUT", "--json JSON_PATH"]
+        rows += [f for f in switches if f in FLAG_HELP]
+        out = f"usage: {_usage(command)}\n\noptions:\n" + "".join(
+            f"  {row:<16}  {FLAG_HELP[row]}\n" for row in rows
+        )
+    if command is None or COMMANDS[command][0]:
+        out += "\n" + fill(JOB_FIELDS_HELP, 78) + "\n"
+    return out
+
+
+def _usage_error(usage: str, prog: str, message: str):
+    sys.stderr.write(f"usage: {usage}\n{prog}: error: {message}\n")
+    sys.exit(EXIT_REJECTED)
+
+
+def parse_args(argv: list) -> dict:
+    """The command and its flags: {"command", "--input", "--json", switch: bool}.
+
+    Follows argparse's grammar and messages: `--flag VALUE` or
+    `--flag=VALUE`, a repeated flag keeps its last value, `-h`/`--help`
+    prints the help and exits 0, and a usage error prints the usage and the
+    error and exits 2.  Flags are matched in full.
+    """
+    args = iter(argv)
+    extras = []
+    command = None
+    for arg in args:
+        if arg in ("-h", "--help"):
+            sys.stdout.write(_help(None))
+            sys.exit(EXIT_OK)
+        if arg.startswith("-") and arg != "-":
+            extras.append(arg)
+            continue
+        command = arg
+        break
+    if command is None:
+        _usage_error(USAGE, "bvcorr", "the following arguments are required: command")
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _usage_error(USAGE, "bvcorr",
+                     f"argument command: invalid choice: {command!r} (choose from {choices})")
+    prog = f"bvcorr {command}"
+    needs_input, switches = COMMANDS[command]
+    out = {"command": command, "--input": None, "--json": None}
+    out.update(dict.fromkeys(switches, False))
+    for arg in args:
+        if arg == "--":
+            extras.extend(args)
+            break
+        if arg in ("-h", "--help"):
+            sys.stdout.write(_help(command))
+            sys.exit(EXIT_OK)
+        name, eq, value = arg.partition("=")
+        if name in VALUE_FLAGS:
+            if not eq:
+                value = next(args, None)
+                if value is None or (value.startswith("-") and value != "-"):
+                    _usage_error(_usage(command), prog, f"argument {name}: expected one argument")
+            out[name] = value
+        elif arg in switches:
+            out[arg] = True
+        else:
+            extras.append(arg)
+    if needs_input and out["--input"] is None:
+        _usage_error(_usage(command), prog, "the following arguments are required: --input")
+    if extras:
+        _usage_error(USAGE, "bvcorr", f"unrecognized arguments: {' '.join(extras)}")
+    return out
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="bvcorr",
-        description=(
-            "exact quantum correlation algebras of polynomial BV theories"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_input in (
-        ("basis", True),
-        ("solve", True),
-        ("fmanifold", True),
-        ("selftest", False),
-    ):
-        p = sub.add_parser(name, epilog=JOB_FIELDS_HELP if needs_input else None)
-        p.add_argument("--input", required=needs_input, help="job JSON file")
-        p.add_argument("--json", dest="json_path", help="write the full bundle")
-        if name == "solve":
-            p.add_argument("--audit", action="store_true", help="dump intermediates")
-            p.add_argument(
-                "--inject-fault", action="store_true", help=argparse.SUPPRESS
-            )
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    command = args["command"]
     sink: list = []
     try:
-        if args.command == "selftest":
+        if command == "selftest":
             code, bundle = cmd_selftest(sink)
         else:
-            job = load_job(args.input)
-            if args.command == "basis":
+            job = load_job(args["--input"])
+            # each command's module is imported when it runs, so that the
+            # others do not compile it
+            if command == "basis":
                 code, bundle = cmd_basis(job, sink)
-            elif args.command == "solve":
-                # imported here so that the other commands do not load the solver
+            elif command == "solve":
                 from .cli_solve import cmd_solve
 
-                code, bundle = cmd_solve(job, sink, args.audit, args.inject_fault)
+                code, bundle = cmd_solve(job, sink, args["--audit"], args["--inject-fault"])
             else:
+                from .cli_fmanifold import cmd_fmanifold
+
                 code, bundle = cmd_fmanifold(job, sink)
     except (InputError, NonIsolatedError, RetractError) as e:
         print(f"input rejected: {e}", file=sys.stderr)
@@ -299,15 +322,16 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     for line in sink:
         print(line)
-    if args.json_path:
-        with open(args.json_path, "w") as fh:
+    if args["--json"]:
+        with open(args["--json"], "w") as fh:
             json.dump(bundle, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return code
 
 
 if __name__ == "__main__":
-    # under `python -m bvcorr.cli`, `bvcorr.cli_solve` imports this module
-    # rather than compiling and running a second copy of it
+    # under `python -m bvcorr.cli`, `bvcorr.cli_solve` and
+    # `bvcorr.cli_fmanifold` import this module rather than compiling and
+    # running a second copy of it
     sys.modules.setdefault("bvcorr.cli", sys.modules[__name__])
     sys.exit(main())

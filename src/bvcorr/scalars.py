@@ -150,11 +150,10 @@ class HPoly:
         return HPoly._of({k: -v for k, v in self.c.items()}, self.trunc)
 
     def __mul__(self, other):
-        # one product is a one-pair dot: the window formula has one home
         if not isinstance(other, HPoly):
             v = _rat(other)
             other = HPoly._of({0: v} if v else {}, INF_TRUNC)
-        return HPoly.dot(((self, other),))
+        return _times(self, other)
 
     __rmul__ = __mul__
 
@@ -162,13 +161,13 @@ class HPoly:
     def dot(pairs) -> "HPoly":
         """The sum of a * b over an iterable of (a, b) HPoly pairs.
 
-        `*` is its one-pair case and `+`, `-` its two-pair case.  The sum
-        fills one coefficient table: the window is the least of the
-        products' windows, and zeros are dropped once at the end, so a
-        cancelled sum keeps its window.  The empty sum is an exact zero.
-        Each exponent sums in integers, a numerator over the lcm of its
-        terms' denominators, and becomes one Fraction at the end, so the
-        denominator does not grow with the number of terms.
+        `*` is its one-pair case (through `_times`) and `+`, `-` its
+        two-pair case.  The sum fills one coefficient table: the window is
+        the least of the products' windows, and zeros are dropped once at
+        the end, so a cancelled sum keeps its window.  The empty sum is an
+        exact zero.  Each exponent sums in integers, a numerator over the
+        lcm of its terms' denominators, and becomes one Fraction at the
+        end, so the denominator does not grow with the number of terms.
         """
         acc = {}
         t = INF_TRUNC
@@ -264,6 +263,39 @@ def _product_window(a: dict, ta: int, b: dict, tb: int) -> int:
     )
 
 
+def _times(x: HPoly, y: HPoly) -> HPoly:
+    """x * y, equal to HPoly.dot(((x, y),)).
+
+    When one factor is a single exact term s h^j, the product shifts the
+    other factor's exponents by j and its window by j (the window formula
+    with an exact factor of valuation j), and scales by s: no integer
+    cells, no new Fraction for s = +-1, and the other factor itself for
+    s h^j = 1.  The product of nonzero series is nonzero and the shifted
+    exponents stay inside the shifted window, so nothing is filtered.  An
+    HPoly is never changed in place, so sharing it is safe.  Every other
+    product is a one-pair dot, which keeps the window formula in one home.
+    """
+    if y.trunc >= INF_TRUNC and len(y.c) == 1:
+        term, other = y.c, x
+    elif x.trunc >= INF_TRUNC and len(x.c) == 1:
+        term, other = x.c, y
+    else:
+        return HPoly.dot(((x, y),))
+    ((j, s),) = term.items()
+    t = other.trunc
+    if t < INF_TRUNC:
+        t = min(t + j, INF_TRUNC)
+    if s == 1:
+        if j == 0:
+            return other
+        c = {i + j: u for i, u in other.c.items()}
+    elif s == -1:
+        c = {i + j: -u for i, u in other.c.items()}
+    else:
+        c = {i + j: u * s for i, u in other.c.items()}
+    return HPoly._of(c, t)
+
+
 def collect_pairs(terms: dict, coords: dict, weight: HPoly) -> None:
     """Add weight * coords to `terms`, a linear combination kept as
     {key: [(coefficient, weight), ...]} until `sum_pairs` closes it."""
@@ -276,10 +308,11 @@ def sum_pairs(terms: dict) -> dict:
 
     Equal to the left fold of the terms unless a partial sum of a key
     cancels: the fold drops that key's window, this keeps the least one.
+    A key with one pair is one product.
     """
     out = {}
     for key, pairs in terms.items():
-        total = HPoly.dot(pairs)
+        total = _times(*pairs[0]) if len(pairs) == 1 else HPoly.dot(pairs)
         if total.c:
             out[key] = total
     return out

@@ -294,13 +294,18 @@ def verify_M_identity(
     if fam is None:
         fam = DescendantFamily(q.pot)
     rep = Report()
+    minus_one = HPoly.neg_h(0, -1)
     for n in range(2, n_max + 1):
         for key in o.mhat[n].keys():
             where = (key[:-2], key[-2:])
             rep.checks += 1
             m0 = build_M0(o, n, key, fam)
-            rhs = q.fhat(o.mhat[n].get(key)) + q.Khat(o.phim1[n].get(key))
-            if m0 != rhs:
+            # fhat mhat + Khat phim1 - M0, closed as one residual (fhat = f)
+            terms = {}
+            q.retract.collect_f(terms, o.mhat[n].get(key))
+            collect_contraction(terms, o.phim1[n].get(key), q.pot, 1)
+            m0.collect(terms, minus_one)
+            if sum_pairs(terms):
                 rep.add(n, where, "M0 identity fails")
             # classical route: the h^0 part of M0 drops the (-h) phi0 term
             m_cl = m0.classical_part(0)

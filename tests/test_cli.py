@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bvcorr import cli
 from bvcorr.cli import InputError, JobSpec
 from bvcorr.partitions import ArityCapError
 
@@ -155,6 +156,104 @@ def test_audit_flag_only_on_solve(tmp_path):
     assert r.returncode == 2
     assert b"unrecognized arguments: --audit" in r.stderr
     assert b"Traceback" not in r.stderr
+
+
+# -- the command-line contract: argparse's grammar and messages -------------
+
+
+def run_main(capsys, *argv):
+    """(exit code, stdout, stderr) of cli.main in this process."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["basis", "-h"], ["solve", "--help"], ["fmanifold", "-h"],
+    ["solve", "--input", "missing.json", "-h"],
+])
+def test_help_exits_0_with_the_job_fields(capsys, argv):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: bvcorr ")
+    assert " ".join(out.split()).endswith(cli.JOB_FIELDS_HELP)
+
+
+def test_command_help_lists_its_flags(capsys):
+    _, out, _ = run_main(capsys, "solve", "-h")
+    assert out.splitlines()[:7] == [
+        "usage: bvcorr solve [-h] --input INPUT [--json JSON_PATH] [--audit]",
+        "",
+        "options:",
+        "  -h, --help        show this help message and exit",
+        "  --input INPUT     job JSON file",
+        "  --json JSON_PATH  write the full bundle",
+        "  --audit           dump intermediates",
+    ]
+    code, out, _ = run_main(capsys, "selftest", "-h")
+    assert code == 0
+    assert out.startswith("usage: bvcorr selftest [-h] [--input INPUT] [--json JSON_PATH]\n")
+    assert "job fields" not in out
+
+
+TOP_USAGE = "usage: bvcorr [-h] {basis,solve,fmanifold,selftest} ...\n"
+SOLVE_USAGE = "usage: bvcorr solve [-h] --input INPUT [--json JSON_PATH] [--audit]\n"
+USAGE_ERRORS = {
+    "no-command": ([], TOP_USAGE + "bvcorr: error: the following arguments are required: command"),
+    "unknown-command": (["bogus"], TOP_USAGE + "bvcorr: error: argument command: invalid "
+                        "choice: 'bogus' (choose from 'basis', 'solve', 'fmanifold', 'selftest')"),
+    "missing-input": (["solve"], SOLVE_USAGE
+                      + "bvcorr solve: error: the following arguments are required: --input"),
+    "input-without-value": (["solve", "--input"], SOLVE_USAGE
+                            + "bvcorr solve: error: argument --input: expected one argument"),
+    "json-without-value": (["solve", "--input", "{job}", "--json"], SOLVE_USAGE
+                           + "bvcorr solve: error: argument --json: expected one argument"),
+    "unknown-flag": (["basis", "--input", "{job}", "--threads", "4"],
+                     TOP_USAGE + "bvcorr: error: unrecognized arguments: --threads 4"),
+    "audit-on-fmanifold": (["fmanifold", "--input", "{job}", "--audit"],
+                           TOP_USAGE + "bvcorr: error: unrecognized arguments: --audit"),
+    "fault-on-basis": (["basis", "--input", "{job}", "--inject-fault"],
+                       TOP_USAGE + "bvcorr: error: unrecognized arguments: --inject-fault"),
+    "extra-positional": (["solve", "--input", "{job}", "extra"],
+                         TOP_USAGE + "bvcorr: error: unrecognized arguments: extra"),
+    # flags are matched in full: argparse's prefix abbreviations are gone
+    "abbreviated-flag": (["solve", "--inp", "{job}"], SOLVE_USAGE
+                         + "bvcorr solve: error: the following arguments are required: --input"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_2(capsys, tmp_path, name):
+    argv, message = USAGE_ERRORS[name]
+    job = write_job(tmp_path, A2_JOB)
+    code, out, err = run_main(capsys, *(a.format(job=job) for a in argv))
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_usage_error_exits_2_without_a_traceback(tmp_path):
+    r = run_cli("solve", "--input", write_job(tmp_path, A2_JOB), "--bogus")
+    assert r.returncode == 2
+    assert r.stderr.startswith(b"usage: ")
+    assert b"unrecognized arguments: --bogus" in r.stderr
+    assert b"Traceback" not in r.stderr
+
+
+def test_flag_values_after_an_equals_sign(capsys, tmp_path):
+    job = write_job(tmp_path, A2_JOB)
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+    code, out, err = run_main(capsys, "solve", "--input", job, "--json", str(spaced))
+    assert (code, err) == (0, "")
+    assert run_main(capsys, "solve", f"--input={job}", f"--json={joined}") == (0, out, "")
+    assert joined.read_bytes() == spaced.read_bytes()
+
+
+def test_a_repeated_flag_keeps_its_last_value(capsys, tmp_path):
+    job = write_job(tmp_path, A2_JOB)
+    code, out, _ = run_main(capsys, "basis", "--input", "missing.json", "--input", job)
+    assert code == 0 and out.startswith("dimension 2\n")
 
 
 def test_outputs_filter(tmp_path):

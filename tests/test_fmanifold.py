@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bvcorr import cli, levelzero, solver
+from bvcorr import cli, levelzero
 from bvcorr.fmanifold import (
     FlatCoords,
     TSeries,
@@ -140,6 +140,32 @@ def test_wdvv_reads_an_asymmetric_A_as_a_symmetry_failure_first(a3_run):
     assert not rep.ok
     first = rep.violations[0]
     assert (first.where, first.residual) == ((1, 2, 1), "symmetry fails")
+
+
+def _potentiality_failures(A, t_order):
+    """The instances d_a A_bg^s != d_b A_ag^s, each ordered one compared."""
+    dim = len(A[(0, 0)])
+    return [
+        (a, b, g, s)
+        for a, b, g, s in product(range(dim), repeat=4)
+        if not A[(b, g)][s].derivative(a).eq_through(A[(a, g)][s].derivative(b), t_order - 1)
+    ]
+
+
+def test_potentiality_reports_both_instances_of_a_mirror_pair(a3_run):
+    # each mirror pair is compared once, but both instances are counted and
+    # reported, in the order of the ordered instances
+    q, z, o, ms = a3_run
+    A = structure_constants(ms, 3)
+    assert all(A[(a, b)] is A[(b, a)] for a, b in A)
+    bad = {k: [s.copy() for s in v] for k, v in A.items()}
+    for key in ((1, 2), (2, 1)):  # still symmetric: d_0 A_12^0 moves, d_1 A_02^0 not
+        bad[key][0].add_term((1, 0, 0), _hp(1))
+    rep = wdvv_report(bad, 3)
+    got = [v.where for v in rep.violations if v.residual == "potentiality fails"]
+    assert got == _potentiality_failures(bad, 3)
+    assert (0, 1, 2, 0) in got and (1, 0, 2, 0) in got
+    assert rep.checks == wdvv_report(A, 3).checks
 
 
 def test_flat_coordinates_properties(a3_run):
@@ -479,19 +505,3 @@ def test_a_pi0_power_above_n_minus_2_is_a_violated_identity(monkeypatch, tmp_pat
     assert out == ""
     assert err.startswith("identity violated: pi0 h-degree exceeds n-2 at arity ")
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("case, job", [
-    ("fmanifold_a2", "a2.job.json"), ("fmanifold_quartic_iota", "quartic_iota.job.json")])
-def test_fmanifold_runs_no_level_one_code(monkeypatch, tmp_path, case, job):
-    def refuse(*args, **kwargs):
-        raise AssertionError("level-one code called by the fmanifold command")
-
-    monkeypatch.setattr(solver, "solve_level_one", refuse)
-    monkeypatch.setattr(solver, "mhat_symmetric", refuse)
-    bundle = tmp_path / "bundle.json"
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(["fmanifold", "--input", str(GOLDEN / job), "--json", str(bundle)]) == 0
-    assert out.getvalue().encode() == (GOLDEN / f"{case}.stdout").read_bytes()
-    assert bundle.read_bytes() == (GOLDEN / f"{case}.json").read_bytes()

@@ -3,9 +3,10 @@
 `bvcorr` resolves its public names on first access (PEP 562), report types
 live in `bvcorr.report`, the CLI's failure types in `bvcorr.errors`, the
 gauge machinery in `bvcorr.gauge`, the solve command in `bvcorr.cli_solve`,
-and `bvcorr fmanifold` imports its own layer and the level-zero core
-(`bvcorr.levelzero`) but neither the sL-infinity layer nor the level-one
-solver and its reports.  Each check runs in a fresh interpreter with src/ on
+the fmanifold command in `bvcorr.cli_fmanifold`, and `bvcorr fmanifold`
+imports its own layer and the level-zero core (`bvcorr.levelzero`) but
+neither the sL-infinity layer nor the level-one solver and its reports.  The
+command line is parsed without argparse.  Each check runs in a fresh interpreter with src/ on
 the path, so no module loaded by another test leaks in.
 """
 
@@ -65,12 +66,19 @@ def test_polyalg_loads_only_its_own_layer():
     ]
 
 
+def test_the_cli_loads_no_argparse():
+    assert _run(
+        "from bvcorr import cli\n"
+        "print(json.dumps('argparse' in sys.modules))"
+    ) is False
+
+
 def test_solve_leaves_the_series_and_sl_infinity_layers_unloaded():
     loaded = _cli_loads("solve", "--input", "tests/golden/a2.job.json")
     for name in ("bvcorr.solver", "bvcorr.levelzero", "bvcorr.cli_solve"):
         assert name in loaded
-    for name in ("bvcorr.fmanifold", "bvcorr.slinf", "bvcorr.acceptance",
-                 "bvcorr.gauge"):
+    for name in ("bvcorr.fmanifold", "bvcorr.cli_fmanifold", "bvcorr.slinf",
+                 "bvcorr.acceptance", "bvcorr.gauge"):
         assert name not in loaded
 
 
@@ -94,12 +102,12 @@ def test_fmanifold_loads_neither_slinf_nor_acceptance_nor_gauge():
     # the expectation iota . hhat is HVector.pair, not slinf.Expectation, and
     # mhat is read off level zero, whose core is bvcorr.levelzero
     loaded = _cli_loads("fmanifold", "--input", "tests/golden/quartic_iota.job.json")
-    for name in ("bvcorr.fmanifold", "bvcorr.levelzero"):
+    for name in ("bvcorr.fmanifold", "bvcorr.levelzero", "bvcorr.cli_fmanifold"):
         assert name in loaded
     for name in ("bvcorr.slinf", "bvcorr.acceptance", "bvcorr.gauge", "bvcorr.solver",
                  "bvcorr.cli_solve"):
         assert name not in loaded
-    assert len(loaded) == 12, loaded
+    assert len(loaded) == 13, loaded
 
 
 def test_basis_loads_neither_retract_nor_solver():
@@ -107,7 +115,7 @@ def test_basis_loads_neither_retract_nor_solver():
     loaded = _cli_loads("basis", "--input", "tests/golden/two_var.job.json")
     assert "bvcorr.errors" in loaded
     for name in ("bvcorr.retract", "bvcorr.levelzero", "bvcorr.solver", "bvcorr.cli_solve",
-                 "bvcorr.report", "bvcorr.hspace"):
+                 "bvcorr.cli_fmanifold", "bvcorr.report", "bvcorr.hspace"):
         assert name not in loaded
     assert len(loaded) == 7, loaded
 

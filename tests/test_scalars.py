@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from bvcorr.fmanifold import TSeries
 from bvcorr.hspace import HVector
 from bvcorr.polyalg import PolyElement, collect_product
-from bvcorr.scalars import HPoly, NotDivisibleError, sum_pairs
+from bvcorr.scalars import HPoly, NotDivisibleError, _times, sum_pairs
 
 
 def hp(d):
@@ -226,6 +226,41 @@ def test_dot_matches_the_fold(pairs, cancel):
         assert (got.trunc, got.c) == (want.trunc, want.c)
         assert all(v != 0 for v in got.c.values())
 
+
+# -- one product with a one-term factor against the one-pair dot -------------
+
+product_factor = st.one_of(
+    factor,  # exact and windowed, one-term and multi-term, negative exponents
+    st.just(HPoly.const(1)),
+    st.builds(HPoly.neg_h, st.integers(-3, 4), st.sampled_from([1, -1])),  # +-h^k
+    st.builds(lambda k, v: HPoly({k: v}), st.integers(-3, 4),
+              st.fractions(max_denominator=6).filter(lambda v: v not in (0, 1, -1))),
+    st.builds(HPoly.zero, truncs),  # exact and windowed zeros
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_factor, product_factor)
+@example(HPoly.const(1), HPoly({0: 1, 2: 3}, trunc=2))
+@example(HPoly.neg_h(-1, -1), HPoly({1: 2}, trunc=3))
+@example(HPoly({2: Fraction(3, 4)}), HPoly.zero(4))
+def test_one_product_matches_a_one_pair_dot(a, b):
+    # the shortcut for a single exact term s h^j shifts, negates or scales
+    # the other factor; its window and coefficients are the dot's
+    want = HPoly.dot(((a, b),))
+    for got in (_times(a, b), _times(b, a), a * b, b * a):
+        assert (got.trunc, got.c) == (want.trunc, want.c)
+    closed = sum_pairs({"key": [(a, b)]})
+    assert closed == ({"key": want} if want.c else {})
+    if want.c:
+        assert (closed["key"].trunc, closed["key"].c) == (want.trunc, want.c)
+
+
+def test_a_product_with_one_returns_the_other_factor():
+    p = HPoly({-1: Fraction(1, 2), 3: 2}, trunc=5)
+    assert _times(HPoly.const(1), p) is p
+    assert _times(p, HPoly.const(1)) is p
+    assert p * 1 is p
 
 
 # -- one canonical form for every Combination -------------
