@@ -5,17 +5,19 @@ One deformation coordinate t^a is attached to each basis element of H.  H
 is the Milnor ring, which sits in ghost number 0 (the partial derivatives of
 an isolated singularity form a regular sequence, so the Koszul complex has no
 other cohomology); every t^a is therefore even and the series are ordinary
-commutative power series.  A TSeries is a scalars.Combination keyed by
-t-exponent, which owns its linear algebra; coefficients are exact scalars
-(HVector values for the structure constants before they are split, elements
-of C for the universal solution Theta).  `structure_constants` rejects mhat
-tables with an odd ghost.
+commutative power series.  A level-zero table on ascending keys already is
+one: its entry at the multiset k is the coefficient of t^k / k!, with
+k! = prod_i k_i! (the exponential formula, Stanley, EC2 section 5.1), and
+`table_terms` is the one reader of that encoding.  A TSeries is a
+scalars.Combination keyed by t-exponent with HPoly coefficients; Theta, with
+coefficients in C, is a plain {t-exponent: PolyElement} dict.
+`structure_constants` rejects mhat tables with an odd ghost.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import factorial, prod
 from operator import add
 
@@ -23,34 +25,28 @@ from .hspace import HVector
 from .levelzero import LevelZeroSolution, mhat_dimension
 from .polyalg import DescendantFamily, PolyElement
 from .report import Report
-from .scalars import Combination, HPoly
+from .scalars import Combination, HPoly, sum_pairs
 
 
 class TSeries(Combination):
     """Truncated series in the deformation coordinates.
 
-    `terms` maps t-exponent vectors of total degree <= t_order to
-    coefficients: HPoly (negative h-exponents allowed), HVector or
-    PolyElement, with `zero_value` the zero coefficient.  The linear algebra
-    is Combination's; the `dim` coordinates commute.  Products (`*`, `dot`)
-    take HPoly-valued series.
+    `terms` maps t-exponent vectors of total degree <= t_order to HPoly
+    coefficients (negative h-exponents allowed).  The linear algebra is
+    Combination's; the `dim` coordinates commute.
     """
 
-    __slots__ = ("dim", "t_order", "zero_value")
+    __slots__ = ("dim", "t_order")
 
-    def __init__(self, dim: int, t_order: int, zero_value):
+    def __init__(self, dim: int, t_order: int):
         self.dim = dim
         self.t_order = t_order
-        self.zero_value = zero_value
         self.terms = {}
 
     def _like(self, terms: dict) -> "TSeries":
-        out = TSeries(self.dim, self.t_order, self.zero_value)
+        out = TSeries(self.dim, self.t_order)
         out.terms = terms
         return out
-
-    def _zero(self):
-        return self.zero_value
 
     def copy(self) -> "TSeries":
         return self._like(dict(self.terms))
@@ -62,8 +58,8 @@ class TSeries(Combination):
         if not value.is_zero():
             self._add_at(exp, value)
 
-    def coeff(self, exp):
-        return self.terms.get(tuple(exp), self.zero_value)
+    def coeff(self, exp) -> HPoly:
+        return self.terms.get(tuple(exp), HPoly.zero())
 
     def __mul__(self, other: "TSeries") -> "TSeries":
         return TSeries.dot(((self, other),))
@@ -71,10 +67,11 @@ class TSeries(Combination):
     @staticmethod
     def dot(pairs) -> "TSeries":
         """The sum of a * b over a nonempty iterable of (a, b) pairs of
-        HPoly-valued series, with the first a's dim and t_order.
+        series, with the first a's dim and t_order.
 
         The coefficient pairs are collected per t-exponent through t_order
-        and each exponent closes with one HPoly.dot; zeros are dropped.
+        and closed by `sum_pairs`: one HPoly.dot per exponent, or one
+        product for a single pair; zeros are dropped.
         """
         pairs = list(pairs)
         shape = pairs[0][0]
@@ -87,16 +84,11 @@ class TSeries(Combination):
                 for eb, deg, vb in right:
                     if deg <= room:
                         cols.setdefault(tuple(map(add, ea, eb)), []).append((va, vb))
-        out = TSeries(shape.dim, order, shape.zero_value)
-        for exp, col in cols.items():
-            v = HPoly.dot(col)
-            if v.c:
-                out.terms[exp] = v
-        return out
+        return shape._like(sum_pairs(cols))
 
     def derivative(self, alpha: int) -> "TSeries":
         """Derivative with respect to t^alpha."""
-        out = TSeries(self.dim, self.t_order, self.zero_value)
+        out = TSeries(self.dim, self.t_order)
         for e, v in self.terms.items():
             if e[alpha] == 0:
                 continue
@@ -106,7 +98,7 @@ class TSeries(Combination):
             out.add_term(tuple(ne), v if k == 1 else v * k)
         return out
 
-    def constant_term(self):
+    def constant_term(self) -> HPoly:
         return self.coeff((0,) * self.dim)
 
     def eq_through(self, other: "TSeries", order: int) -> bool:
@@ -140,52 +132,34 @@ class TSeries(Combination):
         return " + ".join(bits)
 
 
-def _t_monomials(dim: int, order: int):
-    """All exponent vectors of total degree <= order."""
-    out = []
+def table_terms(dim: int, items) -> dict:
+    """{t-exponent: value / k!} over (ascending key, value) pairs.
 
-    def rec(prefix):
-        if len(prefix) == dim:
-            out.append(tuple(prefix))
-            return
-        for k in range(order - sum(prefix) + 1):
-            rec(prefix + [k])
-
-    rec([])
-    out.sort(key=lambda e: (sum(e), e))
-    return out
-
-
-def assemble_series(dim, t_order, zero_value, term_fn, degrees) -> TSeries:
-    """Build sum_n (1/n!) sum_rho t^{rho_1}..t^{rho_n} F_n(rho_1..rho_n).
-
-    term_fn(ordering) returns the coefficient value on the ascending index
-    tuple of one monomial; `degrees` lists the n to include.  F_n is
-    symmetric, so the n!/prod(e_i!) orderings of t^e share one value.
+    The key k lists each index i k_i times, so it is the exponent of t^k,
+    and k! = prod_i k_i!; the empty key is the zero exponent.  Zero values
+    are dropped.  This is the one place where a key becomes an exponent.
     """
-    out = TSeries(dim, t_order, zero_value)
-    for exp in _t_monomials(dim, t_order):
-        if sum(exp) not in degrees:
+    out = {}
+    for key, value in items:
+        if value.is_zero():
             continue
-        ordering = tuple(i for i, k in enumerate(exp) for _ in range(k))
+        exp = [0] * dim
+        for i in key:
+            exp[i] += 1
         denom = prod(factorial(k) for k in exp)
-        value = term_fn(ordering)
-        out.add_term(exp, value if denom == 1 else Fraction(1, denom) * value)
+        out[tuple(exp)] = value if denom == 1 else Fraction(1, denom) * value
     return out
 
 
-# -- assembled objects -------------
+# -- series read off the level-zero tables -------------
 
 
-def theta_series(z: LevelZeroSolution, t_order: int) -> TSeries:
-    """The universal Maurer-Cartan element Theta built from phi0."""
-    nv = z.q.n_vars
-    return assemble_series(
+def theta_series(z: LevelZeroSolution, t_order: int) -> dict:
+    """The universal Maurer-Cartan element Theta built from phi0, as
+    {t-exponent: coefficient in C} through t_order."""
+    return table_terms(
         z.dim,
-        t_order,
-        PolyElement.zero(nv),
-        lambda ordering: z.phi0[len(ordering)].get(ordering),
-        range(1, t_order + 1),
+        (item for n in range(1, t_order + 1) for item in z.phi0[n].values.items()),
     )
 
 
@@ -193,9 +167,9 @@ def structure_constants(mhat_sym, t_order: int):
     """The deformed products A_{ab}^c as scalar series.
 
     Requires mhat through arity t_order + 2.  Returns a dict mapping (a, b)
-    to a list of TSeries, one per output index c.  A_ab and A_ba read the
-    same canonical entries of the symmetric mhat tables, so each is
-    assembled once, for a <= b, and (b, a) maps to the same list.
+    to a list of TSeries, one per output index c, with
+    A_ab^c(t) = sum_k mhat(k, a, b)_c t^k / k!: a table key holding a and b
+    is read as the front k.  (b, a) maps to the list of (a, b), read once.
     """
     dim = mhat_dimension(mhat_sym)
     need = t_order + 2
@@ -204,26 +178,22 @@ def structure_constants(mhat_sym, t_order: int):
             f"structure constants to t-order {t_order} need mhat up to "
             f"arity {need}"
         )
+    fronts = {(a, b): [] for a in range(dim) for b in range(a, dim)}
+    for n in range(2, need + 1):
+        for key, v in mhat_sym[n].values.items():
+            # the key is ascending, so each pair comes out with a <= b
+            for a, b in set(combinations(key, 2)):
+                front = list(key)
+                front.remove(a)
+                front.remove(b)
+                fronts[(a, b)].append((front, v))
+    shape = TSeries(dim, t_order)
     out = {}
-    for a in range(dim):
-        for b in range(a, dim):
-            series = assemble_series(
-                dim,
-                t_order,
-                HVector.zero(),
-                lambda ordering, a=a, b=b: mhat_sym[len(ordering) + 2].get(
-                    ordering + (a, b)
-                ),
-                range(0, t_order + 1),
-            )
-            # unpack the HVector-valued series into scalar components
-            comp = []
-            for c in range(dim):
-                s = TSeries(dim, t_order, HPoly.zero())
-                for e, v in series.terms.items():
-                    s.add_term(e, v.coeff(c))
-                comp.append(s)
-            out[(a, b)] = out[(b, a)] = comp
+    for (a, b), items in fronts.items():
+        out[(a, b)] = out[(b, a)] = [
+            shape._like(table_terms(dim, ((k, v.coeff(c)) for k, v in items)))
+            for c in range(dim)
+        ]
     return out
 
 
@@ -245,7 +215,7 @@ def wdvv_report(A, t_order: int) -> Report:
         for c in range(dim):
             rep.checks += 1
             s = A[(0, b)][c]
-            want = TSeries(dim, t_order, HPoly.zero())
+            want = TSeries(dim, t_order)
             if b == c:
                 want.add_term((0,) * dim, one)
             if s != want:
@@ -310,20 +280,16 @@ class FlatCoords:
     def __init__(self, z: LevelZeroSolution, t_order: int):
         self.z = z
         self.t_order = t_order
-        self.T = []
-        for c in range(z.dim):
-            def term(ordering, c=c):
-                n = len(ordering)
-                return z.pi0[n].get(ordering).coeff(c) * HPoly.neg_h(1 - n)
-
-            s = assemble_series(
-                z.dim,
-                t_order,
-                HPoly.zero(),
-                term,
-                range(1, t_order + 1),
-            )
-            self.T.append(s)
+        # That^c = sum_k pi0(k)_c (-h)^(1-|k|) t^k / k!
+        shape = TSeries(z.dim, t_order)
+        self.T = [
+            shape._like(table_terms(z.dim, (
+                (k, v.coeff(c) * HPoly.neg_h(1 - n))
+                for n in range(1, t_order + 1)
+                for k, v in z.pi0[n].values.items()
+            )))
+            for c in range(z.dim)
+        ]
 
     def low_exponent_ok(self) -> bool:
         """Coefficients at t-degree n only use h-exponents >= -(n-1)."""
@@ -362,7 +328,7 @@ def flat_coordinate_report(
                 rep.add(0, (b, c), "boundary derivative fails")
         # unit direction: d_0 That^c = delta_0^c - (1/h) That^c
         rep.checks += 1
-        rhs = TSeries(dim, t_order, HPoly.zero())
+        rhs = TSeries(dim, t_order)
         if c == 0:
             rhs.add_term(zero_exp, HPoly.const(1))
         rhs = rhs + fc.T[c].scale(HPoly.neg_h(-1))
@@ -375,7 +341,7 @@ def flat_coordinate_report(
     # h d_a d_b That^c -+ sum_r A_ab^r d_r That^c per unordered (a, b) and c;
     # both terms are symmetric in (a, b), the transport because A is
     h = HPoly.h()
-    zero = TSeries(dim, t_order, HPoly.zero())
+    zero = TSeries(dim, t_order)
     holds = {"minus": True, "plus": True}
     for a in range(dim):
         for b in range(a, dim):
@@ -412,17 +378,14 @@ def generating_function(iota, fc: FlatCoords) -> tuple[TSeries, TSeries, Report]
     z, t_order = fc.z, fc.t_order
     q = z.q
     dim = z.dim
-    zero_exp = (0,) * dim
-
-    def corr_term(ordering):
-        return iota(q.hhat(z.E[ordering])) * HPoly.neg_h(-len(ordering))
-
-    z_corr = assemble_series(
-        dim, t_order, HPoly.zero(), corr_term, range(1, t_order + 1)
-    )
-    one = TSeries(dim, t_order, HPoly.zero())
-    one.add_term(zero_exp, HPoly.const(1))
-    z_corr = one + z_corr
+    # Z_corr = 1 + sum_k iota(hhat(E_k)) (-h)^(-|k|) t^k / k!
+    one = TSeries(dim, t_order)
+    one.add_term((0,) * dim, HPoly.const(1))
+    z_corr = one + one._like(table_terms(dim, (
+        (k, iota(q.hhat(v)) * HPoly.neg_h(-len(k)))
+        for k, v in z.E.items()
+        if 0 < len(k) <= t_order
+    )))
 
     z_that = one.copy()
     for c in range(dim):
@@ -448,26 +411,26 @@ def theta_mc_report(
     nv = z.q.n_vars
     dim = z.dim
     theta = theta_series(z, t_order)
-    residual = TSeries(dim, t_order, PolyElement.zero(nv))
-    for e, v in theta.terms.items():
-        residual.add_term(e, z.q.Khat(v))
+    residual = {e: z.q.Khat(v) for e, v in theta.items()}
     # Khat is second order, so ell_n vanishes for n >= 3 and the residual is
     # Khat Theta + 1/2 ell_2(Theta, Theta): one bracket per unordered pair of
     # Theta monomials, halved on the diagonal
-    for e, f in combinations_with_replacement(sorted(theta.terms), 2):
-        total = tuple(map(sum, zip(e, f)))
+    for e, f in combinations_with_replacement(sorted(theta), 2):
+        total = tuple(map(add, e, f))
         if sum(total) > t_order:
             continue
-        val = fam.ell(2, [theta.terms[e], theta.terms[f]])
-        residual.add_term(total, val.scale(Fraction(1, 2)) if e == f else val)
+        val = fam.ell(2, [theta[e], theta[f]])
+        if e == f:
+            val = val.scale(Fraction(1, 2))
+        residual[total] = residual[total] + val if total in residual else val
     rep.checks += 1
-    if not residual.is_zero():
+    if any(not v.is_zero() for v in residual.values()):
         rep.add(0, (), "Maurer-Cartan residual is nonzero")
+    # d_0 Theta = 1_C: Theta holds 1_C at t_0 and no other t_0 power
     rep.checks += 1
-    d0 = theta.derivative(0)
-    want = TSeries(dim, t_order, PolyElement.zero(nv))
-    want.add_term((0,) * dim, PolyElement.one(nv))
-    if not d0.eq_through(want, t_order - 1):
+    unit = tuple(int(i == 0) for i in range(dim))
+    if theta.get(unit, PolyElement.zero(nv)) != PolyElement.one(nv) or any(
+        e[0] for e in theta if e != unit
+    ):
         rep.add(0, (), "d_0 Theta != 1_C")
     return rep
-

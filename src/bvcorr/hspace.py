@@ -4,11 +4,11 @@ HVector is a sparse vector with HPoly coordinates, a scalars.Combination
 keyed by basis index, which owns its linear algebra.  SymMap stores a
 graded-symmetric multilinear map on basis tuples (values in C or in H);
 PairSymMap stores maps on S^(n-2)H (x) S^2H, the carrier shape of the
-level-one families.  Every table takes one flat index tuple; a PairSymMap
-key carries the pair as its last two entries.  Keys are stored in canonical
-form (sorted, for a PairSymMap sorted within the front and within the pair);
-lookups on other orderings canonicalize with the Koszul sign, or by a plain
-sort on a table whose ghosts are all even.
+level-one families, and takes even ghosts only.  Every table takes one flat
+index tuple; a PairSymMap key carries the pair as its last two entries.  Keys
+are stored in canonical form (sorted, for a PairSymMap sorted within the
+front and within the pair); lookups on other orderings canonicalize by a
+plain sort on a table whose ghosts are all even, else with the Koszul sign.
 """
 
 from __future__ import annotations
@@ -123,16 +123,19 @@ class SymMap:
 class PairSymMap(SymMap):
     """Map on S^(n-2)H (x) S^2H: symmetric in the front block and in the pair.
 
-    Keys are flat index tuples whose last two entries form the pair.
+    Keys are flat index tuples whose last two entries form the pair.  Level
+    one runs after `solve_level_zero` has refused odd ghosts, so the ghosts
+    are even and a key sorts its front and its pair.
     """
+
+    def __init__(self, arity: int, ghosts, zero_value):
+        if any(g % 2 for g in ghosts):
+            raise ValueError("a pair table needs even ghosts")
+        super().__init__(arity, ghosts, zero_value)
 
     def canon(self, idxs):
         idxs = tuple(idxs)
-        if not self.odd:
-            return tuple(sorted(idxs[:-2])) + tuple(sorted(idxs[-2:])), 1
-        fkey, fsign = sort_sign(idxs[:-2], [self.ghosts[i] for i in idxs[:-2]])
-        pkey, psign = sort_sign(idxs[-2:], [self.ghosts[i] for i in idxs[-2:]])
-        return fkey + pkey, fsign * psign
+        return tuple(sorted(idxs[:-2])) + tuple(sorted(idxs[-2:])), 1
 
     # perfbench's tracer looks `get` up in this class's own __dict__
     get = SymMap.get

@@ -166,9 +166,6 @@ class PolyElement(Combination):
             raise ValueError("element is not homogeneous")
         return gs.pop()
 
-    def x_degree(self) -> int:
-        return max((sum(exp) for exp, _ in self.terms), default=0)
-
     # -- product -------------
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, HPoly)):

@@ -323,21 +323,15 @@ class Combination:
 
     The canonical form is decided here once: every stored coefficient is
     nonzero, a key whose coefficient cancels is dropped, and a missing key
-    compares as an exact zero.  A coefficient is an HPoly or any value that
-    answers `_combine`, `+`, unary minus, `is_zero` and `==` (an HVector or a
-    PolyElement coefficient of a TSeries).  `scale` multiplies each
-    coefficient on the right; the h-window methods read HPoly coefficients.
-    A subclass supplies `_like(terms)`, a value of its own shape over
-    canonical terms, and `_zero()` when its coefficients are not HPoly.
+    compares as an exact zero.  Every coefficient is an HPoly.  `scale`
+    multiplies each coefficient on the right.  A subclass supplies
+    `_like(terms)`, a value of its own shape over canonical terms.
     """
 
     __slots__ = ("terms",)
 
     def _like(self, terms: dict):
         raise NotImplementedError
-
-    def _zero(self):
-        return HPoly.zero()
 
     def _add_at(self, key, value) -> None:
         """Add a nonzero value at one key in place; a cancelled key drops."""
@@ -397,7 +391,7 @@ class Combination:
         if not isinstance(other, type(self)):
             return NotImplemented
         a, b = self.terms, other.terms
-        zero = self._zero()
+        zero = HPoly.zero()
         return all(a.get(k, zero) == b.get(k, zero) for k in a.keys() | b.keys())
 
     def is_zero(self) -> bool:

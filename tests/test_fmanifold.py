@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -13,11 +14,11 @@ from bvcorr import cli, levelzero
 from bvcorr.fmanifold import (
     FlatCoords,
     TSeries,
-    assemble_series,
     flat_coordinate_report,
     generating_function,
     structure_constants,
     theta_mc_report,
+    table_terms,
     theta_series,
     wdvv_report,
 )
@@ -26,7 +27,7 @@ from bvcorr.hspace import HVector
 from bvcorr.polyalg import DescendantFamily, PolyElement, Potential
 from bvcorr.report import Report
 from bvcorr.retract import build_retract, quantize_retract
-from bvcorr.scalars import HPoly
+from bvcorr.scalars import INF_TRUNC, HPoly
 from bvcorr.slinf import Expectation
 from bvcorr.solver import mhat_symmetric, solve_level_one, solve_level_zero
 
@@ -44,20 +45,34 @@ def _hp(v):
 
 
 def test_tseries_even_commutativity():
-    s = TSeries(2, 4, HPoly.zero())
+    s = TSeries(2, 4)
     s.add_term((1, 0), _hp(2))
-    t = TSeries(2, 4, HPoly.zero())
+    t = TSeries(2, 4)
     t.add_term((0, 1), _hp(3))
     assert (s * t).coeff((1, 1)) == _hp(6)
     assert (t * s).coeff((1, 1)) == _hp(6)
 
 
-def test_assemble_series_even_multiplicities():
-    # F_n = 1 for every tuple: the coefficient of t^e is 1/prod(e_i!)
-    s = assemble_series(2, 3, HPoly.zero(), lambda o: _hp(1), range(1, 4))
-    assert s.coeff((2, 0)) == _hp(Fraction(1, 2))
-    assert s.coeff((3, 0)) == _hp(Fraction(1, 6))
-    assert s.coeff((1, 1)) == _hp(1)
+def test_table_terms_divides_by_the_key_factorial():
+    # the key k is the exponent of t^k and its entry the coefficient of t^k/k!
+    items = [((), _hp(5)), ((0, 0), _hp(1)), ((0, 0, 0), _hp(1)), ((0, 1), _hp(1)),
+             ((0, 1, 1, 1), _hp(12)), ((1,), HPoly.zero()), ((0, 0, 1), HPoly.h(-2))]
+    got = table_terms(2, items)
+    assert got == {
+        (0, 0): _hp(5),  # the empty key is the zero exponent
+        (2, 0): _hp(Fraction(1, 2)),
+        (3, 0): _hp(Fraction(1, 6)),
+        (1, 1): _hp(1),  # distinct indices: 1! 1! = 1
+        (1, 3): _hp(2),
+        (2, 1): HPoly({-2: Fraction(1, 2)}),
+    }
+    assert (0, 1) not in got  # a zero value is dropped
+    # an entry that needs no division is the table's own value
+    one = _hp(7)
+    assert table_terms(3, [((0, 2), one)])[(1, 0, 1)] is one
+    # the values may be elements of C
+    x = PolyElement.x(0, 1)
+    assert table_terms(1, [((0, 0), x)]) == {(2,): x.scale(Fraction(1, 2))}
 
 
 def test_structure_constants_unity_and_values(a3_run):
@@ -66,7 +81,7 @@ def test_structure_constants_unity_and_values(a3_run):
     dim = z.dim
     for b in range(dim):
         for c in range(dim):
-            want = TSeries(dim, 2, HPoly.zero())
+            want = TSeries(dim, 2)
             if b == c:
                 want.add_term((0,) * dim, _hp(1))
             assert A[(0, b)][c] == want
@@ -203,8 +218,19 @@ def test_theta_mc(a3_run):
     rep = theta_mc_report(z, fam, 3)
     assert rep.ok
     theta = theta_series(z, 3)
-    d0 = theta.derivative(0)
-    assert d0.coeff((0, 0, 0)) == PolyElement.one(1)
+    # d_0 Theta = 1_C
+    assert theta[(1, 0, 0)] == PolyElement.one(1)
+    assert [e for e in theta if e[0]] == [(1, 0, 0)]
+
+
+@pytest.mark.parametrize("n, key", [(1, (0,)), (2, (0, 2))], ids=["unit", "t0-power"])
+def test_theta_d0_fails_off_the_unit(a3_run, monkeypatch, n, key):
+    # d_0 Theta = 1_C: Theta holds 1_C at t_0 and no other t_0 power
+    q, z, o, ms = a3_run
+    bad = z.phi0[n].get(key) + PolyElement.one(1)
+    monkeypatch.setitem(z.phi0[n].values, key, bad)
+    rep = theta_mc_report(z, DescendantFamily(q.pot), 3)
+    assert "d_0 Theta != 1_C" in [v.residual for v in rep.violations]
 
 
 def test_ell_3_vanishes_on_theta_monomials(a3_run):
@@ -212,9 +238,9 @@ def test_ell_3_vanishes_on_theta_monomials(a3_run):
     q, z, o, ms = a3_run
     fam = DescendantFamily(q.pot)
     theta = theta_series(z, 3)
-    assert len(theta.terms) > 1
-    for triple in combinations_with_replacement(sorted(theta.terms), 3):
-        assert fam.ell(3, [theta.terms[e] for e in triple]).is_zero(), triple
+    assert len(theta) > 1
+    for triple in combinations_with_replacement(sorted(theta), 3):
+        assert fam.ell(3, [theta[e] for e in triple]).is_zero(), triple
 
 
 def test_theta_mc_fails_on_a_corrupted_phi0(a3_run, monkeypatch):
@@ -278,11 +304,12 @@ def test_cli_generating_function_matches_the_library_expectation(tmp_path, terms
 
 
 def _fold_product(a, b):
-    """a * b by the double loop over terms, summed term by term."""
-    out = TSeries(a.dim, a.t_order, a.zero_value)
+    """a * b by the double loop over terms, summed term by term; each
+    coefficient product is a one-pair `HPoly.dot`, not `_times`' shift."""
+    out = TSeries(a.dim, a.t_order)
     for ea, va in a.terms.items():
         for eb, vb in b.terms.items():
-            out.add_term(tuple(x + y for x, y in zip(ea, eb)), va * vb)
+            out.add_term(tuple(x + y for x, y in zip(ea, eb)), HPoly.dot(((va, vb),)))
     return out
 
 
@@ -303,7 +330,7 @@ def _two_pass_report(fc, A, t_order):
                 rep.add(0, (b, c), "boundary derivative fails")
         rep.checks += 1
         lhs = fc.T[c].derivative(0)
-        rhs = TSeries(dim, t_order, HPoly.zero())
+        rhs = TSeries(dim, t_order)
         if c == 0:
             rhs.add_term(zero_exp, HPoly.const(1))
         rhs = rhs + fc.T[c].scale(HPoly.neg_h(-1))
@@ -323,7 +350,7 @@ def _two_pass_report(fc, A, t_order):
                         term = _fold_product(A[(a, b)][r], fc.T[c].derivative(r))
                         transport = term if transport is None else transport + term
                     resid = second + transport.scale(sgn)
-                    if not resid.eq_through(TSeries(dim, t_order, HPoly.zero()), t_order - 2):
+                    if not resid.eq_through(TSeries(dim, t_order), t_order - 2):
                         ok = False
         verdicts.append((sign_name, ok))
     holding = [name for name, ok in verdicts if ok]
@@ -405,12 +432,17 @@ def test_a_corruption_seen_only_on_the_diagonal_resolves_to_neither():
 # -- TSeries.dot against the fold of products -------------
 
 
-def _random_series(rng, dim, order, windowed):
-    s = TSeries(dim, order, HPoly.zero())
+def _random_series(rng, dim, order, windowed, shifts=False):
+    """A random series; with `shifts`, about a third of its coefficients are
+    one exact term s h^j, whose products `_times` takes as shifts."""
+    s = TSeries(dim, order)
     for _ in range(rng.randint(1, 5)):
         exp = [0] * dim
         for _ in range(rng.randint(0, order)):
             exp[rng.randrange(dim)] += 1
+        if shifts and rng.random() < 0.35:
+            s.add_term(exp, HPoly({rng.randint(-2, 3): rng.choice([1, -1, 2, Fraction(-3, 4)])}))
+            continue
         coeffs = {rng.randint(-2, 3): Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                   for _ in range(rng.randint(1, 3))}
         trunc = rng.randint(3, 6) if windowed and rng.random() < 0.5 else None
@@ -423,13 +455,41 @@ def _exact(series):
             for e, v in series.terms.items()}
 
 
+def _one_term_exact(v):
+    return v.trunc >= INF_TRUNC and len(v.c) == 1
+
+
+def _one_pair_shifts(pairs, order):
+    """Counts of the t-exponents that one coefficient product reaches, with
+    one factor a single exact term and the other factor windowed or exact."""
+    cols = {}
+    for a, b in pairs:
+        for ea, va in a.terms.items():
+            for eb, vb in b.terms.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                if sum(e) <= order:
+                    cols.setdefault(e, []).append((va, vb))
+    windowed = exact = 0
+    for col in cols.values():
+        if len(col) == 1 and any(map(_one_term_exact, col[0])):
+            x, y = col[0]
+            other = y if _one_term_exact(x) else x
+            exact += other.trunc >= INF_TRUNC
+            windowed += other.trunc < INF_TRUNC
+    return windowed, exact
+
+
 def test_tseries_dot_matches_the_fold():
     compared = cut = cancelled = 0
-    for seed in range(60):
+    shifted = [0, 0]
+    # seeds 60.. give some coefficients one exact term, so one-pair columns
+    # close through `_times` as shifts, against windowed and exact factors
+    for seed in range(120):
         rng = random.Random(seed)
+        shifts = seed >= 60
         dim, order = rng.randint(1, 3), rng.randint(1, 4)
-        pairs = [(_random_series(rng, dim, order, seed % 2 == 1),
-                  _random_series(rng, dim, order, seed % 3 == 1))
+        pairs = [(_random_series(rng, dim, order, seed % 2 == 1, shifts),
+                  _random_series(rng, dim, order, seed % 3 == 1, shifts))
                  for _ in range(rng.randint(1, 4))]
         # the negated first pair cancels every exponent only it reaches
         pairs.append((-pairs[0][0], pairs[0][1]))
@@ -451,9 +511,12 @@ def test_tseries_dot_matches_the_fold():
         if not running_cancel:
             compared += 1
             assert _exact(got) == _exact(fold)
+            if shifts:
+                shifted = list(map(add, shifted, _one_pair_shifts(pairs, order)))
         # a product is the one-pair case
         assert _exact(pairs[0][0] * pairs[0][1]) == _exact(first)
-    assert compared >= 50 and cut >= 60 and cancelled >= 20
+    assert compared >= 100 and cut >= 120 and cancelled >= 40
+    assert min(shifted) >= 10, shifted
 
 
 # -- bvcorr fmanifold reads mhat_n = (-1)^n [h^(n-2)] pi0_n off level zero

@@ -8,21 +8,8 @@ from bvcorr.hspace import HVector, PairSymMap, SymMap
 from bvcorr.partitions import sort_sign
 from bvcorr.scalars import HPoly
 
-# basis 0 and 3 even, 1 and 2 odd
-PAIR_GHOSTS = [0, -1, 1, 2]
-
-
-def _koszul(block):
-    """Sign that sorts `block` by adjacent swaps; 0 on a repeated odd index."""
-    odd = [PAIR_GHOSTS[i] % 2 for i in block]
-    if any(odd[a] and block[a] == block[b]
-           for a in range(len(block)) for b in range(a + 1, len(block))):
-        return 0
-    inversions = sum(
-        1 for a in range(len(block)) for b in range(a + 1, len(block))
-        if block[a] > block[b] and odd[a] and odd[b]
-    )
-    return -1 if inversions % 2 else 1
+# a pair table takes even ghosts only
+PAIR_GHOSTS = [0, 2, -2, 0]
 
 
 def _pair_table(arity):
@@ -34,32 +21,25 @@ def _pair_table(arity):
         list(itertools.combinations_with_replacement(range(4), 2)),
     ):
         key = front + pair
-        if _koszul(front) and _koszul(pair):
-            expected[key] = HVector({len(expected) % 4: HPoly({0: len(expected) + 1, 1: 1})})
-            t.set(key, expected[key])
+        expected[key] = HVector({len(expected) % 4: HPoly({0: len(expected) + 1, 1: 1})})
+        t.set(key, expected[key])
     return t, expected
 
 
-def test_pair_symmap_flat_keys_and_koszul_signs():
+def test_pair_symmap_flat_keys_and_symmetry():
     for arity in (2, 3, 4):
         t, expected = _pair_table(arity)
-        assert expected, "the fill must not be empty"
         # keys() is flat and sorted as the nested (front, pair) keys were
         keys = t.keys()
         assert keys == sorted(expected)
         assert all(len(k) == arity and all(isinstance(i, int) for i in k) for k in keys)
         assert keys == sorted(keys, key=lambda k: (k[:-2], k[-2:]))
+        # any order inside the front and inside the pair reads the same entry
         for key, value in expected.items():
             front, pair = key[:-2], key[-2:]
             for f in set(itertools.permutations(front)):
                 for p in set(itertools.permutations(pair)):
-                    sign = _koszul(f) * _koszul(p)
-                    assert sign != 0
-                    got = t.get(f + p)
-                    assert got == (value if sign > 0 else -value), (f, p)
-        # a repeated odd element inside one block reads as zero
-        for odd_pair in ((1, 1), (2, 2)):
-            assert t.get((0,) * (arity - 2) + odd_pair).is_zero()
+                    assert t.get(f + p) == value, (f, p)
 
 
 def test_pair_symmap_split_is_part_of_the_key():
@@ -70,13 +50,12 @@ def test_pair_symmap_split_is_part_of_the_key():
     assert t.get((0, 1, 2, 3)).is_zero()
     t.set((0, 3, 1, 2), HVector.basis(1))
     assert t.keys() == [(0, 3, 1, 2), (1, 2, 0, 3)]
-    # swapping the two odd entries of a block flips the sign, even ones do not
-    assert t.get((2, 1, 0, 3)) == -HVector.basis(0)
+    assert t.get((2, 1, 0, 3)) == HVector.basis(0)
     assert t.get((1, 2, 3, 0)) == HVector.basis(0)
-    assert t.get((3, 0, 2, 1)) == -HVector.basis(1)
-    # a set through a non-canonical ordering stores the signed canonical value
+    assert t.get((3, 0, 2, 1)) == HVector.basis(1)
+    # a set through a non-canonical ordering stores at the canonical key
     t.set((3, 1, 2, 1), HVector.basis(2))
-    assert t.values[(1, 3, 1, 2)] == -HVector.basis(2)
+    assert t.values[(1, 3, 1, 2)] == HVector.basis(2)
     assert t.get((3, 1, 2, 1)) == HVector.basis(2)
 
 
@@ -91,9 +70,17 @@ def test_pair_symmap_map_values_and_classical_part_keep_the_type():
         assert out.keys() == sorted(expected)
         for key in expected:
             assert out.get(key) == want[key]
-        # the pair canon still applies: a swap inside the odd pair flips the sign
-        assert out.get((0, 2, 1)) == -out.get((0, 1, 2))
+        # the pair canon still applies: the pair reads in either order
+        assert out.get((0, 2, 1)) == out.get((0, 1, 2)) == want[(0, 1, 2)]
     assert t.h_degree() == 1
+
+
+def test_pair_symmap_refuses_odd_ghosts():
+    # the level-one tables are built after level zero has refused odd
+    # ghosts, so a pair table has no Koszul signs to take
+    for ghosts in ([0, -1, 1, 2], [0, 0, 3]):
+        with pytest.raises(ValueError, match="even ghosts"):
+            PairSymMap(3, ghosts, HVector.zero())
 
 
 def _refuse(*args):
@@ -122,9 +109,6 @@ def test_odd_tables_keep_the_koszul_sign():
     assert t.canon((2, 0, 1)) == ((0, 1, 2), -1)
     assert t.canon((1, 3, 1)) == ((1, 1, 3), 0)
     assert t.canon((3, 0, 2)) == ((0, 2, 3), 1)
-    p = PairSymMap(4, [0, -1, 1, 2], HVector.zero())
-    assert p.canon((3, 0, 2, 1)) == ((0, 3, 1, 2), -1)
-    assert p.canon((0, 3, 2, 2)) == ((0, 3, 2, 2), 0)
     # one odd ghost anywhere in the table keeps the signed path for every key
     t = SymMap(2, [0, 2, 1], HVector.zero())
     t.set((1, 0), HVector.basis(0))

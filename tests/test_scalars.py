@@ -278,7 +278,7 @@ windowed = st.builds(
 
 
 def _tseries(terms):
-    s = TSeries(2, 3, HPoly.zero())
+    s = TSeries(2, 3)
     for e, v in terms.items():
         s.add_term(e, v)
     return s
