@@ -82,7 +82,7 @@ def criterion_1_bv_axioms():
     start = time.time()
     for k in (2, 3):
         pot = Potential.a_k(k)
-        span = spanning_monomials(1, 8, eta_count=2)
+        span = spanning_monomials(1, 8)
         for m in span:
             if not delta_op(delta_op(m)).is_zero():
                 return False, f"Delta^2 != 0 on {m} (A{k})"
@@ -307,8 +307,7 @@ def criterion_6_level_one():
         if not rep.ok:
             v = rep.violations[0]
             return False, f"A{k}: {v.residual} at {v.where}"
-        fam = DescendantFamily(pot)
-        repM = verify_M_identity(q, z, o, 5, fam)
+        repM = verify_M_identity(q, z, o, 5)
         if not repM.ok:
             v = repM.violations[0]
             return False, f"A{k}: {v.residual} at {v.where}"

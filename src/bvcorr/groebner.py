@@ -5,24 +5,18 @@ order is graded lexicographic.  The Milnor data of a potential holds a
 reduced Groebner basis for the Jacobian ideal together with cofactor
 expressions of each basis element over the original generators, so that
 normal-form witnesses can always be written against dS/dx_i directly.
+Buchberger keeps an element and its cofactors as one row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from operator import add
 
 
 class NonIsolatedError(ValueError):
     """The Jacobian ideal has an infinite staircase (non-isolated singularity)."""
-
-
-def p_zero() -> dict:
-    return {}
-
-
-def p_is_zero(p: dict) -> bool:
-    return not p
 
 
 def p_add(a: dict, b: dict) -> dict:
@@ -91,8 +85,8 @@ def divide(p: dict, gens: list) -> tuple:
     dict in place; the reduced exponents strictly fall, so each quotient term
     is written once.
     """
-    quots = [p_zero() for _ in gens]
-    rem = p_zero()
+    quots = [{} for _ in gens]
+    rem = {}
     work = dict(p)
     leads = [lead(g) for g in gens]
     tails = [[(e, c) for e, c in g.items() if e != le] for g, (le, _) in zip(gens, leads)]
@@ -118,117 +112,87 @@ def divide(p: dict, gens: list) -> tuple:
     return quots, rem
 
 
-def s_poly(f: dict, g: dict) -> dict:
-    (ef, cf), (eg, cg) = lead(f), lead(g)
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    return p_sub(
-        p_mul_term(f, _exp_sub(lcm, ef), Fraction(1) / cf),
-        p_mul_term(g, _exp_sub(lcm, eg), Fraction(1) / cg),
-    )
+def _lcm(e1: tuple, e2: tuple) -> tuple:
+    return tuple(map(max, e1, e2))
 
 
 def buchberger(gens: list) -> tuple:
     """Reduced monic Groebner basis with cofactors over the input generators.
 
     Returns (basis, cofactors); basis[i] = sum_j cofactors[i][j] * gens[j].
-    Uses Buchberger's first criterion (coprime leading monomials) only.
+    Each element is kept as one row [g, c_1, ..., c_m] with g = sum_j c_j
+    gens[j], so an S-pair or a reduction acts on the whole row.  Uses
+    Buchberger's first criterion (coprime leading monomials) only.
     """
     gens = [dict(g) for g in gens if g]
     if not gens:
         raise ValueError("zero Jacobian ideal")
-    nv = len(next(iter(gens[0])))
-    basis = []
-    cofs = []  # cofactor row per basis element
-    for j, g in enumerate(gens):
-        row = [p_zero() for _ in gens]
-        row[j] = {(0,) * nv: Fraction(1)}
-        basis.append(g)
-        cofs.append(row)
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    one = (0,) * len(next(iter(gens[0])))
+    rows = [
+        [g] + [{one: Fraction(1)} if k == j else {} for k in range(len(gens))]
+        for j, g in enumerate(gens)
+    ]
+    pairs = [(i, j) for i in range(len(rows)) for j in range(i)]
     while pairs:
         pairs.sort(
-            key=lambda ij: grlex_key(
-                tuple(
-                    max(a, b)
-                    for a, b in zip(lead(basis[ij[0]])[0], lead(basis[ij[1]])[0])
-                )
-            )
+            key=lambda ij: grlex_key(_lcm(lead(rows[ij[0]][0])[0], lead(rows[ij[1]][0])[0]))
         )
         i, j = pairs.pop(0)
-        ei, ej = lead(basis[i])[0], lead(basis[j])[0]
+        (ei, ci), (ej, cj) = lead(rows[i][0]), lead(rows[j][0])
         if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             continue  # coprime leads reduce to zero
-        spair = s_poly(basis[i], basis[j])
-        # track the cofactor of the s-polynomial
-        (efi, cfi), (efj, cfj) = lead(basis[i]), lead(basis[j])
-        lcm = tuple(max(a, b) for a, b in zip(efi, efj))
+        # the S-row: both rows lifted to the lcm of their leads, subtracted
+        lcm = _lcm(ei, ej)
         srow = [
             p_sub(
-                p_mul_term(cofs[i][k], _exp_sub(lcm, efi), Fraction(1) / cfi),
-                p_mul_term(cofs[j][k], _exp_sub(lcm, efj), Fraction(1) / cfj),
+                p_mul_term(f, _exp_sub(lcm, ei), Fraction(1) / ci),
+                p_mul_term(g, _exp_sub(lcm, ej), Fraction(1) / cj),
             )
-            for k in range(len(gens))
+            for f, g in zip(rows[i], rows[j])
         ]
-        quots, rem = divide(spair, basis)
-        if p_is_zero(rem):
-            continue
-        rrow = [
-            p_sub(srow[k], _sum_products(quots, [c[k] for c in cofs]))
-            for k in range(len(gens))
-        ]
-        pairs.extend((len(basis), t) for t in range(len(basis)))
-        basis.append(rem)
-        cofs.append(rrow)
-    return _reduce_basis(basis, cofs)
+        row = _reduce(srow, rows)
+        if row:
+            pairs.extend((len(rows), t) for t in range(len(rows)))
+            rows.append(row)
+    return _reduce_basis(rows)
 
 
 def _sum_products(quots: list, cof_col: list) -> dict:
-    acc = p_zero()
+    acc = {}
     for q, c in zip(quots, cof_col):
         if q and c:
             acc = p_add(acc, p_mul(q, c))
     return acc
 
 
-def _reduce_basis(basis: list, cofs: list) -> tuple:
-    # drop redundant elements (lead divisible by another lead), then
-    # inter-reduce tails and normalize to monic, keeping cofactors in sync
+def _reduce(row: list, rows: list) -> list:
+    """row[0]'s remainder by the rows' elements, with cofactors to match.
+
+    The cofactors follow the division quotients; [] when the remainder is zero.
+    """
+    quots, rem = divide(row[0], [r[0] for r in rows])
+    if not rem:
+        return []
+    return [rem] + [
+        p_sub(c, _sum_products(quots, [r[k] for r in rows]))
+        for k, c in enumerate(row[1:], 1)
+    ]
+
+
+def _reduce_basis(rows: list) -> tuple:
+    # drop redundant rows (lead divisible by a kept or later lead), sort by
+    # lead, reduce each row once by the others and scale it monic; one pass
+    # suffices, since the elements of a minimal basis keep their leads
+    leads = [lead(r[0])[0] for r in rows]
     keep = []
-    for i, g in enumerate(basis):
-        ei = lead(g)[0]
-        if any(
-            _divides(lead(basis[j])[0], ei)
-            for j in range(len(basis))
-            if j != i and (j in keep or j > i)
-        ):
-            continue
-        keep.append(i)
-    basis = [basis[i] for i in keep]
-    cofs = [cofs[i] for i in keep]
-    order = sorted(range(len(basis)), key=lambda i: grlex_key(lead(basis[i])[0]))
-    basis = [basis[i] for i in order]
-    cofs = [cofs[i] for i in order]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = [basis[j] for j in range(len(basis)) if j != i]
-            if not others:
-                continue
-            quots, rem = divide(basis[i], others)
-            if rem != basis[i]:
-                changed = True
-                idxs = [j for j in range(len(basis)) if j != i]
-                for q, j in zip(quots, idxs):
-                    for k in range(len(cofs[i])):
-                        cofs[i][k] = p_sub(cofs[i][k], p_mul(q, cofs[j][k]))
-                basis[i] = rem
-    out_b, out_c = [], []
-    for g, row in zip(basis, cofs):
-        _, lc = lead(g)
-        out_b.append(p_scale(g, Fraction(1) / lc))
-        out_c.append([p_scale(c, Fraction(1) / lc) for c in row])
-    return out_b, out_c
+    for i, ei in enumerate(leads):
+        if not any(_divides(leads[j], ei) for j in keep + list(range(i + 1, len(rows)))):
+            keep.append(i)
+    rows = sorted((rows[i] for i in keep), key=lambda r: grlex_key(lead(r[0])[0]))
+    for i in range(len(rows)):
+        rows[i] = _reduce(rows[i], rows[:i] + rows[i + 1:])
+    rows = [[p_scale(p, Fraction(1) / lead(row[0])[1]) for p in row] for row in rows]
+    return [r[0] for r in rows], [r[1:] for r in rows]
 
 
 class MilnorData:
@@ -237,54 +201,36 @@ class MilnorData:
     def __init__(self, pot):
         self.pot = pot
         gens = pot.jacobian()
-        if any(p_is_zero(g) for g in gens):
+        if not all(gens):
             raise NonIsolatedError("a Jacobian generator vanishes identically")
         self.gens = gens
         self.gb, self.cofactors = buchberger(gens)
         self.n_vars = pot.n_vars
-        self._check_staircase()
         self.basis = self._standard_monomials()
         self._divisions = {}
         self._witness_cache = {}
 
-    def _check_staircase(self):
+    def _standard_monomials(self) -> list:
+        """Monomials under the staircase, in the box below the pure powers."""
         leads = [lead(g)[0] for g in self.gb]
+        if (0,) * self.n_vars in leads:
+            raise NonIsolatedError(
+                "the Jacobian ideal is the unit ideal: the potential has no critical point"
+            )
+        bounds = []
         for i in range(self.n_vars):
-            if not any(
-                e[i] > 0 and all(e[j] == 0 for j in range(self.n_vars) if j != i)
-                for e in leads
-            ):
+            # with no constant lead, e is a power of x_i alone iff e_i = |e|
+            pure = [e[i] for e in leads if e[i] == sum(e)]
+            if not pure:
                 raise NonIsolatedError(
                     f"no pure power of x{i} among leading terms: "
                     "non-isolated singularity"
                 )
-
-    def _standard_monomials(self) -> list:
-        leads = [lead(g)[0] for g in self.gb]
-        bounds = []
-        for i in range(self.n_vars):
-            pure = [
-                e[i]
-                for e in leads
-                if e[i] > 0 and all(e[j] == 0 for j in range(self.n_vars) if j != i)
-            ]
             bounds.append(min(pure))
-        out = []
-
-        def rec(prefix):
-            if len(prefix) == self.n_vars:
-                e = tuple(prefix)
-                if not any(_divides(le, e) for le in leads):
-                    out.append(e)
-                return
-            for k in range(bounds[len(prefix)]):
-                rec(prefix + [k])
-
-        rec([])
-        out.sort(key=grlex_key)
-        if out[0] != (0,) * self.n_vars:
-            raise NonIsolatedError("unit missing from the quotient basis")
-        return out
+        box = product(*map(range, bounds))
+        return sorted(
+            (e for e in box if not any(_divides(le, e) for le in leads)), key=grlex_key
+        )
 
     @property
     def dimension(self) -> int:
@@ -317,14 +263,14 @@ class MilnorData:
 
     def normal_form(self, p: dict) -> dict:
         """Normal form of an x-polynomial, extended monomial-by-monomial."""
-        acc = p_zero()
+        acc = {}
         for exp in sorted(p, key=grlex_key):
             acc = p_add(acc, p_scale(self.normal_form_monomial(exp), p[exp]))
         return acc
 
     def witnesses(self, p: dict) -> list:
         """Division witnesses of p over the Jacobian generators (linear in p)."""
-        acc = [p_zero() for _ in self.gens]
+        acc = [{} for _ in self.gens]
         for exp in sorted(p, key=grlex_key):
             for i, w in enumerate(self.witness_monomial(exp)):
                 acc[i] = p_add(acc[i], p_scale(w, p[exp]))

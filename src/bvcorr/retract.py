@@ -36,10 +36,8 @@ SPAN_DEGREE = 8  # x-degree of the monomials the retract identities are checked 
 _ONE, _MINUS_ONE = HPoly.neg_h(0), HPoly.neg_h(0, -1)
 
 
-def spanning_monomials(n_vars: int, x_degree: int, eta_count: int | None = None):
+def spanning_monomials(n_vars: int, x_degree: int):
     """Monomials of C with bounded x-degree: the operator-identity test set."""
-    if eta_count is None:
-        eta_count = n_vars
     exps = []
 
     def rec(prefix, left):
@@ -52,7 +50,7 @@ def spanning_monomials(n_vars: int, x_degree: int, eta_count: int | None = None)
     rec([], x_degree)
     etasets = [()]
     for i in range(n_vars):
-        etasets = etasets + [t + (i,) for t in etasets if len(t) < eta_count and (not t or t[-1] < i)]
+        etasets = etasets + [t + (i,) for t in etasets if not t or t[-1] < i]
     out = []
     for exp in sorted(exps):
         for etas in sorted(etasets, key=lambda t: (len(t), t)):

@@ -284,15 +284,13 @@ def verify_M_identity(
     z: LevelZeroSolution,
     o: LevelOneSolution,
     n_max: int,
-    fam: DescendantFamily | None = None,
 ) -> Report:
     """Check M0_n = fhat mhat_n + Khat phim1_n plus the classical route.
 
     The classical variant drops the quantum corrections and recovers mhat as
     h of the classical M_n; both routes must agree, and K kills classical M.
     """
-    if fam is None:
-        fam = DescendantFamily(q.pot)
+    fam = DescendantFamily(q.pot)
     rep = Report()
     minus_one = HPoly.neg_h(0, -1)
     for n in range(2, n_max + 1):

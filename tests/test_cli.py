@@ -57,6 +57,17 @@ def test_non_isolated_rejeted(tmp_path):
     assert b"non-isolated" in r.stderr
 
 
+def test_unit_ideal_rejected(tmp_path):
+    # S = x0 + x1^2 has no critical point
+    doc = dict(A2_JOB, potential={"n_vars": 2, "terms": [[[1, 0], "1"], [[0, 2], "1"]]})
+    r = run_cli("basis", "--input", write_job(tmp_path, doc))
+    assert r.returncode == 2
+    assert r.stderr.decode().splitlines() == [
+        "input rejected: the Jacobian ideal is the unit ideal: "
+        "the potential has no critical point"
+    ]
+
+
 def test_invalid_schema_rejected(tmp_path):
     path = write_job(tmp_path, {"schema": 2})
     r = run_cli("basis", "--input", path)

@@ -35,6 +35,17 @@ def test_non_isolated_rejected():
         MilnorData(pot)
 
 
+@pytest.mark.parametrize("pot", [
+    Potential.a_k(0),  # S = x
+    Potential(2, {(1, 0): Fraction(1), (0, 2): Fraction(1)}),  # S = x0 + x1^2
+], ids=["x", "x0+x1^2"])
+def test_unit_ideal_rejected(pot):
+    with pytest.raises(NonIsolatedError, match=(
+        "^the Jacobian ideal is the unit ideal: the potential has no critical point$"
+    )):
+        MilnorData(pot)
+
+
 def test_two_variable_isolated():
     pot = Potential(2, {(3, 0): Fraction(1, 3), (0, 3): Fraction(1, 3)})
     mil = MilnorData(pot)
@@ -80,16 +91,25 @@ def test_normal_form_idempotent():
 
 
 def test_buchberger_cofactors():
-    gens = [
+    toy = [
         {(2, 0): Fraction(1), (0, 1): Fraction(1)},
         {(1, 1): Fraction(1)},
     ]
-    basis, cofs = buchberger(gens)
-    for g, row in zip(basis, cofs):
-        acc = {}
-        for q, src in zip(row, gens):
-            acc = p_add(acc, p_mul(q, src))
-        assert acc == g
+    pots = {**DIVISION_POTENTIALS, **ORACLE_POTENTIALS}
+    for gens in [toy] + [pot.jacobian() for pot in pots.values()]:
+        basis, cofs = buchberger(gens)
+        leads = [lead(g)[0] for g in basis]
+        for i, (g, row) in enumerate(zip(basis, cofs)):
+            acc = {}
+            for q, src in zip(row, gens):
+                acc = p_add(acc, p_mul(q, src))
+            assert acc == g
+            # reduced: monic, and no term lies under another element's lead
+            assert lead(g)[1] == 1
+            assert not any(
+                all(a <= b for a, b in zip(le, e))
+                for e in g for j, le in enumerate(leads) if j != i
+            )
 
 
 def test_division_remainder_irreducible():
@@ -110,6 +130,36 @@ DIVISION_POTENTIALS = {
     "e7": Potential(
         2, {(3, 0): Fraction(1, 3), (1, 3): Fraction(1),
             (1, 1): Fraction(1, 2), (0, 2): Fraction(1, 3)}),
+}
+
+
+def _random_isolated(count):
+    """Seeded two-variable potentials x0^a + x1^b plus terms of lower weight.
+
+    Every added term has weighted degree e0/a + e1/b < 1, so the Jacobian
+    ideal has the quasi-homogeneous leading forms x0^(a-1), x1^(b-1) and a
+    finite quotient.
+    """
+    rnd = random.Random("buchberger-oracle")
+    out = {}
+    for t in range(count):
+        a, b = rnd.randint(2, 5), rnd.randint(2, 5)
+        terms = {(a, 0): Fraction(rnd.randint(1, 3)), (0, b): Fraction(rnd.choice([-2, -1, 1, 3]))}
+        for _ in range(rnd.randint(1, 4)):
+            e = (rnd.randrange(a), rnd.randrange(b))
+            if 0 < sum(e) and e[0] * b + e[1] * a < a * b:
+                terms[e] = Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))
+        out[f"random{t}"] = Potential(2, terms)
+    return out
+
+
+ORACLE_POTENTIALS = {
+    **{f"A{k}": Potential.a_k(k) for k in range(2, 9)},
+    "D4": Potential(2, {(2, 1): Fraction(1), (0, 3): Fraction(1, 3)}),
+    "E6": Potential(2, {(3, 0): Fraction(1), (0, 4): Fraction(1)}),
+    "E7": Potential(2, {(3, 0): Fraction(1), (1, 3): Fraction(1)}),
+    "E8": Potential(2, {(3, 0): Fraction(1), (0, 5): Fraction(1)}),
+    **_random_isolated(6),
 }
 
 
@@ -179,3 +229,35 @@ def test_division_against_sympy_on_the_milnor_basis(name):
         assert not any(all(a <= b for a, b in zip(le, e)) for e in rem for le in leads)
         _, want = sympy.reduced(expr(p), basis, *x, order="grlex")
         assert sympy.expand(expr(rem) - want) == 0
+
+
+def _sympy_monic_basis(sympy, gens, n_vars):
+    """sympy's reduced grlex basis as monic {exponent: Fraction} dicts."""
+    x = sympy.symbols(f"x0:{n_vars}")
+    exprs = [
+        sympy.Add(*(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(
+            v ** k for v, k in zip(x, e))) for e, c in g.items()))
+        for g in gens
+    ]
+    out = []
+    for g in sympy.groebner(exprs, *x, order="grlex").exprs:
+        p = dict(sympy.Poly(g, *x).terms())
+        _, lc = lead(p)
+        out.append({e: Fraction(str(c / lc)) for e, c in p.items()})
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
+def test_buchberger_against_sympy(name):
+    # the reduced grlex basis is unique, so it is a value to compare
+    sympy = pytest.importorskip("sympy")
+    pot = ORACLE_POTENTIALS[name]
+    basis, _ = buchberger(pot.jacobian())
+    want = _sympy_monic_basis(sympy, pot.jacobian(), pot.n_vars)
+    assert len(basis) == len(want)
+    assert {lead(g)[0]: g for g in basis} == {lead(g)[0]: g for g in want}
+    # the Milnor number counts the monomials under sympy's leading terms
+    leads = [lead(g)[0] for g in want]
+    box = _exponents(pot.n_vars, max(sum(le) for le in leads) * pot.n_vars)
+    under = [e for e in box if not any(all(a <= b for a, b in zip(le, e)) for le in leads)]
+    assert MilnorData(pot).dimension == len(under)

@@ -421,11 +421,10 @@ def test_ell_3_vanishes_on_the_M_identity_arguments():
     assert nonzero > 0
 
 
-def test_M_identity_needs_the_ell_2_term():
+def test_M_identity_needs_the_ell_2_term(monkeypatch):
     q, z, o = _solve(Potential.a_k(3), 5, 5)
-    fam = DescendantFamily(q.pot)
-    fam.ell = lambda n, args: PolyElement.zero(1)
-    rep = verify_M_identity(q, z, o, 5, fam)
+    monkeypatch.setattr(DescendantFamily, "ell", lambda fam, n, args: PolyElement.zero(1))
+    rep = verify_M_identity(q, z, o, 5)
     assert "M0 identity fails" in [v.residual for v in rep.violations]
 
 
