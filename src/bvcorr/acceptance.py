@@ -26,7 +26,6 @@ from .polyalg import (
 from .retract import build_retract, quantize_retract, spanning_monomials
 from .scalars import HPoly
 from .slinf import (
-    EvalMorphism,
     Expectation,
     GradedBasisElement,
     SLInfStructure,
@@ -36,7 +35,6 @@ from .slinf import (
     descendant_morphism,
     moment_cumulant_report,
     probe_descendant,
-    scalar_target,
     verify_sl_infinity,
 )
 from .solver import (
@@ -107,38 +105,38 @@ def criterion_1_bv_axioms():
     return True, "axioms hold on the degree-8 spanning set for both potentials"
 
 
-def _random_homogeneous(rng, max_degree=4) -> PolyElement:
+def _random_homogeneous(rng) -> PolyElement:
     """A one- or two-term homogeneous element with small integer data."""
     etas = () if rng.random() < 0.5 else (0,)
     terms = {}
     for _ in range(rng.choice((1, 2))):
-        d = rng.randrange(max_degree + 1)
+        d = rng.randrange(5)
         c = rng.choice((-3, -2, -1, 1, 2, 3))
         terms[((d,), etas)] = terms.get(((d,), etas), 0) + c
     e = PolyElement(1, terms)
     return e if not e.is_zero() else PolyElement.monomial(1, (1,), etas)
 
 
-def criterion_2_descendant_collapse(samples: int = 200):
+def criterion_2_descendant_collapse():
     """ell_2 equals the bracket and ell_3..ell_5 vanish on random tuples."""
     start = time.time()
     rng = random.Random(20240601)
     pot = Potential.a_k(2)
     fam = DescendantFamily(pot)
-    for _ in range(samples):
+    for _ in range(200):
         a = _random_homogeneous(rng)
         b = _random_homogeneous(rng)
         if fam.ell(2, [a, b]) != bv_bracket(a, b):
             return False, f"ell_2 != bracket on {a}, {b}"
     for n in (3, 4, 5):
-        for _ in range(samples):
+        for _ in range(200):
             args = [_random_homogeneous(rng) for _ in range(n)]
             if not fam.ell(n, args).is_zero():
                 return False, f"ell_{n} != 0 on a random tuple"
     elapsed = time.time() - start
     if elapsed > 30.0:
         return False, f"runtime {elapsed:.1f}s exceeds 30s"
-    return True, f"{samples} tuples per arity, arities 2..5"
+    return True, "200 tuples per arity, arities 2..5"
 
 
 def _copy_structure(S: SLInfStructure) -> SLInfStructure:
@@ -386,11 +384,10 @@ def criterion_9_expectation_layer():
     # strongness probe: fails deterministically at one arity, twice
     arities = []
     for _ in range(2):
-        res = descendant_morphism(
+        psi = descendant_morphism(
             expect,
             pot,
-            scalar_target(),
-            4,
+            HPoly.zero(),
             precheck_span=span,
             target_K=lambda s: HPoly.zero(),
         )
@@ -399,20 +396,12 @@ def criterion_9_expectation_layer():
         for n in (2, 3, 4):
             for m in (x, x * x):
                 probes.append(tuple([m] * n))
-        resP = probe_descendant(res, probes)
-        arities.append(resP.failure_arity)
+        failure = probe_descendant(psi, probes)
+        arities.append(None if failure is None else failure[0])
     if arities[0] is None:
         # strong after all: the moment-cumulant identity must hold
-        phi_ev = EvalMorphism(
-            {
-                n: (lambda nn: lambda args: z.phi0[nn].get(tuple(args)))(n)
-                for n in range(1, 5)
-            }
-        )
-        chi = compose_morphisms(res.morphism, phi_ev, lambda a: 0)
-        rep = moment_cumulant_report(
-            expect, lambda idxs: chi.ev(idxs), z.ghosts, corr, 4
-        )
+        chi = compose_morphisms(psi, lambda idxs: z.phi0[len(idxs)].get(idxs))
+        rep = moment_cumulant_report(expect, chi, z.ghosts, corr, 4)
         if not rep.ok:
             return False, "moment-cumulant identity fails"
         return True, "expectation is strong; moment-cumulant identity holds"

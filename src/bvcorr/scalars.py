@@ -127,7 +127,7 @@ class HPoly:
         """Restrict the known window to order t."""
         if t >= self.trunc:
             return self
-        return HPoly(self.c, trunc=t)
+        return HPoly._of({k: v for k, v in self.c.items() if k <= t}, t)
 
     # -- arithmetic -------------
     def _combine(self, other, sign: int) -> "HPoly":

@@ -5,7 +5,8 @@ relations are checked two independent ways: directly (sums over unshuffles)
 and through the square of the bar-construction coderivation.  Morphism-side
 machinery covers descendants of pointed cochain maps, composition,
 correlators and the moment/cumulant identity; all but composition sum by
-one graded exponential formula, `_exponential_sum`.
+one graded exponential formula, `_exponential_sum`.  A morphism is a plain
+function on argument tuples, and a target is named by its zero.
 """
 
 from __future__ import annotations
@@ -48,14 +49,10 @@ class GradedBasisElement:
 class SLInfStructure:
     """Unital sL-infinity structure constants over a finite graded basis."""
 
-    def __init__(self, basis, ops=None, unit: int | None = None):
+    def __init__(self, basis, unit: int | None = None):
         self.basis = list(basis)
         self.ghosts = [b.ghost for b in self.basis]
         self.ops = {}
-        if ops:
-            for n, table in ops.items():
-                for idxs, value in table.items():
-                    self.set_op(n, idxs, value)
         self.unit = unit
 
     def set_op(self, n: int, idxs, value: HVector) -> None:
@@ -243,33 +240,6 @@ def _exponential_sum(key, degrees, phi, rest, zero, top, sign=1):
 # -- morphisms -------------
 
 
-class EvalMorphism:
-    """sL-infinity morphism given by evaluation procedures with memoization.
-
-    `components[n]` maps a tuple of source elements to a target element;
-    when only component 1 is given, higher components are produced by a
-    descendant recursion (see `descendant_morphism`).
-    """
-
-    def __init__(self, components):
-        self.components = components
-
-    def ev(self, args) -> object:
-        n = len(args)
-        comp = self.components.get(n)
-        if comp is None:
-            return None
-        return comp(tuple(args))
-
-
-class DescendantResult:
-    __slots__ = ("ok", "morphism", "failure_arity", "residue")
-
-    def __init__(self, ok: bool, morphism=None, failure_arity=None, residue=None):
-        self.ok, self.morphism = ok, morphism
-        self.failure_arity, self.residue = failure_arity, residue
-
-
 class DescendantDivisibilityError(NotDivisibleError):
     """The descendant recursion produced a residue not divisible by h.
 
@@ -286,32 +256,15 @@ class DescendantDivisibilityError(NotDivisibleError):
         )
 
 
-class TargetAlgebra:
-    """The unit and zero of the target of a pointed cochain map: an HPoly
-    or PolyElement algebra, multiplied by `*`."""
+def descendant_morphism(F, pot, zero, precheck_span=None, target_K=None):
+    """Quantum descendant psi of a pointed cochain map out of the BV algebra.
 
-    def __init__(self, unit, zero):
-        self.unit = unit
-        self.zero = zero
-
-
-def scalar_target() -> TargetAlgebra:
-    return TargetAlgebra(unit=HPoly.const(1), zero=HPoly.zero())
-
-
-def descendant_morphism(
-    F,
-    pot,
-    target: TargetAlgebra,
-    n_max: int,
-    precheck_span=None,
-    target_K=None,
-) -> DescendantResult:
-    """Quantum descendant of a pointed cochain map out of the BV algebra.
-
-    F maps PolyElement to the target; it must satisfy F(1) = 1' and
-    intertwine the differentials (checked on `precheck_span` if given).
-    Returns the family psi or the first arity where h-divisibility fails.
+    F maps PolyElement to the target named by its zero: `HPoly.zero()` for
+    scalars, `PolyElement.zero(n)` for a BV algebra on n variables.  F must
+    satisfy F(1) = 1' and intertwine the differentials (checked on
+    `precheck_span` if given).  Returns psi, a function on argument tuples
+    of any arity up to the cap; where h-divisibility fails, evaluating psi
+    raises DescendantDivisibilityError (see `probe_descendant`).
 
     On homogeneous x_1 .. x_n, F(x_1 ... x_n) is the partition sum of psi,
     so psi_n = (F(x_1 ... x_n) - the proper anchored split) / (-h)^(n-1)
@@ -322,13 +275,13 @@ def descendant_morphism(
     """
     from .polyalg import quantum_K
 
-    one = PolyElement.one(pot.n_vars)
-    if F(one) != target.unit:
+    unit = HPoly.const(1) if isinstance(zero, HPoly) else PolyElement.one(zero.n_vars)
+    if F(PolyElement.one(pot.n_vars)) != unit:
         raise ValueError("not pointed: F(1) != 1'")
     if precheck_span is not None:
         for m in precheck_span:
             lhs = F(quantum_K(pot, m))
-            rhs = target_K(F(m)) if target_K is not None else target.zero
+            rhs = target_K(F(m)) if target_K is not None else zero
             if lhs != rhs:
                 raise ValueError("not a cochain map: F Khat != Khat' F")
 
@@ -342,7 +295,7 @@ def descendant_morphism(
                 continue
             acc = _exponential_sum(
                 I, [degs[i] for i in I], psis.__getitem__, Fs.__getitem__,
-                target.zero, (Fs[I], _ONE), sign=-1,
+                zero, (Fs[I], _ONE), sign=-1,
             )
             try:
                 psis[I] = acc.neg_h_divide(len(I) - 1)
@@ -352,76 +305,54 @@ def descendant_morphism(
 
     def psi(args):
         parts = product(*(a.ghost_parts().items() for a in args))
-        return _close([(psi_homogeneous(*zip(*combo)), _ONE) for combo in parts],
-                      target.zero)
+        return _close([(psi_homogeneous(*zip(*combo)), _ONE) for combo in parts], zero)
 
-    # divisibility failures surface lazily at evaluation time; callers probe
-    # arities through the returned morphism (see `probe_descendant`)
-    return DescendantResult(
-        ok=True, morphism=EvalMorphism({n: psi for n in range(1, n_max + 1)})
-    )
+    return psi
 
 
-def probe_descendant(result: DescendantResult, probes) -> DescendantResult:
-    """Evaluate a descendant morphism on probe tuples, catching h-failures.
+def probe_descendant(psi, probes):
+    """Evaluate a descendant psi on probe tuples; None if every one evaluates.
 
-    probes: iterable of tuples of PolyElements, in increasing arity; the first failing arity (the arity of the inner recursion step
-    that broke, which probing in increasing arity makes deterministic) is
-    reported together with the undivided residue.
+    probes: tuples of PolyElements, in increasing arity.  The first failure
+    is returned as (arity, residue): the arity of the recursion step that
+    broke (which probing in increasing arity makes deterministic) with its
+    undivided residue, or, for a NotDivisibleError raised inside F itself,
+    the probe's arity with the error.
     """
-    if not result.ok:
-        return result
     for args in probes:
         try:
-            result.morphism.ev(args)
+            psi(args)
         except DescendantDivisibilityError as e:
-            return DescendantResult(
-                ok=False, failure_arity=e.arity, residue=e.residue
-            )
+            return e.arity, e.residue
         except NotDivisibleError as e:
-            return DescendantResult(
-                ok=False, failure_arity=len(args), residue=e
-            )
-    return result
+            return len(args), e
+    return None
 
 
-def _scale_target(v, coef: HPoly):
-    if isinstance(v, HPoly):
-        return v * coef
-    return v.scale(coef)
-
-
-def compose_morphisms(outer, inner, ghosts_of_source):
+def compose_morphisms(outer, inner):
     """Partition-sum composition (outer after inner) of sL-infinity morphisms.
 
-    Both morphisms are evaluation-based; the composite evaluates on tuples
-    of the inner morphism's source elements.
+    Both are functions on argument tuples; so is the composite, on tuples of
+    inner's source elements: a PolyElement has its ghost number, any other
+    element (a basis index) ghost 0.  The composite is None outside arities
+    1..ARITY_CAP and where outer is None on every partition.
     """
 
-    def comp(n):
-        def ev_n(args):
-            degs = [_ghost_of(a, ghosts_of_source) for a in args]
-            acc = None
-            for p, eps in signed_partitions(n, degs):
-                vals = [inner.ev(tuple(args[j - 1] for j in b)) for b in p]
-                v = outer.ev(tuple(vals))
-                if v is None:
-                    continue
-                v = _scale_target(v, HPoly.const(eps))
-                acc = v if acc is None else acc + v
-            return acc
+    def composite(args):
+        n = len(args)
+        if not 1 <= n <= ARITY_CAP:
+            return None
+        degs = [a.ghost() if isinstance(a, PolyElement) else 0 for a in args]
+        acc = None
+        for p, eps in signed_partitions(n, degs):
+            v = outer(tuple(inner(tuple(args[j - 1] for j in b)) for b in p))
+            if v is None:
+                continue
+            v = v * HPoly.const(eps)
+            acc = v if acc is None else acc + v
+        return acc
 
-        return ev_n
-
-    return EvalMorphism({n: comp(n) for n in range(1, ARITY_CAP + 1)})
-
-
-def _ghost_of(a, ghosts_of_source):
-    if ghosts_of_source is not None:
-        return ghosts_of_source(a)
-    if isinstance(a, PolyElement):
-        return a.ghost()
-    return 0
+    return composite
 
 
 class CorrelatorClosureError(RuntimeError):

@@ -15,19 +15,15 @@ from bvcorr.retract import build_retract, quantize_retract, spanning_monomials
 from bvcorr.scalars import INF_TRUNC, HPoly, NotDivisibleError, sum_pairs
 from bvcorr.slinf import (
     DescendantDivisibilityError,
-    DescendantResult,
-    EvalMorphism,
     Expectation,
     GradedBasisElement,
     SLInfStructure,
-    TargetAlgebra,
     coderivation_square,
     compose_morphisms,
     correlators,
     descendant_morphism,
     moment_cumulant_report,
     probe_descendant,
-    scalar_target,
     verify_sl_infinity,
 )
 from bvcorr.solver import solve_level_zero
@@ -36,11 +32,8 @@ from test_polyalg import _monomial_combos
 X = PolyElement.x(0, 1)
 ETA = PolyElement.eta(0, 1)
 ONE = PolyElement.one(1)
+ZERO = PolyElement.zero(1)
 A2 = Potential.a_k(2)
-
-
-def poly_target(n_vars: int) -> TargetAlgebra:
-    return TargetAlgebra(unit=PolyElement.one(n_vars), zero=PolyElement.zero(n_vars))
 
 
 def test_zero_structure_passes():
@@ -310,16 +303,15 @@ def test_oracles_enumerate_no_partitions(monkeypatch):
 
 
 def test_descendant_of_identity():
-    res = descendant_morphism(lambda c: c, A2, poly_target(1), 3)
-    m = res.morphism
-    assert m.ev((X,)) == X
-    assert m.ev((X, X)).is_zero()
-    assert m.ev((X, ETA, X)).is_zero()
+    psi = descendant_morphism(lambda c: c, A2, ZERO)
+    assert psi((X,)) == X
+    assert psi((X, X)).is_zero()
+    assert psi((X, ETA, X)).is_zero()
 
 
 def test_descendant_requires_pointedness():
     with pytest.raises(ValueError):
-        descendant_morphism(lambda c: c + ONE, A2, poly_target(1), 2)
+        descendant_morphism(lambda c: c + ONE, A2, ZERO)
 
 
 def test_descendant_requires_cochain_property():
@@ -328,8 +320,7 @@ def test_descendant_requires_cochain_property():
         descendant_morphism(
             lambda c: c.classical_part(0),
             A2,
-            poly_target(1),
-            2,
+            ZERO,
             precheck_span=span,
             target_K=lambda c: PolyElement.zero(1),
         )
@@ -362,33 +353,31 @@ def test_descendant_functoriality():
     F1 = _scaling_morphism(lam1)
     F2 = _scaling_morphism(lam2)
     pot_mid = Potential.single_variable({3: lam1**3 / 3})
-    r1 = descendant_morphism(F1, A2, poly_target(1), 3)
-    r2 = descendant_morphism(F2, pot_mid, poly_target(1), 3)
-    composed = descendant_morphism(
-        lambda c: F2(F1(c)), A2, poly_target(1), 3
-    )
-    bullet = compose_morphisms(r2.morphism, r1.morphism, None)
+    psi1 = descendant_morphism(F1, A2, ZERO)
+    psi2 = descendant_morphism(F2, pot_mid, ZERO)
+    composed = descendant_morphism(lambda c: F2(F1(c)), A2, ZERO)
+    bullet = compose_morphisms(psi2, psi1)
     probes = [(X,), (X, X), (X, ETA), (X, X, ETA), (ETA, X, X)]
     for args in probes:
-        assert composed.morphism.ev(args) == bullet.ev(args)
+        assert composed(args) == bullet(args)
 
 
 def test_composition_components_stop_at_the_arity_cap():
-    # the components run through the kernel's cap: arity 8 is absent like
+    # the composite runs through the kernel's cap: arity 8 is absent like
     # arity 9, where it used to raise ArityCapError from the kernel
-    one = EvalMorphism({n: (lambda args: HPoly.const(len(args))) for n in range(1, 10)})
-    comp = compose_morphisms(one, one, lambda a: 0)
-    assert comp.ev((X,) * 7) is not None
-    assert comp.ev((X,) * 8) is None
-    assert comp.ev((X,) * 9) is None
+    arity = lambda args: HPoly.const(len(args))
+    comp = compose_morphisms(arity, arity)
+    assert comp((X,) * 7) is not None
+    assert comp((X,) * 8) is None
+    assert comp((X,) * 9) is None
 
 
 def test_composition_with_identity():
-    ident = descendant_morphism(lambda c: c, A2, poly_target(1), 3)
-    other = descendant_morphism(_scaling_morphism(Fraction(2)), A2, poly_target(1), 3)
-    comp = compose_morphisms(other.morphism, ident.morphism, None)
-    assert comp.ev((X,)) == other.morphism.ev((X,))
-    assert comp.ev((X, X)) == other.morphism.ev((X, X))
+    ident = descendant_morphism(lambda c: c, A2, ZERO)
+    other = descendant_morphism(_scaling_morphism(Fraction(2)), A2, ZERO)
+    comp = compose_morphisms(other, ident)
+    assert comp((X,)) == other((X,))
+    assert comp((X, X)) == other((X, X))
 
 
 @pytest.fixture(scope="module")
@@ -483,10 +472,10 @@ def test_strongness_probe_is_deterministic():
     r = build_retract(MilnorData(A2))
     q = quantize_retract(r)
     expect = Expectation(q, [1, 0])
-    arities = []
+    failures = []
     for _ in range(2):
-        res = descendant_morphism(
-            expect, A2, scalar_target(), 4,
+        psi = descendant_morphism(
+            expect, A2, HPoly.zero(),
             precheck_span=spanning_monomials(1, 6),
             target_K=lambda s: HPoly.zero(),
         )
@@ -494,8 +483,29 @@ def test_strongness_probe_is_deterministic():
         for n in (2, 3, 4):
             for m in (X, X * X):
                 probes.append(tuple([m] * n))
-        arities.append(probe_descendant(res, probes).failure_arity)
-    assert arities == [3, 3]
+        failures.append(probe_descendant(psi, probes))
+    assert [f[0] for f in failures] == [3, 3]
+    # the residue is the one psi raises on the first probe of arity 3
+    with pytest.raises(DescendantDivisibilityError) as err:
+        psi((X,) * 3)
+    assert err.value.arity == 3
+    for _, residue in failures:
+        assert _exact(residue) == _exact(err.value.residue)
+
+
+def test_probe_reports_a_failure_of_F_at_the_probe_arity():
+    # a NotDivisibleError raised by F itself, not by the recursion, names
+    # the arity of the probe that met it
+    refusal = NotDivisibleError(1, "F refuses x^2")
+
+    def F(c):
+        if ((2,), ()) in c.terms:
+            raise refusal
+        return c
+
+    psi = descendant_morphism(F, A2, ZERO)
+    assert probe_descendant(psi, [(X,), (ETA, X)]) is None
+    assert probe_descendant(psi, [(X,), (ETA, X), (X, X), (X, X, X)]) == (2, refusal)
 
 
 def test_gaussian_expectation_is_strong_with_cumulants():
@@ -504,20 +514,18 @@ def test_gaussian_expectation_is_strong_with_cumulants():
     expect = Expectation(q, [1], span=spanning_monomials(1, 6))
     assert expect(X * X) == HPoly.h()
     assert expect(X * X * X * X) == HPoly({2: 3})
-    res = descendant_morphism(
-        expect, pot, scalar_target(), 4,
+    psi = descendant_morphism(
+        expect, pot, HPoly.zero(),
         precheck_span=spanning_monomials(1, 6),
         target_K=lambda s: HPoly.zero(),
     )
     probes = [tuple([X] * n) for n in (2, 3, 4)]
-    assert probe_descendant(res, probes).ok
+    assert probe_descendant(psi, probes) is None
     z = solve_level_zero(q, 4)
-    corr = correlators(lambda idxs: z.phi0[len(idxs)].get(idxs), z.ghosts, 4, 1)
-    phi_ev = EvalMorphism(
-        {n: (lambda nn: lambda args: z.phi0[nn].get(tuple(args)))(n) for n in range(1, 5)}
-    )
-    chi = compose_morphisms(res.morphism, phi_ev, lambda a: 0)
-    rep = moment_cumulant_report(expect, lambda idxs: chi.ev(idxs), z.ghosts, corr, 4)
+    phi = lambda idxs: z.phi0[len(idxs)].get(idxs)
+    corr = correlators(phi, z.ghosts, 4, 1)
+    chi = compose_morphisms(psi, phi)
+    rep = moment_cumulant_report(expect, chi, z.ghosts, corr, 4)
     assert rep.ok
 
 
@@ -555,7 +563,7 @@ def _partition_moments(chi_on_H, ghosts, n_max):
     return out
 
 
-def _partition_descendant(F, pot, target, n_max):
+def _partition_descendant(F, pot, zero):
     # psi on monomial tuples, memoized across calls; arguments expand into
     # monomials by multilinearity
     nv = pot.n_vars
@@ -591,13 +599,12 @@ def _partition_descendant(F, pot, target, n_max):
         return acc
 
     def psi(n, args):
-        acc = target.zero
+        acc = zero
         for monos, coef in _monomial_combos([a.terms for a in args]):
             acc = acc + scale(psi_mono(n, monos), coef)
         return acc
 
-    return EvalMorphism({n: (lambda nn: lambda args: psi(nn, list(args)))(n)
-                         for n in range(1, n_max + 1)})
+    return lambda args: psi(len(args), list(args))
 
 
 def _random_coef(rng, truncs):
@@ -721,26 +728,26 @@ def test_descendants_match_their_partition_form():
     window = ETA.scale(HPoly({0: 1, 1: 2}, trunc=2))
     elems = [X, ETA, X * X, X * ETA, X + ETA, X * ETA + X * X,
              ONE + X.scale(Fraction(2, 3)), window + X]
-    cases = [(A2, lambda c: c + _second_derivative(c).scale(HPoly.h()), poly_target(1)),
-             (A2, lambda c: c + _second_derivative(c), poly_target(1))]
+    cases = [(A2, lambda c: c + _second_derivative(c).scale(HPoly.h()), ZERO),
+             (A2, lambda c: c + _second_derivative(c), ZERO)]
     for pot in (Potential.single_variable({2: Fraction(1, 2)}), A2, Potential.a_k(3)):
         q = quantize_retract(build_retract(MilnorData(pot)))
-        cases.append((pot, Expectation(q, [1] + [0] * (q.dim - 1)), scalar_target()))
+        cases.append((pot, Expectation(q, [1] + [0] * (q.dim - 1)), HPoly.zero()))
     rng = random.Random(3)
     probes = [(a,) for a in elems] + [(a, b) for a in elems for b in elems]
     probes += [tuple(rng.choices(elems, k=n)) for n in (3, 4) for _ in range(12)]
     probes += [(m,) * n for m in (X, X * X, X * ETA) for n in (2, 3, 4)]
 
-    def run(morphism, args):
+    def run(psi, args):
         try:
-            return True, morphism.ev(args)
+            return True, psi(args)
         except DescendantDivisibilityError as e:
             return False, (e.arity, e.residue)
 
     outcomes = set()
-    for pot, F, target in cases:
-        new = descendant_morphism(F, pot, target, 4).morphism
-        ref = _partition_descendant(F, pot, target, 4)
+    for pot, F, zero in cases:
+        new = descendant_morphism(F, pot, zero)
+        ref = _partition_descendant(F, pot, zero)
         for args in probes:
             (ok, got), (ref_ok, want) = run(new, args), run(ref, args)
             assert ok == ref_ok
@@ -766,9 +773,9 @@ def test_morphism_sums_enumerate_no_partitions(monkeypatch, a3_solution):
     expect = Expectation(q, [1, 0, 0])
     chi = lambda idxs: expect(phi(idxs))
     assert moment_cumulant_report(expect, chi, z.ghosts, corr, 4).checks > 0
-    res = descendant_morphism(expect, q.pot, scalar_target(), 8)
+    psi = descendant_morphism(expect, q.pot, HPoly.zero())
     probes = [(X, ETA, X * X), (X + ETA, X)] + [(X,) * n for n in (2, 3, 4)]
-    assert not probe_descendant(res, probes).ok
+    assert probe_descendant(psi, probes) is not None
     assert arities == []
     # past the cap every sum still refuses
     ones = lambda idxs: ONE
@@ -778,7 +785,7 @@ def test_morphism_sums_enumerate_no_partitions(monkeypatch, a3_solution):
         moment_cumulant_report(lambda mu: HPoly.zero(), lambda idxs: HPoly.const(1), [0],
                                {n: {} for n in range(1, 9)}, 8)
     with pytest.raises(ArityCapError):
-        res.morphism.ev((X * X,) * 8)
+        psi((X * X,) * 8)
 
 
 def test_plain_record_types():
@@ -792,7 +799,3 @@ def test_plain_record_types():
         a.ghost = 0
     with pytest.raises(AttributeError):
         del a.label
-    r = DescendantResult(ok=True)
-    assert (r.ok, r.morphism, r.failure_arity, r.residue) == (True, None, None, None)
-    r = DescendantResult(False, failure_arity=3, residue="res")
-    assert (r.ok, r.morphism, r.failure_arity, r.residue) == (False, None, 3, "res")
